@@ -18,7 +18,7 @@ from . import inference, svg
 from .model import FNODEModel, TrainConfig, TrainingDiverged, fit
 from .nets import encode_gamma, encode_z0
 from .odeint import IntegrationBlowUp
-from .serialize import ArchiveError, load_archive, save_archive, write_text_atomic
+from .serialize import ArchiveError, load_archive, save_archive
 from .syndata import (
     DatasetFormatError,
     fmt_float,
@@ -26,6 +26,7 @@ from .syndata import (
     generate_set_b,
     load_dataset,
     save_dataset,
+    write_text_atomic,
 )
 
 __all__ = ["main", "RunConfig", "band_to_csv"]
@@ -300,13 +301,9 @@ def cmd_sample(args) -> int:
             raise ValidationError("archive holds no fitted sampler; train with epochs > 0")
         paths = inference.sample_trajectories(m, S, source, times, args.n, seed=args.seed)
     elif args.mode == "prior":
-        rng = np.random.default_rng(args.seed)
-        q_z0 = encode_z0(m.enc_z0, source, m.obs_scale)
-        anchor = float(source.times[0])
-        paths = []
-        for _ in range(args.n):
-            gamma = rng.standard_normal(m.d_gamma)
-            paths.append(inference.rollout(m, q_z0.mean.data, gamma, anchor, times))
+        G = np.random.default_rng(args.seed).standard_normal((args.n, m.d_gamma))
+        Z0 = np.tile(encode_z0(m.enc_z0, source, m.obs_scale).mean.data, (args.n, 1))
+        paths = inference.rollout(m, Z0, G, float(source.times[0]), times)
     elif args.mode == "transfer":
         if args.exemplar is None:
             raise ValidationError("--mode transfer needs --exemplar")
@@ -394,19 +391,15 @@ def cmd_eval(args) -> int:
             mask[0] = True
         q_z0, q_gamma = _encode_partial_means(m, traj, mask)
 
-        rng = np.random.default_rng(args.seed ^ j)
-        sq_sum = np.zeros_like(traj.values)
-        for _ in range(args.samples):
-            if args.samples == 1:
-                z0, gamma = q_z0.mean.data, q_gamma.mean.data
-            else:
-                z0 = q_z0.mean.data + np.exp(0.5 * q_z0.log_var.data) * rng.standard_normal(m.p)
-                gamma = q_gamma.mean.data + np.exp(
-                    0.5 * q_gamma.log_var.data
-                ) * rng.standard_normal(m.d_gamma)
-            recon = inference.rollout(m, z0, gamma, float(traj.times[mask][0]), traj.times)
-            sq_sum += (recon - traj.values) ** 2
-        sq = sq_sum / args.samples
+        if args.samples == 1:
+            Z0, G = q_z0.mean.data[None], q_gamma.mean.data[None]
+        else:
+            # sample k takes its z0 noise, then its code noise, from the one stream
+            noise = np.random.default_rng(args.seed ^ j).standard_normal((args.samples, m.p + m.d_gamma))
+            Z0 = q_z0.mean.data + np.exp(0.5 * q_z0.log_var.data) * noise[:, : m.p]
+            G = q_gamma.mean.data + np.exp(0.5 * q_gamma.log_var.data) * noise[:, m.p :]
+        recon = inference.rollout(m, Z0, G, float(traj.times[mask][0]), traj.times)
+        sq = ((recon - traj.values) ** 2).sum(axis=0) / args.samples
 
         interp = float(sq[mask].mean())
         row: list = [j, "" if traj.label is None else traj.label, int(mask.sum()), interp]

@@ -309,7 +309,7 @@ def bic(model: GMMModel, bank: GammaSampleBank | np.ndarray) -> float:
     """-2 * loglik + n_params * ln(n) for the fitted mixture on the bank."""
     X = bank.samples if isinstance(bank, GammaSampleBank) else np.asarray(bank, dtype=np.float64)
     n = X.shape[0]
-    return -2.0 * float(score_rows(model, X).sum()) + _n_params(model) * np.log(n)
+    return float(-2.0 * score_rows(model, X).sum() + _n_params(model) * np.log(n))
 
 
 def _n_params(model: GMMModel) -> int:

@@ -3,7 +3,8 @@
 Three ways to generate: draw a fresh code from the mixture, borrow the code of
 an exemplar trajectory (transfer), or rejection-sample codes within a ball
 around an exemplar's code.  On top of those sit empirical credible bands and a
-likelihood-threshold outlier test.
+likelihood-threshold outlier test.  Each generator decodes all of its draws in
+one :func:`rollout` call, which runs them through the batched solver.
 """
 
 from __future__ import annotations
@@ -74,11 +75,28 @@ class OODReport:
     label: int | None = None
 
 
-def rollout(m: FNODEModel, z0_np: np.ndarray, gamma_np: np.ndarray, anchor_t: float, times: np.ndarray) -> np.ndarray:
-    """Decode one (z0, code) pair over ``times``; returns a [T, obs_dim] array."""
-    theta = hypernet_map(m.hyper, Tensor(gamma_np))
-    recon = decode_path(m, Tensor(z0_np), theta, anchor_t, times)
-    return np.stack([r.data for r in recon])
+# Rows per batched solver call: bounds the memory of a rollout for any draw count.
+ROLLOUT_ROWS = 256
+
+
+def rollout(m: FNODEModel, Z0: np.ndarray, G: np.ndarray, anchor_t: float, times) -> np.ndarray:
+    """Decode (z0, code) pairs over ``times``; returns a [B, T, obs_dim] array.
+
+    ``Z0`` is [B, p] and ``G`` is [B, d_gamma]; a single draw is a batch of
+    one.  Rows go through the batched solver ``ROLLOUT_ROWS`` at a time.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    Z0 = np.asarray(Z0, dtype=np.float64)
+    G = np.asarray(G, dtype=np.float64)
+    if Z0.ndim != 2 or G.ndim != 2 or Z0.shape[0] != G.shape[0]:
+        raise ValueError(f"Z0 {Z0.shape} and G {G.shape} must be [B, p] and [B, d_gamma]")
+    out = np.empty((Z0.shape[0], times.size, m.obs_dim))
+    for lo in range(0, Z0.shape[0], ROLLOUT_ROWS):
+        hi = min(lo + ROLLOUT_ROWS, Z0.shape[0])
+        theta = hypernet_map(m.hyper, Tensor(G[lo:hi]))
+        recon = decode_path(m, Tensor(Z0[lo:hi]), theta, anchor_t, times)
+        out[lo:hi] = recon.data.reshape(times.size, hi - lo, m.obs_dim).transpose(1, 0, 2)
+    return out
 
 
 def _mean_z0(m: FNODEModel, traj) -> tuple[np.ndarray, float]:
@@ -107,14 +125,11 @@ def sample_trajectories(
     if not joint and S.d != m.d_gamma:
         raise ValueError(f"sampler dimension {S.d} matches neither the code nor (z0, code)")
     draws = gmm_mod.sample(S, n, seed=seed)
-    out = []
-    for k in range(n):
-        if joint:
-            z0_k, gamma_k = draws[k, : m.p], draws[k, m.p :]
-        else:
-            z0_k, gamma_k = z0_np, draws[k]
-        out.append(rollout(m, z0_k, gamma_k, anchor, times))
-    return out
+    if joint:
+        Z0, G = draws[:, : m.p], draws[:, m.p :]
+    else:
+        Z0, G = np.tile(z0_np, (n, 1)), draws
+    return list(rollout(m, Z0, G, anchor, times))
 
 
 def transfer_trajectory(m: FNODEModel, z0_source, exemplar, times) -> np.ndarray:
@@ -122,7 +137,7 @@ def transfer_trajectory(m: FNODEModel, z0_source, exemplar, times) -> np.ndarray
     times = np.asarray(times, dtype=np.float64)
     z0_np, anchor = _mean_z0(m, z0_source)
     gamma = encode_gamma(m.enc_gamma, exemplar, m.obs_scale).mean.data
-    return rollout(m, z0_np, gamma, anchor, times)
+    return rollout(m, z0_np[None], gamma[None], anchor, times)[0]
 
 
 def neighborhood_sample(
@@ -155,11 +170,7 @@ def neighborhood_sample(
         rng_seq += 1
         attempts += take
         dist = np.linalg.norm(draws - gamma_j, axis=1)
-        for r in draws[dist <= delta]:
-            assert np.linalg.norm(r - gamma_j) <= delta
-            accepted.append(r)
-            if len(accepted) >= n:
-                break
+        accepted.extend(draws[dist <= delta][: n - len(accepted)])
     if not accepted:
         raise ZeroAcceptance(
             f"no draws within delta={delta} of the exemplar code after {attempts} attempts "
@@ -171,8 +182,8 @@ def neighborhood_sample(
     else:
         times = np.asarray(times, dtype=np.float64)
     z0_np, anchor = _mean_z0(m, exemplar)
-    paths = [rollout(m, z0_np, g, anchor, times) for g in codes]
-    return codes, paths
+    paths = rollout(m, np.tile(z0_np, (len(codes), 1)), codes, anchor, times)
+    return codes, list(paths)
 
 
 def credible_band(
@@ -209,12 +220,13 @@ def credible_band(
 
     if source == "gmm":
         gammas = gmm_mod.sample(S, n_draws, seed=seed + 1)
-
-    draws = np.empty((n_draws, times.size, m.obs_dim))
-    for k in range(n_draws):
-        z0_k = mu_z + sd_z * rng.standard_normal(m.p)
-        gamma_k = gammas[k] if source == "gmm" else mu_g + sd_g * rng.standard_normal(m.d_gamma)
-        draws[k] = rollout(m, z0_k, gamma_k, anchor, times)
+        Z0 = mu_z + sd_z * rng.standard_normal((n_draws, m.p))
+    else:
+        # draw k takes its z0 noise, then its code noise, from the one stream
+        noise = rng.standard_normal((n_draws, m.p + m.d_gamma))
+        Z0 = mu_z + sd_z * noise[:, : m.p]
+        gammas = mu_g + sd_g * noise[:, m.p :]
+    draws = rollout(m, Z0, gammas, anchor, times)
 
     lo_q, hi_q = (1.0 - level) / 2.0, (1.0 + level) / 2.0
     return CredibleBand(

@@ -461,48 +461,43 @@ def fit(m: FNODEModel, data, cfg: TrainConfig, on_epoch=None):
 # -- deterministic reconstruction ---------------------------------------------------
 
 
-def decode_path(m: FNODEModel, z0: Tensor, theta: Tensor, anchor_t: float, times) -> list[Tensor]:
-    """Decode latent states at ``times`` for a rollout anchored at ``anchor_t``.
+def decode_path(m: FNODEModel, z0: Tensor, theta: Tensor, anchor_t: float, times) -> Tensor:
+    """Decode a batch of rollouts anchored at ``anchor_t`` at every time of ``times``.
 
-    Times earlier than the anchor are reached by integrating the negated field
-    backwards; later ones by the ordinary forward solve.
+    ``z0`` is [B, p] and ``theta`` the [B, weight_count] field weights.  The
+    result is the [T * B, obs_dim] decoder output in time-major order: row
+    ``i * B + b`` is rollout b at ``times[i]``.  Times earlier than the anchor
+    are reached by integrating the negated field in tau = anchor - t; later
+    ones by the ordinary forward solve.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a non-empty 1-d array")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    fld = make_field(m.f_spec, theta)
+    B = z0.data.shape[0]
+    fld = make_batch_field(m.f_spec, theta)
 
     eps = 1e-12
     n_before = int(np.sum(times < anchor_t - eps))
     before = times[:n_before]
     after = times[n_before:]
 
-    states: dict[int, Tensor] = {}
-    if after.size:
-        if abs(after[0] - anchor_t) <= eps:
-            grid = after
-            offset = 0
-        else:
-            grid = np.concatenate([[anchor_t], after])
-            offset = 1
-        path = integrate(fld, z0, TimeGrid(grid), m.solver)
-        for j, z in enumerate(path[offset:]):
-            states[n_before + j] = z
+    states: list[Tensor] = []
     if before.size:
 
-        def fld_rev(z: Tensor, tau: float) -> Tensor:
-            return tg.neg(fld(z, anchor_t - tau))
+        def fld_rev(Z: Tensor, tau_row: np.ndarray) -> Tensor:
+            return tg.neg(fld(Z, anchor_t - tau_row))
 
         tau_grid = np.concatenate([[0.0], anchor_t - before[::-1]])
-        path = integrate(fld_rev, z0, TimeGrid(tau_grid), m.solver)
-        for j, z in enumerate(path[1:]):
-            states[n_before - 1 - j] = z
-
-    zmat = tg.stack_rows([states[i] for i in range(times.size)])
-    recon = m.dec(zmat)
-    return [tg.row(recon, i) for i in range(times.size)]
+        path = integrate_batch(fld_rev, z0, np.broadcast_to(tau_grid, (B, tau_grid.size)), m.solver)
+        states = path[:0:-1]
+    if after.size:
+        offset = 0 if abs(after[0] - anchor_t) <= eps else 1
+        grid = after if offset == 0 else np.concatenate([[anchor_t], after])
+        path = integrate_batch(fld, z0, np.broadcast_to(grid, (B, grid.size)), m.solver)
+        states += path[offset:]
+    return m.dec(tg.concat(states, axis=0))
 
 
 def reconstruct(m: FNODEModel, x, times, use_posterior_mean: bool = True, seed: int = 0) -> list[Tensor]:
@@ -519,6 +514,7 @@ def reconstruct(m: FNODEModel, x, times, use_posterior_mean: bool = True, seed: 
         rng = np.random.default_rng(seed)
         z0 = reparameterize(q_z0, Tensor(rng.standard_normal(m.p)))
         gamma = reparameterize(q_gamma, Tensor(rng.standard_normal(m.d_gamma)))
-    theta = hypernet_map(m.hyper, gamma)
+    theta = hypernet_map(m.hyper, tg.reshape(gamma, (1, m.d_gamma)))
     times = np.asarray(times, dtype=np.float64) if not isinstance(times, TimeGrid) else times.times
-    return decode_path(m, z0, theta, float(np.asarray(x.times)[0]), times)
+    recon = decode_path(m, tg.reshape(z0, (1, m.p)), theta, float(np.asarray(x.times)[0]), times)
+    return [tg.row(recon, i) for i in range(times.size)]

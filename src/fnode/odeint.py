@@ -30,11 +30,16 @@ VectorField = Callable[[Tensor, float], Tensor]
 
 
 class IntegrationBlowUp(ArithmeticError):
-    """State became non-finite during integration; carries the time of blow-up."""
+    """State became non-finite during integration; carries the time of blow-up.
 
-    def __init__(self, t: float):
-        super().__init__(f"non-finite state at t={t!r}")
+    The batched solver also names the first batch row that blew up.
+    """
+
+    def __init__(self, t: float, row: int | None = None):
+        where = "" if row is None else f" in batch row {row}"
+        super().__init__(f"non-finite state at t={t!r}{where}")
         self.t = t
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -160,21 +165,46 @@ def integrate_batch(field, z0: Tensor, times: np.ndarray, cfg: SolverConfig) -> 
         for s in range(n_steps):
             h_row = np.where(s < n_full, h, np.where(s == n_full, rem, 0.0))
             t_row = t_lo + np.minimum(s, n_full) * h
-            z = _batch_step(field, z, t_row, h_row, float(times[:, j + 1].max()))
+            z = _batch_step(field, z, t_row, h_row)
         states.append(z)
     return states
 
 
-def _batch_step(field, z: Tensor, t_row: np.ndarray, h_row: np.ndarray, t_report: float) -> Tensor:
+def _rk4_batch(field, z: Tensor, t_row: np.ndarray, h_row: np.ndarray) -> Tensor:
     hcol = h_row[:, None]
+    k1 = field(z, t_row)
+    k2 = field(tg.add_scaled_rows(z, k1, hcol * 0.5), t_row + h_row * 0.5)
+    k3 = field(tg.add_scaled_rows(z, k2, hcol * 0.5), t_row + h_row * 0.5)
+    k4 = field(tg.add_scaled_rows(z, k3, hcol), t_row + h_row)
+    return tg.rk4_combine(z, k1, k2, k3, k4, hcol)
+
+
+def _batch_step(field, z: Tensor, t_row: np.ndarray, h_row: np.ndarray) -> Tensor:
     try:
-        k1 = field(z, t_row)
-        k2 = field(tg.add_scaled_rows(z, k1, hcol * 0.5), t_row + h_row * 0.5)
-        k3 = field(tg.add_scaled_rows(z, k2, hcol * 0.5), t_row + h_row * 0.5)
-        k4 = field(tg.add_scaled_rows(z, k3, hcol), t_row + h_row)
-        z = tg.rk4_combine(z, k1, k2, k3, k4, hcol)
+        z_next = _rk4_batch(field, z, t_row, h_row)
     except NonFiniteValue as e:
-        raise IntegrationBlowUp(t_report) from e
-    if not np.all(np.isfinite(z.data)):
-        raise IntegrationBlowUp(t_report)
-    return z
+        raise _blow_up(field, z, t_row, h_row) from e
+    if not np.all(np.isfinite(z_next.data)):
+        raise _blow_up(field, z, t_row, h_row)
+    return z_next
+
+
+def _blow_up(field, z: Tensor, t_row: np.ndarray, h_row: np.ndarray) -> IntegrationBlowUp:
+    """The error for a failed step: its first non-finite row and that row's own time.
+
+    Only the error path pays for this.  The step is replayed without
+    per-primitive checks while every stage's input and output is kept; the
+    reported row is the first one holding a non-finite entry in any of them,
+    and its time is the end of its own step, as :func:`integrate` reports it.
+    """
+    seen = []
+
+    def recorded(Z: Tensor, t: np.ndarray) -> Tensor:
+        out = field(Z, t)
+        seen.extend((Z.data, out.data))
+        return out
+
+    with tg.finite_checks(False), np.errstate(all="ignore"):
+        seen.append(_rk4_batch(recorded, z, t_row, h_row).data)
+    row = int(np.argmin(np.all(np.isfinite(np.concatenate(seen, axis=1)), axis=1)))
+    return IntegrationBlowUp(float(t_row[row] + h_row[row]), row=row)

@@ -1,15 +1,21 @@
 """Versioned JSON archive for trained models and their mixture sampler.
 
-Arrays are stored as shape plus a space-separated decimal string with 17
-significant digits per entry, which reconstructs every float64 bit-exactly.
-A format_version gate refuses archives written by an incompatible layout.
+The archive is one JSON document.  Since format version 2 each array is
+stored as ``{"shape": [...], "f8": <base64 of its little-endian float64 bytes
+in C order>}``, which is bit-exact and decodes without parsing text.  Scalars
+and network specs stay plain JSON (scalars as 17-significant-digit strings).
+Version 1 archives, whose arrays hold a space-separated decimal string under
+``"data"``, still load.  Loading checks the document's schema and every
+parameter's shape against its spec; a format_version gate refuses archives
+written by an incompatible layout.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
-import os
-import tempfile
+import math
 from typing import Sequence
 
 import numpy as np
@@ -18,50 +24,43 @@ from .gmm import GMMModel
 from .model import ELBOBreakdown, FNODEModel
 from .nets import MLP, Hypernetwork, MLPSpec
 from .odeint import SolverConfig
-from .syndata import fmt_float
-from .tensorgrad import ParamSet, Tensor
+from .syndata import fmt_float, write_text_atomic
+from .tensorgrad import NonFiniteValue, ParamSet, Tensor
 
 __all__ = [
     "FORMAT_VERSION",
     "ArchiveError",
     "save_archive",
     "load_archive",
-    "write_text_atomic",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 
 class ArchiveError(ValueError):
-    """Unreadable or version-incompatible model archive."""
-
-
-def write_text_atomic(path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
-    path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Unreadable, malformed or version-incompatible model archive."""
 
 
 def _encode_array(arr: np.ndarray) -> dict:
-    arr = np.asarray(arr, dtype=np.float64)
-    return {
-        "shape": list(arr.shape),
-        "data": " ".join(fmt_float(x) for x in arr.reshape(-1)),
-    }
+    arr = np.asarray(arr, dtype="<f8")
+    return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes(order="C")).decode("ascii")}
 
 
-def _decode_array(obj: dict) -> np.ndarray:
-    flat = np.array([float(tok) for tok in obj["data"].split()], dtype=np.float64)
-    return flat.reshape(obj["shape"])
+def _decode_array(obj: dict, version: int) -> np.ndarray:
+    shape = tuple(obj["shape"])
+    if version == 1:
+        flat = np.array([float(tok) for tok in obj["data"].split()], dtype=np.float64)
+        return flat.reshape(shape)
+    try:
+        raw = base64.b64decode(obj["f8"], validate=True)
+    except binascii.Error as e:
+        raise ArchiveError(f"array payload is not valid base64 ({e})") from e
+    n_bytes = 8 * math.prod(shape)
+    if len(raw) != n_bytes:
+        raise ArchiveError(f"array payload holds {len(raw)} bytes, shape {list(shape)} needs {n_bytes}")
+    # astype copies, so the array is writable and in native byte order
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def _encode_spec(spec: MLPSpec) -> dict:
@@ -83,13 +82,13 @@ def _encode_gmm(S: GMMModel | None) -> dict | None:
     }
 
 
-def _decode_gmm(obj: dict | None) -> GMMModel | None:
+def _decode_gmm(obj: dict | None, version: int) -> GMMModel | None:
     if obj is None:
         return None
     return GMMModel(
-        weights=_decode_array(obj["weights"]),
-        means=_decode_array(obj["means"]),
-        covariances=_decode_array(obj["covariances"]),
+        weights=_decode_array(obj["weights"], version),
+        means=_decode_array(obj["means"], version),
+        covariances=_decode_array(obj["covariances"], version),
         cov_type=obj["cov_type"],
     )
 
@@ -143,30 +142,49 @@ def save_archive(
     write_text_atomic(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def _mlp_params_from(spec: MLPSpec, raw: dict, prefix: str) -> ParamSet:
+def _param(raw: dict, name: str, shape: tuple, version: int) -> Tensor:
+    arr = _decode_array(raw[name], version)
+    if arr.shape != shape:
+        raise ArchiveError(f"parameter {name} has shape {list(arr.shape)}, its spec needs {list(shape)}")
+    return Tensor(arr)
+
+
+def _mlp_params_from(spec: MLPSpec, raw: dict, prefix: str, version: int) -> ParamSet:
     # rebuild in canonical layer order; files store keys sorted alphabetically
     ps = ParamSet()
-    try:
-        for i in range(spec.n_layers):
-            ps.add(f"w{i}", Tensor(_decode_array(raw[prefix + f"w{i}"])))
-            ps.add(f"b{i}", Tensor(_decode_array(raw[prefix + f"b{i}"])))
-    except KeyError as e:
-        raise ArchiveError(f"archive is missing parameter {e}") from e
+    ws = spec.layer_widths
+    for i, (n_in, n_out) in enumerate(zip(ws[:-1], ws[1:])):
+        ps.add(f"w{i}", _param(raw, prefix + f"w{i}", (n_out, n_in), version))
+        ps.add(f"b{i}", _param(raw, prefix + f"b{i}", (n_out,), version))
     return ps
 
 
 def load_archive(path):
-    """Rebuild (model, gmm_or_None, seeds) from a saved archive."""
+    """Rebuild (model, gmm_or_None, seeds) from a saved archive.
+
+    Any archive this cannot rebuild, including one with missing keys, bad
+    payloads or parameter shapes that disagree with the specs, raises
+    :class:`ArchiveError`.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise ArchiveError(f"{path}: unreadable archive ({e})") from e
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version not in READABLE_VERSIONS:
         raise ArchiveError(
-            f"{path}: format_version {version!r} is not supported (expected {FORMAT_VERSION})"
+            f"{path}: format_version {version!r} is not supported (expected one of {READABLE_VERSIONS})"
         )
+    try:
+        return _rebuild(doc, version)
+    except KeyError as e:
+        raise ArchiveError(f"{path}: archive is missing key {e}") from e
+    except (TypeError, ValueError, AttributeError, NonFiniteValue) as e:
+        raise ArchiveError(f"{path}: malformed archive ({e})") from e
+
+
+def _rebuild(doc: dict, version: int):
     md = doc["model"]
     specs = md["specs"]
     raw_params = md["params"]
@@ -176,15 +194,12 @@ def load_archive(path):
     hyper_spec = _decode_spec(specs["hyper_body"])
     dec_spec = _decode_spec(specs["dec"])
 
-    enc_z0 = MLP(enc_z0_spec, _mlp_params_from(enc_z0_spec, raw_params, "enc_z0."))
-    enc_gamma = MLP(enc_gamma_spec, _mlp_params_from(enc_gamma_spec, raw_params, "enc_gamma."))
-    hyper_params = _mlp_params_from(hyper_spec, raw_params, "hyper.")
-    try:
-        hyper_params.add("lambda", Tensor(_decode_array(raw_params["hyper.lambda"])))
-    except KeyError as e:
-        raise ArchiveError(f"archive is missing parameter {e}") from e
+    enc_z0 = MLP(enc_z0_spec, _mlp_params_from(enc_z0_spec, raw_params, "enc_z0.", version))
+    enc_gamma = MLP(enc_gamma_spec, _mlp_params_from(enc_gamma_spec, raw_params, "enc_gamma.", version))
+    hyper_params = _mlp_params_from(hyper_spec, raw_params, "hyper.", version)
+    hyper_params.add("lambda", _param(raw_params, "hyper.lambda", (), version))
     hyper = Hypernetwork(hyper_spec, hyper_params)
-    dec = MLP(dec_spec, _mlp_params_from(dec_spec, raw_params, "dec."))
+    dec = MLP(dec_spec, _mlp_params_from(dec_spec, raw_params, "dec.", version))
 
     params = ParamSet()
     for prefix, ps in (
@@ -213,4 +228,4 @@ def load_archive(path):
         obs_scale=float(md["obs_scale"]),
         params=params,
     )
-    return m, _decode_gmm(doc.get("gmm")), doc.get("seeds", {})
+    return m, _decode_gmm(doc.get("gmm"), version), doc.get("seeds", {})

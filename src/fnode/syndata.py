@@ -7,12 +7,15 @@ model finds must come from the dynamics, not the starting point.
 
 Files are JSON lines: a header record with dataset-level facts followed by one
 record per trajectory.  Floats are written with 17 significant digits, which
-round-trips float64 exactly.
+round-trips float64 exactly.  :func:`write_text_atomic` writes every file the
+package produces: a temp file in the target directory, then a rename.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import secrets
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -27,6 +30,7 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "fmt_float",
+    "write_text_atomic",
 ]
 
 NOISE_VARIANCE = 1e-3
@@ -167,6 +171,26 @@ def _fmt_list(xs: Iterable[float]) -> str:
     return "[" + ", ".join(fmt_float(x) for x in xs) + "]"
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write via a temp file in the target directory, then rename.
+
+    The temp file is created with mode 0o666 less the umask, as ``open``
+    would create the target, so the rename leaves the usual permissions.
+    """
+    path = os.fspath(path)
+    d, base = os.path.split(path)
+    tmp = os.path.join(d, f".tmp-{secrets.token_hex(8)}-{base}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_dataset(data: PanelDataset, path) -> None:
     lines = []
     header = {
@@ -185,8 +209,7 @@ def save_dataset(data: PanelDataset, path) -> None:
             f'{{"id": {i}, "label": {label}, "times": {_fmt_list(traj.times)}, '
             f'"values": {values}, "meta": {{}}}}'
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_dataset(path) -> PanelDataset:

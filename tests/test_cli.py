@@ -103,6 +103,20 @@ class TestTrain:
         assert rc == 0
         assert json.loads(out.read_text())["gmm"] is not None
 
+    def test_gmm_table_bic_cells_are_numbers(self, cli_workspace, tmp_path):
+        cfg = tmp_path / "zero.txt"
+        cfg.write_text(cli_workspace["config"].read_text().replace("epochs = 6", "epochs = 0"))
+        out = tmp_path / "m0g.json"
+        rc = run(
+            ["train", "--data", cli_workspace["data"], "--config", cfg, "--out", out, "--gmm-only"]
+        )
+        assert rc == 0
+        lines = (tmp_path / "m0g.json.gmm.csv").read_text().strip().split("\n")
+        col = lines[0].split(",").index("bic")
+        assert len(lines) > 1
+        for line in lines[1:]:
+            float(line.split(",")[col])
+
     def test_seed_flag_overrides_config(self, cli_workspace, tmp_path):
         out = tmp_path / "seeded.json"
         rc = run(

@@ -45,7 +45,7 @@ class TestSampleTrajectories:
         )
         out = sample_trajectories(m, S, src, src.times, n=1, seed=0)[0]
         z0 = encode_z0(m.enc_z0, src, m.obs_scale).mean.data
-        forced = rollout(m, z0, gamma_star, float(src.times[0]), src.times)
+        forced = rollout(m, z0[None], gamma_star[None], float(src.times[0]), src.times)[0]
         np.testing.assert_allclose(out, forced, atol=1e-2)
 
     def test_fixed_seed_identical_batches(self, trained):
@@ -60,6 +60,28 @@ class TestSampleTrajectories:
         m, data, S = trained
         with pytest.raises(ValueError):
             sample_trajectories(m, S, data.trajectories[0], data.trajectories[0].times, n=0)
+
+
+class TestRollout:
+    def test_rows_land_in_place_across_solver_chunks(self, trained, monkeypatch):
+        m, data, _ = trained
+        src = data.trajectories[3]
+        rng = np.random.default_rng(4)
+        Z0, G = rng.standard_normal((5, m.p)), rng.standard_normal((5, m.d_gamma))
+        whole = rollout(m, Z0, G, float(src.times[0]), src.times)
+        monkeypatch.setattr("fnode.inference.ROLLOUT_ROWS", 2)
+        chunked = rollout(m, Z0, G, float(src.times[0]), src.times)
+        assert chunked.shape == (5, len(src.times), m.obs_dim)
+        np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=1e-15)
+        for b in range(5):
+            alone = rollout(m, Z0[b : b + 1], G[b : b + 1], float(src.times[0]), src.times)[0]
+            np.testing.assert_allclose(whole[b], alone, rtol=1e-12, atol=1e-15)
+
+    def test_rejects_unbatched_draws(self, trained):
+        m, data, _ = trained
+        src = data.trajectories[0]
+        with pytest.raises(ValueError):
+            rollout(m, np.zeros(m.p), np.zeros(m.d_gamma), float(src.times[0]), src.times)
 
 
 class TestTransfer:
@@ -176,6 +198,24 @@ class TestCredibleBand:
         narrow = credible_band(m, None, x, x.times, n_draws=200, level=0.90, seed=7)
         assert np.all(wide.lower <= narrow.lower + 1e-12)
         assert np.all(narrow.upper <= wide.upper + 1e-12)
+
+    def test_posterior_draws_match_per_draw_loop(self, trained):
+        # reference: one rollout per draw, each draw taking its z0 noise and
+        # then its code noise from the one generator
+        m, data, S = trained
+        x = data.trajectories[4]
+        band = credible_band(m, S, x, x.times, n_draws=20, level=0.9, seed=7)
+        q_z0 = encode_z0(m.enc_z0, x, m.obs_scale)
+        q_g = encode_gamma(m.enc_gamma, x, m.obs_scale)
+        rng = np.random.default_rng(7)
+        paths = []
+        for _ in range(20):
+            z0 = q_z0.mean.data + np.exp(0.5 * q_z0.log_var.data) * rng.standard_normal(m.p)
+            g = q_g.mean.data + np.exp(0.5 * q_g.log_var.data) * rng.standard_normal(m.d_gamma)
+            paths.append(rollout(m, z0[None], g[None], float(x.times[0]), x.times)[0])
+        np.testing.assert_allclose(band.mean, np.mean(paths, axis=0), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(band.lower, np.quantile(paths, 0.05, axis=0), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(band.upper, np.quantile(paths, 0.95, axis=0), rtol=1e-12, atol=1e-15)
 
     def test_gmm_source(self, trained):
         m, data, S = trained

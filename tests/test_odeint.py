@@ -178,3 +178,20 @@ class TestIntegrateBatch:
         times = np.array([[0.0, 1.0], [0.5, 0.5]])
         with pytest.raises(ValueError):
             integrate_batch(lambda Z, t: Z, Tensor(z0), times, SolverConfig())
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("checks", [True, False])
+    @pytest.mark.parametrize("start", [(0.0, 0.0, 0.0), (0.3, 0.0, 0.2)])
+    def test_blowup_reports_first_row_and_its_own_time(self, start, checks):
+        # dz/dt = z^2 escapes at t0 + 1/z0, so row 1 (z0 = 2) goes first; its
+        # reported time is its own, not the batch's largest grid time.  With
+        # per-primitive checks off (as in training) the state check catches it.
+        z0 = np.array([[0.5], [2.0], [1.0]])
+        t0 = np.array(start)
+        times = np.stack([t0, t0 + 5.0], axis=1)
+        h = 0.01
+        with pytest.raises(IntegrationBlowUp) as ei, tg.finite_checks(checks):
+            integrate_batch(lambda Z, t: tg.square(Z), Tensor(z0), times, SolverConfig(step_size=h))
+        escape = t0[1] + 1.0 / z0[1, 0]
+        assert ei.value.row == 1
+        assert escape <= ei.value.t <= escape + 5 * h

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -84,3 +85,117 @@ class TestArchive:
         doc = json.loads(path.read_text())
         assert doc["history"]["epochs"] == len(history)
         assert doc["history"]["last"]["kl_weight"] == history[-1].kl_weight
+
+
+def _v1_document(doc: dict, m, S) -> dict:
+    """The version-1 twin of a saved document, its decimal payloads written here."""
+
+    def text(arr):
+        arr = np.asarray(arr, dtype=np.float64)
+        return {"shape": list(arr.shape), "data": " ".join(repr(float(x)) for x in arr.reshape(-1))}
+
+    v1 = json.loads(json.dumps(doc))
+    v1["format_version"] = 1
+    v1["model"]["params"] = {name: text(t.data) for name, t in m.params.items()}
+    for key in ("weights", "means", "covariances"):
+        v1["gmm"][key] = text(getattr(S, key))
+    return v1
+
+
+class TestArchiveFormats:
+    def test_v1_document_loads_bit_identically_to_v2(self, small_trained, tmp_path):
+        m, S, history, _ = small_trained
+        v2 = tmp_path / "v2.json"
+        save_archive(v2, m, S, history, seeds={"train": 0})
+        doc = json.loads(v2.read_text())
+        assert doc["format_version"] == FORMAT_VERSION == 2
+        v1 = tmp_path / "v1.json"
+        v1.write_text(json.dumps(_v1_document(doc, m, S)))
+        (m1, S1, _), (m2, S2, _) = load_archive(v1), load_archive(v2)
+        assert m1.params.names() == m2.params.names() == m.params.names()
+        for name, t in m.params.items():
+            for got in (m1.params[name].data, m2.params[name].data):
+                assert got.shape == t.data.shape
+                assert got.tobytes() == t.data.tobytes()
+                assert got.flags.writeable
+        assert m1.params["hyper.lambda"].data.shape == m2.params["hyper.lambda"].data.shape == ()
+        for key in ("weights", "means", "covariances"):
+            assert getattr(S1, key).tobytes() == getattr(S2, key).tobytes() == getattr(S, key).tobytes()
+
+
+def _b64(arr) -> str:
+    return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _drop(*keys):
+    def edit(doc):
+        node = doc
+        for k in keys[:-1]:
+            node = node[k]
+        del node[keys[-1]]
+
+    return edit
+
+
+def _set_param(name, **entry):
+    def edit(doc):
+        doc["model"]["params"][name].update(entry)
+
+    return edit
+
+
+def _transpose_dec_w0(doc):
+    w = doc["model"]["params"]["dec.w0"]
+    n_out, n_in = w["shape"]
+    w["shape"] = [n_in, n_out]
+
+
+def _keep_only_version(doc):
+    for key in [k for k in doc if k != "format_version"]:
+        del doc[key]
+
+
+SCHEMA_DEFECTS = {
+    "no model": _drop("model"),
+    "no specs": _drop("model", "specs"),
+    "no params": _drop("model", "params"),
+    "no parameter": _drop("model", "params", "dec.w0"),
+    "invalid base64": _set_param("dec.b0", f8="@@not base64@@"),
+    "short payload": _set_param("dec.b0", f8=_b64(np.zeros(1))),
+    "shape against spec": _transpose_dec_w0,
+    "scalar lambda as vector": _set_param("hyper.lambda", shape=[1]),
+    "version only": _keep_only_version,
+}
+
+
+class TestArchiveSchema:
+    @pytest.fixture
+    def archive_doc(self, small_trained, tmp_path):
+        m, S, history, _ = small_trained
+        path = tmp_path / "m.json"
+        save_archive(path, m, S, history)
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("defect", sorted(SCHEMA_DEFECTS))
+    def test_defect_is_archive_error(self, archive_doc, tmp_path, defect):
+        SCHEMA_DEFECTS[defect](archive_doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(archive_doc))
+        with pytest.raises(ArchiveError):
+            load_archive(path)
+
+    @pytest.mark.parametrize("defect", sorted(SCHEMA_DEFECTS))
+    def test_cli_exits_2_with_one_line(self, archive_doc, small_trained, tmp_path, capsys, defect):
+        from fnode.cli import main
+        from fnode.syndata import save_dataset
+
+        SCHEMA_DEFECTS[defect](archive_doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(archive_doc))
+        data = tmp_path / "d.jsonl"
+        save_dataset(small_trained[3], data)
+        capsys.readouterr()
+        rc = main(["sample", "--model", str(path), "--data", str(data), "--out", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,27 @@ class TestRoundTrip:
         save_dataset(data, p1)
         save_dataset(data, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.jsonl"
+        save_dataset(generate_set_a(n_per_class=2, n_classes=2, seed=5), path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(generate_set_a(n_per_class=3, n_classes=2, seed=6), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]
+
+    def test_saved_file_has_the_mode_open_gives(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("")
+        path = tmp_path / "d.jsonl"
+        save_dataset(generate_set_a(n_per_class=2, n_classes=2, seed=5), path)
+        assert path.stat().st_mode == plain.stat().st_mode
 
     def test_empty_file_is_parse_error(self, tmp_path):
         path = tmp_path / "empty.jsonl"
