@@ -16,7 +16,7 @@ import numpy as np
 from . import gmm as gmm_mod
 from . import inference, svg
 from .model import FNODEModel, TrainConfig, TrainingDiverged, fit
-from .nets import encode_gamma, encode_z0
+from .nets import encode_batch
 from .odeint import IntegrationBlowUp
 from .serialize import ArchiveError, load_archive, save_archive
 from .syndata import (
@@ -302,7 +302,7 @@ def cmd_sample(args) -> int:
         paths = inference.sample_trajectories(m, S, source, times, args.n, seed=args.seed)
     elif args.mode == "prior":
         G = np.random.default_rng(args.seed).standard_normal((args.n, m.d_gamma))
-        Z0 = np.tile(encode_z0(m.enc_z0, source, m.obs_scale).mean.data, (args.n, 1))
+        Z0 = np.tile(encode_batch(m.enc_z0, [source], m.obs_scale).mean.data, (args.n, 1))
         paths = inference.rollout(m, Z0, G, float(source.times[0]), times)
     elif args.mode == "transfer":
         if args.exemplar is None:
@@ -352,18 +352,17 @@ def cmd_ood(args) -> int:
     return 0
 
 
-def _encode_partial_means(m: FNODEModel, traj, mask: np.ndarray):
-    """Posterior means conditioned on a prefix; padding repeats the last point."""
+def _observed_prefix(m: FNODEModel, traj, mask: np.ndarray):
+    """The observed points, padded to the encoder's point count by repeating the last one."""
     times = traj.times[mask]
     values = traj.values[mask]
     pad = m.n_points - times.size
+    if pad < 0:
+        raise ValidationError(f"{times.size} observed points exceed the model's {m.n_points}")
     if pad > 0:
         times = np.concatenate([times, np.repeat(times[-1], pad)])
         values = np.concatenate([values, np.repeat(values[-1:], pad, axis=0)])
-    shim = SimpleNamespace(times=times, values=values)
-    q_z0 = encode_z0(m.enc_z0, shim, m.obs_scale)
-    q_gamma = encode_gamma(m.enc_gamma, shim, m.obs_scale)
-    return q_z0, q_gamma
+    return SimpleNamespace(times=times, values=values)
 
 
 EVAL_HORIZONS = (0.10, 0.20, 0.50, 1.00)
@@ -380,24 +379,30 @@ def cmd_eval(args) -> int:
     header = ["index", "label", "n_observed", "interp_mse"] + [
         f"extrap_{int(100 * h)}" for h in EVAL_HORIZONS
     ]
-    rows = []
-    sums = np.zeros(1 + len(EVAL_HORIZONS))
-    counts = np.zeros(1 + len(EVAL_HORIZONS))
-    for j, traj in enumerate(data.trajectories):
+    cuts, masks = [], []
+    for traj in data.trajectories:
         t0, t_end = traj.times[0], traj.times[-1]
         cut = t0 + args.observe_fraction * (t_end - t0)
         mask = traj.times <= cut + 1e-12
         if not mask.any():
             mask[0] = True
-        q_z0, q_gamma = _encode_partial_means(m, traj, mask)
+        cuts.append(cut)
+        masks.append(mask)
+    prefixes = [_observed_prefix(m, t, mask) for t, mask in zip(data.trajectories, masks)]
+    q_z0 = encode_batch(m.enc_z0, prefixes, m.obs_scale)
+    q_gamma = encode_batch(m.enc_gamma, prefixes, m.obs_scale)
 
-        if args.samples == 1:
-            Z0, G = q_z0.mean.data[None], q_gamma.mean.data[None]
-        else:
+    rows = []
+    sums = np.zeros(1 + len(EVAL_HORIZONS))
+    counts = np.zeros(1 + len(EVAL_HORIZONS))
+    for j, (traj, cut, mask) in enumerate(zip(data.trajectories, cuts, masks)):
+        t0 = traj.times[0]
+        Z0, G = q_z0.mean.data[j : j + 1], q_gamma.mean.data[j : j + 1]
+        if args.samples > 1:
             # sample k takes its z0 noise, then its code noise, from the one stream
             noise = np.random.default_rng(args.seed ^ j).standard_normal((args.samples, m.p + m.d_gamma))
-            Z0 = q_z0.mean.data + np.exp(0.5 * q_z0.log_var.data) * noise[:, : m.p]
-            G = q_gamma.mean.data + np.exp(0.5 * q_gamma.log_var.data) * noise[:, m.p :]
+            Z0 = Z0 + np.exp(0.5 * q_z0.log_var.data[j : j + 1]) * noise[:, : m.p]
+            G = G + np.exp(0.5 * q_gamma.log_var.data[j : j + 1]) * noise[:, m.p :]
         recon = inference.rollout(m, Z0, G, float(traj.times[mask][0]), traj.times)
         sq = ((recon - traj.values) ** 2).sum(axis=0) / args.samples
 

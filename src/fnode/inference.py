@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gmm as gmm_mod
 from .model import FNODEModel, decode_path, reparameterize
-from .nets import encode_gamma, encode_z0, hypernet_map
+from .nets import encode_batch, hypernet_map
 from .tensorgrad import Tensor
 
 __all__ = [
@@ -100,8 +100,8 @@ def rollout(m: FNODEModel, Z0: np.ndarray, G: np.ndarray, anchor_t: float, times
 
 
 def _mean_z0(m: FNODEModel, traj) -> tuple[np.ndarray, float]:
-    q = encode_z0(m.enc_z0, traj, m.obs_scale)
-    return q.mean.data.copy(), float(np.asarray(traj.times)[0])
+    q = encode_batch(m.enc_z0, [traj], m.obs_scale)
+    return q.mean.data[0], float(np.asarray(traj.times)[0])
 
 
 def sample_trajectories(
@@ -136,8 +136,8 @@ def transfer_trajectory(m: FNODEModel, z0_source, exemplar, times) -> np.ndarray
     """Exemplar dynamics applied to the donor's initial state (deterministic)."""
     times = np.asarray(times, dtype=np.float64)
     z0_np, anchor = _mean_z0(m, z0_source)
-    gamma = encode_gamma(m.enc_gamma, exemplar, m.obs_scale).mean.data
-    return rollout(m, z0_np[None], gamma[None], anchor, times)[0]
+    gamma = encode_batch(m.enc_gamma, [exemplar], m.obs_scale).mean.data
+    return rollout(m, z0_np[None], gamma, anchor, times)[0]
 
 
 def neighborhood_sample(
@@ -159,7 +159,7 @@ def neighborhood_sample(
         raise ValueError("delta must be positive")
     if S.d != m.d_gamma:
         raise ValueError("neighborhood sampling needs a code-space sampler")
-    gamma_j = encode_gamma(m.enc_gamma, exemplar, m.obs_scale).mean.data
+    gamma_j = encode_batch(m.enc_gamma, [exemplar], m.obs_scale).mean.data[0]
     rng_seq = seed
     accepted = []
     attempts = 0
@@ -212,8 +212,8 @@ def credible_band(
     times = np.asarray(times, dtype=np.float64)
     rng = np.random.default_rng(seed)
 
-    q_z0 = encode_z0(m.enc_z0, x, m.obs_scale)
-    q_gamma = encode_gamma(m.enc_gamma, x, m.obs_scale)
+    q_z0 = encode_batch(m.enc_z0, [x], m.obs_scale)
+    q_gamma = encode_batch(m.enc_gamma, [x], m.obs_scale)
     mu_z, sd_z = q_z0.mean.data, np.exp(0.5 * q_z0.log_var.data)
     mu_g, sd_g = q_gamma.mean.data, np.exp(0.5 * q_gamma.log_var.data)
     anchor = float(np.asarray(x.times)[0])
@@ -248,8 +248,6 @@ def ood_scores(m: FNODEModel, S: gmm_mod.GMMModel, data, n_gamma: int = 16, seed
     Per-trajectory generators are seeded as seed XOR index, so scoring is
     order-independent and parallelizable.
     """
-    from .nets import encode_batch
-
     joint = S.d == m.p + m.d_gamma
     trajs = data.trajectories
     q_gamma = encode_batch(m.enc_gamma, trajs, m.obs_scale)

@@ -22,28 +22,25 @@ from .nets import (
     GaussianParams,
     Hypernetwork,
     MLPSpec,
-    encode_gamma,
-    encode_z0,
+    encode_batch,
     hypernet_map,
     init_hypernetwork,
-    split_weight_vector,
     weight_count,
-    _forward_layers,
 )
-from .odeint import IntegrationBlowUp, SolverConfig, TimeGrid, integrate, integrate_batch
+
+# ``integrate`` is unused here but stays importable as ``model.integrate``: the
+# benchmark's solver probe rebinds that name.
+from .odeint import IntegrationBlowUp, SolverConfig, TimeGrid, integrate, integrate_batch  # noqa: F401
 from .tensorgrad import ParamSet, Tensor
 
 __all__ = [
     "FNODEModel",
     "TrainConfig",
     "ELBOBreakdown",
-    "FNODEOutputs",
     "TrainingDiverged",
     "reparameterize",
     "kl_gaussian",
     "kl_schedule",
-    "make_field",
-    "forward",
     "elbo_loss",
     "fit",
     "reconstruct",
@@ -90,15 +87,6 @@ class ELBOBreakdown:
     kl_z0: float
     kl_gamma: float
     kl_weight: float
-
-
-@dataclass
-class FNODEOutputs:
-    recon: list[Tensor]
-    z_path: list[Tensor]
-    gamma: Tensor
-    q_z0: GaussianParams
-    q_gamma: GaussianParams
 
 
 @dataclass
@@ -210,39 +198,7 @@ def kl_schedule(epoch: int, cfg: TrainConfig) -> float:
     return min(1.0, (epoch + 1) / cfg.kl_anneal_epochs)
 
 
-def make_field(f_spec: MLPSpec, theta: Tensor):
-    """Vector field z' = f([z, t]) with weights read from a flat vector.
-
-    The per-layer slices of ``theta`` are prepared once so repeated solver
-    evaluations reuse them.
-    """
-    layers = split_weight_vector(f_spec, theta)
-    final_tanh = f_spec.final_activation == "tanh"
-
-    def fld(z: Tensor, t: float) -> Tensor:
-        zin = tg.concat([z, Tensor(np.array([t]))])
-        return _forward_layers(layers, zin, final_tanh)
-
-    return fld
-
-
 # -- forward / objective ---------------------------------------------------------
-
-
-def forward(m: FNODEModel, x, noise_z0: Tensor, noise_gamma: Tensor) -> FNODEOutputs:
-    """Single-trajectory pass: encode, sample, roll out, decode."""
-    q_z0 = encode_z0(m.enc_z0, x, m.obs_scale)
-    q_gamma = encode_gamma(m.enc_gamma, x, m.obs_scale)
-    z0 = reparameterize(q_z0, noise_z0)
-    gamma = reparameterize(q_gamma, noise_gamma)
-    theta = hypernet_map(m.hyper, gamma)
-    fld = make_field(m.f_spec, theta)
-    try:
-        z_path = integrate(fld, z0, TimeGrid(x.times), m.solver)
-    except IntegrationBlowUp as e:
-        raise IntegrationBlowUp(e.t) from e
-    recon = [m.dec(z) for z in z_path]
-    return FNODEOutputs(recon, z_path, gamma, q_z0, q_gamma)
 
 
 def make_batch_field(f_spec: MLPSpec, theta_all: Tensor):
@@ -251,6 +207,9 @@ def make_batch_field(f_spec: MLPSpec, theta_all: Tensor):
     One fused layer node per call keeps the solver loop off the Python floor;
     the per-layer slices of the weight block are taken once and reused.
     """
+    expected = weight_count(f_spec)
+    if theta_all.data.ndim != 2 or theta_all.data.shape[1] != expected:
+        raise tg.ShapeMismatch(f"weight block has shape {theta_all.shape}, spec needs [B, {expected}]")
     slices = []
     pos = 0
     ws = f_spec.layer_widths
@@ -334,7 +293,7 @@ def _elbo_core(m: FNODEModel, feats, times, targets, kl_weight: float, noises):
     return mean_total, breakdown
 
 
-def _batch_elbo(m: FNODEModel, trajs, kl_weight: float, noises, sample_offset: int = 0):
+def _batch_elbo(m: FNODEModel, trajs, kl_weight: float, noises):
     """Mean-ELBO tensor plus breakdown for a list of equal-length trajectories."""
     if any(len(t.times) != len(trajs[0].times) for t in trajs):
         raise ValueError("batch trajectories must share the number of observations")
@@ -411,7 +370,9 @@ def fit(m: FNODEModel, data, cfg: TrainConfig, on_epoch=None):
     Deterministic given ``cfg.seed``: shuffling and every reparameterization
     draw come from one generator consumed in a fixed order.  ``on_epoch`` is
     called as ``on_epoch(epoch, breakdown)`` after each epoch, letting callers
-    keep a partial log if training aborts.
+    keep a partial log if training aborts.  A non-finite loss or gradient
+    raises :class:`TrainingDiverged` before the optimizer touches the
+    parameters.
     """
     trajs = data.trajectories
     if not trajs:
@@ -448,6 +409,11 @@ def fit(m: FNODEModel, data, cfg: TrainConfig, on_epoch=None):
                     raise TrainingDiverged(epoch, bi)
                 m.params.zero_grads()
                 tg.backward(tg.neg(loss_t))
+                # one reduction per parameter: a NaN or Inf anywhere makes the sum non-finite
+                for name, t in m.params.items():
+                    if t.grad is not None and not math.isfinite(float(np.sum(t.grad))):
+                        detail = f"non-finite gradient in {name.split('.')[0]}"
+                        raise TrainingDiverged(epoch, bi, detail)
                 opt.step()
                 sums += np.array([bd.total, bd.recon_loglik, bd.kl_z0, bd.kl_gamma]) * B
             avg = sums / n
@@ -506,15 +472,15 @@ def reconstruct(m: FNODEModel, x, times, use_posterior_mean: bool = True, seed: 
     With ``use_posterior_mean`` the encoder means are used directly; otherwise
     one reparameterized draw of (z0, gamma) is taken.
     """
-    q_z0 = encode_z0(m.enc_z0, x, m.obs_scale)
-    q_gamma = encode_gamma(m.enc_gamma, x, m.obs_scale)
+    q_z0 = encode_batch(m.enc_z0, [x], m.obs_scale)
+    q_gamma = encode_batch(m.enc_gamma, [x], m.obs_scale)
     if use_posterior_mean:
         z0, gamma = q_z0.mean, q_gamma.mean
     else:
         rng = np.random.default_rng(seed)
-        z0 = reparameterize(q_z0, Tensor(rng.standard_normal(m.p)))
-        gamma = reparameterize(q_gamma, Tensor(rng.standard_normal(m.d_gamma)))
-    theta = hypernet_map(m.hyper, tg.reshape(gamma, (1, m.d_gamma)))
+        z0 = reparameterize(q_z0, Tensor(rng.standard_normal((1, m.p))))
+        gamma = reparameterize(q_gamma, Tensor(rng.standard_normal((1, m.d_gamma))))
+    theta = hypernet_map(m.hyper, gamma)
     times = np.asarray(times, dtype=np.float64) if not isinstance(times, TimeGrid) else times.times
-    recon = decode_path(m, tg.reshape(z0, (1, m.p)), theta, float(np.asarray(x.times)[0]), times)
+    recon = decode_path(m, z0, theta, float(np.asarray(x.times)[0]), times)
     return [tg.row(recon, i) for i in range(times.size)]

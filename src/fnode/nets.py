@@ -1,11 +1,10 @@
 """Network building blocks.
 
-Two forward paths exist for the same architecture: :func:`mlp_forward` reads
-weights from a named parameter set, while :func:`functional_forward` reads
-them from a single flat vector.  Both route through one shared layer stack, so
-a flattened parameter set reproduces the standard forward bit for bit: that is
-what lets a hypernetwork emit the weights of the transition network as data
-that gradients flow through.
+Every network runs on a batch: inputs are [batch, in_width] matrices and
+weights come from a named parameter set (:func:`mlp_forward`).  The
+hypernetwork's output is the flat weight vector of the transition network, one
+row per code; ``model.make_batch_field`` slices those rows into per-row layers,
+so the transition network's weights are data that gradients flow through.
 """
 
 from __future__ import annotations
@@ -26,17 +25,11 @@ __all__ = [
     "weight_count",
     "init_mlp_params",
     "mlp_forward",
-    "functional_forward",
-    "flatten_params",
-    "split_weight_vector",
     "init_hypernetwork",
     "hypernet_map",
     "trajectory_features",
     "split_gaussian",
-    "encode_z0",
-    "encode_gamma",
     "encode_batch",
-    "decode",
 ]
 
 
@@ -90,76 +83,17 @@ def init_mlp_params(spec: MLPSpec, rng: np.random.Generator) -> ParamSet:
     return params
 
 
-def _forward_layers(layers: Sequence[tuple[Tensor, Tensor]], x: Tensor, final_tanh: bool) -> Tensor:
-    # Shared by the standard and the flat-vector paths; weights are [out, in].
+def mlp_forward(spec: MLPSpec, params: ParamSet, x: Tensor) -> Tensor:
+    """Forward pass of a [batch, in_width] input with named parameters w0, b0, w1, b1, ..."""
+    if x.data.ndim != 2 or x.data.shape[1] != spec.in_width:
+        raise tg.ShapeMismatch(f"input shape {x.shape} is not [batch, {spec.in_width}]")
     h = x
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        if h.data.ndim == 1:
-            h = tg.matmul(w, h) + b
-        else:
-            h = tg.broadcast_add(tg.matmul(h, tg.transpose(w)), b)
-        if i < last or final_tanh:
+    for i in range(spec.n_layers):
+        # weights are [out, in]
+        h = tg.broadcast_add(tg.matmul(h, tg.transpose(params[f"w{i}"])), params[f"b{i}"])
+        if i < spec.n_layers - 1 or spec.final_activation == "tanh":
             h = tg.tanh(h)
     return h
-
-
-def _check_input_width(spec: MLPSpec, x: Tensor) -> None:
-    width = x.data.shape[-1] if x.data.ndim > 0 else 0
-    if x.data.ndim not in (1, 2) or width != spec.in_width:
-        raise tg.ShapeMismatch(f"input shape {x.shape} does not match in_width {spec.in_width}")
-
-
-def mlp_forward(spec: MLPSpec, params: ParamSet, x: Tensor) -> Tensor:
-    """Forward pass with named parameters w0, b0, w1, b1, ...
-
-    ``x`` may be a single input vector or a [batch, in_width] matrix.
-    """
-    _check_input_width(spec, x)
-    layers = [(params[f"w{i}"], params[f"b{i}"]) for i in range(spec.n_layers)]
-    return _forward_layers(layers, x, spec.final_activation == "tanh")
-
-
-def split_weight_vector(spec: MLPSpec, theta: Tensor) -> list[tuple[Tensor, Tensor]]:
-    """Slice a flat weight vector into per-layer (weight, bias) tensors.
-
-    Slicing order is fixed: for each layer, the [out, in] weight matrix in
-    row-major order, then the bias.
-    """
-    expected = weight_count(spec)
-    if theta.data.ndim != 1 or theta.data.shape[0] != expected:
-        raise tg.ShapeMismatch(
-            f"weight vector has {theta.data.size} entries, spec needs {expected}"
-        )
-    layers = []
-    pos = 0
-    ws = spec.layer_widths
-    for n_in, n_out in zip(ws[:-1], ws[1:]):
-        w = tg.reshape(tg.slice1d(theta, pos, pos + n_in * n_out), (n_out, n_in))
-        pos += n_in * n_out
-        b = tg.slice1d(theta, pos, pos + n_out)
-        pos += n_out
-        layers.append((w, b))
-    return layers
-
-
-def functional_forward(spec: MLPSpec, theta: Tensor, x: Tensor) -> Tensor:
-    """Forward pass reading weights from a flat vector; differentiable in both.
-
-    Identical numerics to :func:`mlp_forward` when ``theta`` is the flattening
-    of the same parameters.
-    """
-    _check_input_width(spec, x)
-    return _forward_layers(split_weight_vector(spec, theta), x, spec.final_activation == "tanh")
-
-
-def flatten_params(spec: MLPSpec, params: ParamSet) -> np.ndarray:
-    """Flatten named MLP parameters in the :func:`split_weight_vector` order."""
-    pieces = []
-    for i in range(spec.n_layers):
-        pieces.append(params[f"w{i}"].data.reshape(-1))
-        pieces.append(params[f"b{i}"].data)
-    return np.concatenate(pieces)
 
 
 @dataclass
@@ -222,7 +156,7 @@ def init_hypernetwork(
 
 
 def hypernet_map(h: Hypernetwork, gamma: Tensor) -> Tensor:
-    """theta = lambda * tanh(body(gamma)); accepts a single code or a batch."""
+    """theta = lambda * tanh(body(gamma)) for a [batch, code_dim] block of codes."""
     out = mlp_forward(h.body, h.params, gamma)
     return tg.scalar_mul(out, h.lam)
 
@@ -243,32 +177,17 @@ def trajectory_features(times: np.ndarray, values: np.ndarray, obs_scale: float 
 
 
 def split_gaussian(out: Tensor, d: int) -> GaussianParams:
-    if out.data.ndim == 1:
-        return GaussianParams(tg.slice1d(out, 0, d), tg.slice1d(out, d, 2 * d))
     return GaussianParams(tg.cols(out, 0, d), tg.cols(out, d, 2 * d))
 
 
-def encode_z0(enc: MLP, traj, obs_scale: float = 1.0) -> GaussianParams:
-    """Map a full observed trajectory to the initial-state posterior."""
-    feats = Tensor(trajectory_features(traj.times, traj.values, obs_scale))
-    out = enc(feats)
-    return split_gaussian(out, enc.spec.out_width // 2)
-
-
-def encode_gamma(enc: MLP, traj, obs_scale: float = 1.0) -> GaussianParams:
-    """Map a full observed trajectory to the dynamics-code posterior."""
-    return encode_z0(enc, traj, obs_scale)
-
-
 def encode_batch(enc: MLP, trajs, obs_scale: float = 1.0) -> GaussianParams:
-    """Vectorized encoding of several equal-length trajectories."""
+    """Posterior moments for equal-length trajectories, one row per trajectory.
+
+    The one encoder of the package, for the initial state and the dynamics code
+    alike; a single trajectory is a batch of one.
+    """
     feats = Tensor(
         np.stack([trajectory_features(t.times, t.values, obs_scale) for t in trajs])
     )
     out = enc(feats)
     return split_gaussian(out, enc.spec.out_width // 2)
-
-
-def decode(dec: MLP, z: Tensor) -> Tensor:
-    """Observation-space mean for one latent state (or a batch of them)."""
-    return dec(z)

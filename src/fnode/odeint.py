@@ -1,14 +1,15 @@
-"""Fixed-step Runge-Kutta-4 integration of a latent state.
+"""Fixed-step Runge-Kutta-4 integration of a batch of latent states.
 
-The vector field is any callable ``field(z, t) -> Tensor`` built from taped
-primitives, so the returned states stay differentiable with respect to the
-initial state and whatever parameters the field closes over (gradients come
-from backpropagating through the solver steps, not an adjoint solve).
+The one solver, :func:`integrate_batch`, advances a [B, p] state over per-row
+time grids.  The vector field is any callable built from taped primitives, so
+the returned states stay differentiable with respect to the initial state and
+whatever parameters the field closes over (gradients come from
+backpropagating through the solver steps, not an adjoint solve).
+:func:`integrate` runs a single rank-1 state through it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,7 +24,6 @@ __all__ = [
     "IntegrationBlowUp",
     "integrate",
     "integrate_batch",
-    "rk4_step",
 ]
 
 VectorField = Callable[[Tensor, float], Tensor]
@@ -74,61 +74,29 @@ class TimeGrid:
         return self.times.shape[0]
 
 
-def rk4_step(field: VectorField, z: Tensor, t: float, h: float) -> Tensor:
-    """One classical Runge-Kutta step of size ``h`` from time ``t``."""
-    k1 = field(z, t)
-    k2 = field(z + k1 * (h / 2.0), t + h / 2.0)
-    k3 = field(z + k2 * (h / 2.0), t + h / 2.0)
-    k4 = field(z + k3 * h, t + h)
-    return z + (k1 + k4 + (k2 + k3) * 2.0) * (h / 6.0)
-
-
 def integrate(
     field: VectorField,
     z0: Tensor,
     grid: TimeGrid | Sequence[float],
     cfg: SolverConfig,
 ) -> list[Tensor]:
-    """States of ``dz/dt = field(z, t)`` at every grid time.
+    """States of ``dz/dt = field(z, t)`` at every grid time, for one rank-1 state.
 
-    ``grid.times[0]`` is the time of ``z0``.  Between requested times the
-    solver takes full steps of ``cfg.step_size`` and shortens the final
-    partial step to land exactly on the grid time.
+    ``grid.times[0]`` is the time of ``z0``.  This is :func:`integrate_batch`
+    on a batch of one: ``field`` sees the [p] state and a float time, and each
+    returned state is a [p] tensor.
     """
     if not isinstance(grid, TimeGrid):
         grid = TimeGrid(grid)
-    times = grid.times
     if z0.data.ndim != 1:
         raise ValueError(f"z0 must be rank 1, got shape {z0.shape}")
+    p = z0.data.shape[0]
 
-    states = [z0]
-    z = z0
-    h = cfg.step_size
-    for t_lo, t_hi in zip(times[:-1], times[1:]):
-        gap = t_hi - t_lo
-        n_full = int(math.floor(gap / h + 1e-12))
-        t = float(t_lo)
-        for _ in range(n_full):
-            z = _checked_step(field, z, t, h)
-            t += h
-        rem = float(t_hi) - t
-        if rem > 1e-12:
-            z = _checked_step(field, z, t, rem)
-        if not np.all(np.isfinite(z.data)):
-            raise IntegrationBlowUp(float(t_hi))
-        states.append(z)
-    return states
+    def row_field(Z: Tensor, t_row: np.ndarray) -> Tensor:
+        return tg.reshape(field(tg.reshape(Z, (p,)), float(t_row[0])), (1, p))
 
-
-def _checked_step(field: VectorField, z: Tensor, t: float, h: float) -> Tensor:
-    # A non-finite intermediate inside the field is a blow-up at this step.
-    try:
-        z = rk4_step(field, z, t, h)
-    except NonFiniteValue as e:
-        raise IntegrationBlowUp(t + h) from e
-    if not np.all(np.isfinite(z.data)):
-        raise IntegrationBlowUp(t + h)
-    return z
+    states = integrate_batch(row_field, tg.reshape(z0, (1, p)), grid.times[None, :], cfg)
+    return [z0] + [tg.reshape(z, (p,)) for z in states[1:]]
 
 
 def integrate_batch(field, z0: Tensor, times: np.ndarray, cfg: SolverConfig) -> list[Tensor]:
@@ -139,11 +107,12 @@ def integrate_batch(field, z0: Tensor, times: np.ndarray, cfg: SolverConfig) -> 
     ``field(Z, t_row)`` maps a [B, p] state and a per-row time column to
     [B, p] derivatives.  Returns one [B, p] state tensor per grid column.
 
-    Rows advance in lockstep: within every inter-observation segment each row
-    takes its own count of full steps plus a final partial one, padded with
-    zero-length steps (which leave the state bit-identical) so the batch
-    shares one solver loop.  Per-row step sequences therefore match what
-    :func:`integrate` would produce row by row.
+    Between grid times each row takes full steps of ``cfg.step_size`` and
+    shortens its final partial step to land exactly on the next grid time.
+    Rows advance in lockstep: a row that needs fewer steps in a segment is
+    padded with zero-length steps, which leave its state bit-identical, so a
+    row ends exactly where it would if run alone.  A non-finite state raises
+    :class:`IntegrationBlowUp` naming the first failed row and its time.
     """
     times = np.asarray(times, dtype=np.float64)
     B, T = times.shape
@@ -195,7 +164,7 @@ def _blow_up(field, z: Tensor, t_row: np.ndarray, h_row: np.ndarray) -> Integrat
     Only the error path pays for this.  The step is replayed without
     per-primitive checks while every stage's input and output is kept; the
     reported row is the first one holding a non-finite entry in any of them,
-    and its time is the end of its own step, as :func:`integrate` reports it.
+    and its time is the end of its own step.
     """
     seen = []
 

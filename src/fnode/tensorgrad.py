@@ -44,8 +44,6 @@ __all__ = [
     "tensor_sum",
     "tensor_mean",
     "concat",
-    "stack_rows",
-    "slice1d",
     "row",
     "cols",
     "reshape",
@@ -402,33 +400,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
                 _acc(p, g[:, lo:hi])
 
     return Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd, "concat")
-
-
-def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack rank-1 tensors of equal length into a rank-2 matrix."""
-    if not parts:
-        raise ShapeMismatch("stack_rows: no operands")
-    width = parts[0].data.shape[0]
-    if any(p.data.ndim != 1 or p.data.shape[0] != width for p in parts):
-        raise ShapeMismatch("stack_rows: operands must be equal-length vectors")
-
-    def bwd(g):
-        for i, p in enumerate(parts):
-            _acc(p, g[i])
-
-    return Tensor(np.stack([p.data for p in parts]), tuple(parts), bwd, "stack_rows")
-
-
-def slice1d(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 1 or not (0 <= start <= stop <= a.data.shape[0]):
-        raise ShapeMismatch(f"slice1d: [{start}:{stop}] of shape {a.shape}")
-
-    def bwd(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[start:stop] += g
-
-    return Tensor(a.data[start:stop], (a,), bwd, "slice1d")
 
 
 def row(a: Tensor, i: int) -> Tensor:

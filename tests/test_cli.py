@@ -268,6 +268,21 @@ class TestEval:
         )
         assert rc == 2
 
+    def test_prefix_longer_than_model_is_validation_error(self, cli_workspace, tmp_path, capsys):
+        # the workspace model encodes 5 points; the second trajectory observes 8
+        rng = np.random.default_rng(0)
+        trajs = [Trajectory(np.linspace(0.0, 1.0, n), rng.standard_normal((n, 1))) for n in (5, 8)]
+        data = tmp_path / "long.jsonl"
+        save_dataset(PanelDataset(trajs, obs_dim=1), data)
+        rc = run(
+            [
+                "eval", "--model", cli_workspace["model"], "--data", data,
+                "--observe-fraction", "1.0", "--out", tmp_path / "x.csv",
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == "error: 8 observed points exceed the model's 5\n"
+
 
 class TestPlot:
     def make_traj_csv(self, path, rows):

@@ -18,7 +18,7 @@ from fnode.inference import (
     transfer_trajectory,
 )
 from fnode.model import FNODEModel, TrainConfig, fit, reconstruct
-from fnode.nets import encode_gamma, encode_z0
+from fnode.nets import encode_batch
 from fnode.syndata import generate_set_a
 
 
@@ -39,12 +39,12 @@ class TestSampleTrajectories:
     def test_degenerate_sampler_matches_forced_code(self, trained):
         m, data, _ = trained
         src = data.trajectories[0]
-        gamma_star = encode_gamma(m.enc_gamma, src, m.obs_scale).mean.data
+        gamma_star = encode_batch(m.enc_gamma, [src], m.obs_scale).mean.data[0]
         S = GMMModel(
             np.array([1.0]), gamma_star[None, :], np.array([1e-6]), "spherical"
         )
         out = sample_trajectories(m, S, src, src.times, n=1, seed=0)[0]
-        z0 = encode_z0(m.enc_z0, src, m.obs_scale).mean.data
+        z0 = encode_batch(m.enc_z0, [src], m.obs_scale).mean.data[0]
         forced = rollout(m, z0[None], gamma_star[None], float(src.times[0]), src.times)[0]
         np.testing.assert_allclose(out, forced, atol=1e-2)
 
@@ -129,7 +129,7 @@ class TestNeighborhood:
         exemplar = data.trajectories[5]
         delta = 2.0
         codes, _ = neighborhood_sample(m, S, exemplar, delta=delta, n=8, seed=1)
-        gamma_j = encode_gamma(m.enc_gamma, exemplar, m.obs_scale).mean.data
+        gamma_j = encode_batch(m.enc_gamma, [exemplar], m.obs_scale).mean.data[0]
         assert np.all(np.linalg.norm(codes - gamma_j, axis=1) <= delta)
 
     def test_acceptance_grows_with_delta(self, trained):
@@ -175,17 +175,15 @@ class TestCredibleBand:
         np.testing.assert_allclose(band.upper, band.mean, atol=1e-12)
 
     def test_matches_gaussian_quantiles(self):
-        from fnode.nets import encode_z0 as enc_fn
-
         m = linear_decoder_model()
         data = generate_set_a(n_per_class=1, n_classes=1, n_points=4, seed=0)
         x = data.trajectories[0]
         band = credible_band(m, None, x, x.times, n_draws=1000, level=0.95, seed=2)
 
-        q = enc_fn(m.enc_z0, x, m.obs_scale)
+        q = encode_batch(m.enc_z0, [x], m.obs_scale)
         w = m.dec.params["w0"].data[0]
-        mu = float(w @ q.mean.data + m.dec.params["b0"].data[0])
-        sigma = math.sqrt(float((w**2) @ np.exp(q.log_var.data)))
+        mu = float(w @ q.mean.data[0] + m.dec.params["b0"].data[0])
+        sigma = math.sqrt(float((w**2) @ np.exp(q.log_var.data[0])))
         half_width = 1.96 * sigma
         for i in range(len(x.times)):
             np.testing.assert_allclose(band.upper[i, 0] - mu, half_width, rtol=0.05)
@@ -205,14 +203,14 @@ class TestCredibleBand:
         m, data, S = trained
         x = data.trajectories[4]
         band = credible_band(m, S, x, x.times, n_draws=20, level=0.9, seed=7)
-        q_z0 = encode_z0(m.enc_z0, x, m.obs_scale)
-        q_g = encode_gamma(m.enc_gamma, x, m.obs_scale)
+        q_z0 = encode_batch(m.enc_z0, [x], m.obs_scale)
+        q_g = encode_batch(m.enc_gamma, [x], m.obs_scale)
         rng = np.random.default_rng(7)
         paths = []
         for _ in range(20):
             z0 = q_z0.mean.data + np.exp(0.5 * q_z0.log_var.data) * rng.standard_normal(m.p)
             g = q_g.mean.data + np.exp(0.5 * q_g.log_var.data) * rng.standard_normal(m.d_gamma)
-            paths.append(rollout(m, z0[None], g[None], float(x.times[0]), x.times)[0])
+            paths.append(rollout(m, z0, g, float(x.times[0]), x.times)[0])
         np.testing.assert_allclose(band.mean, np.mean(paths, axis=0), rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(band.lower, np.quantile(paths, 0.05, axis=0), rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(band.upper, np.quantile(paths, 0.95, axis=0), rtol=1e-12, atol=1e-15)

@@ -10,15 +10,18 @@ from fnode.model import (
     TrainConfig,
     TrainingDiverged,
     elbo_loss,
+    decode_path,
     fit,
-    forward,
     kl_gaussian,
     kl_schedule,
+    make_batch_field,
     reconstruct,
     reparameterize,
     _batch_elbo,
 )
-from fnode.nets import GaussianParams
+from fnode.inference import rollout
+from fnode.nets import GaussianParams, MLPSpec, encode_batch, hypernet_map, weight_count
+from fnode.odeint import integrate_batch
 from fnode.syndata import PanelDataset, Trajectory, generate_set_a
 from fnode.tensorgrad import ParamSet, Tensor
 
@@ -105,31 +108,33 @@ class TestForward:
         m.hyper.lam.data *= 0.0
         traj = tiny_data(n=4).trajectories[0]
         rng = np.random.default_rng(0)
-        out = forward(m, traj, Tensor(rng.standard_normal(m.p)), Tensor(rng.standard_normal(m.d_gamma)))
-        z0 = out.z_path[0].data
-        for z in out.z_path[1:]:
-            np.testing.assert_array_equal(z.data, z0)
-        r0 = out.recon[0].data
-        for r in out.recon[1:]:
-            np.testing.assert_array_equal(r.data, r0)
+        z0, gamma = rng.standard_normal((1, m.p)), rng.standard_normal((1, m.d_gamma))
+        recon = rollout(m, z0, gamma, float(traj.times[0]), traj.times)[0]
+        # the latent path is exactly constant (test_frozen_lambda_keeps_latent_constant);
+        # the decoder maps all T states in one product, whose rounding may differ by row
+        expected = m.dec(Tensor(z0)).data[0]
+        for r in recon:
+            np.testing.assert_allclose(r, expected, rtol=1e-12)
 
     def test_single_point_trajectory(self):
         m = tiny_model(n_points=1)
         traj = Trajectory(np.array([0.4]), np.array([[1.2]]))
-        rng = np.random.default_rng(1)
-        out = forward(m, traj, Tensor(rng.standard_normal(m.p)), Tensor(rng.standard_normal(m.d_gamma)))
-        assert len(out.recon) == 1
-        np.testing.assert_array_equal(out.recon[0].data, m.dec(out.z_path[0]).data)
+        q = encode_batch(m.enc_z0, [traj], m.obs_scale)
+        assert q.mean.data.shape == (1, m.p)
+        z0 = Tensor(np.random.default_rng(1).standard_normal((1, m.p)))
+        theta = hypernet_map(m.hyper, Tensor(np.random.default_rng(2).standard_normal((1, m.d_gamma))))
+        recon = decode_path(m, z0, theta, 0.4, traj.times)
+        assert recon.data.shape == (1, 1)
+        np.testing.assert_array_equal(recon.data, m.dec(z0).data)
 
     def test_seeded_forward_reproducible(self):
         m = tiny_model()
         traj = tiny_data(n=4).trajectories[1]
-        noise_z = Tensor(np.random.default_rng(3).standard_normal(m.p))
-        noise_g = Tensor(np.random.default_rng(4).standard_normal(m.d_gamma))
-        a = forward(m, traj, noise_z, noise_g)
-        b = forward(m, traj, noise_z, noise_g)
-        for ra, rb in zip(a.recon, b.recon):
-            np.testing.assert_array_equal(ra.data, rb.data)
+        z0 = np.random.default_rng(3).standard_normal((2, m.p))
+        gamma = np.random.default_rng(4).standard_normal((2, m.d_gamma))
+        a = rollout(m, z0, gamma, float(traj.times[0]), traj.times)
+        b = rollout(m, z0, gamma, float(traj.times[0]), traj.times)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestELBO:
@@ -157,15 +162,13 @@ class TestELBO:
         assert bd.kl_weight == 0.0
 
     def test_kl_terms_match_kl_gaussian(self):
-        from fnode.nets import encode_gamma, encode_z0
-
         m = tiny_model()
         traj = tiny_data(n=4).trajectories[2]
         cfg = TrainConfig(epochs=1, kl_anneal_epochs=1, seed=5)
         bd = elbo_loss(m, traj, cfg, 1.0)
-        assert bd.kl_z0 == pytest.approx(kl_gaussian(encode_z0(m.enc_z0, traj, m.obs_scale)), rel=1e-10)
+        assert bd.kl_z0 == pytest.approx(kl_gaussian(encode_batch(m.enc_z0, [traj], m.obs_scale)), rel=1e-10)
         assert bd.kl_gamma == pytest.approx(
-            kl_gaussian(encode_gamma(m.enc_gamma, traj, m.obs_scale)), rel=1e-10
+            kl_gaussian(encode_batch(m.enc_gamma, [traj], m.obs_scale)), rel=1e-10
         )
         assert bd.total == pytest.approx(bd.recon_loglik - bd.kl_z0 - bd.kl_gamma, rel=1e-10)
 
@@ -205,9 +208,7 @@ def gradient_check_fixture(seed=1):
 
 class TestBatchedFieldConsistency:
     def test_batch_field_matches_single_sample_field(self):
-        from fnode.model import make_batch_field, make_field
-        from fnode.nets import MLPSpec, weight_count
-
+        # reference: a plain-numpy tanh MLP on [z, t] built from each row's theta
         rng = np.random.default_rng(5)
         f_spec = MLPSpec((4, 6, 3))
         B = 4
@@ -216,8 +217,11 @@ class TestBatchedFieldConsistency:
         t_row = rng.uniform(0, 1.5, B)
         batched = make_batch_field(f_spec, theta)(Z, t_row)
         for b in range(B):
-            single = make_field(f_spec, Tensor(theta.data[b]))(Tensor(Z.data[b]), float(t_row[b]))
-            np.testing.assert_allclose(batched.data[b], single.data, rtol=1e-12, atol=1e-15)
+            th = theta.data[b]
+            w0, b0 = th[:24].reshape(6, 4), th[24:30]
+            w1, b1 = th[30:48].reshape(3, 6), th[48:51]
+            expected = w1 @ np.tanh(w0 @ np.append(Z.data[b], t_row[b]) + b0) + b1
+            np.testing.assert_allclose(batched.data[b], expected, rtol=1e-12, atol=1e-15)
 
 
 class TestELBOGradients:
@@ -294,6 +298,22 @@ class TestFit:
             fit(m, data, TrainConfig(epochs=2, kl_anneal_epochs=1, learning_rate=1e18, seed=0))
         assert (ei.value.epoch, ei.value.batch) == (1, 0)
 
+    def test_non_finite_gradient_aborts_before_update(self, monkeypatch):
+        m = tiny_model(seed=1, hyper_hidden=(8, 8))
+        before = {name: t.data.copy() for name, t in m.params.items()}
+        real_backward = tg.backward
+
+        def poisoned(out):
+            real_backward(out)
+            m.params["hyper.w2"].grad[0, 0] = np.nan
+
+        monkeypatch.setattr(tg, "backward", poisoned)
+        with pytest.raises(TrainingDiverged, match="non-finite gradient in hyper$") as ei:
+            fit(m, tiny_data(n=8), TrainConfig(epochs=2, kl_anneal_epochs=1, seed=0))
+        assert (ei.value.epoch, ei.value.batch) == (0, 0)
+        for name, t in m.params.items():
+            assert t.data.tobytes() == before[name].tobytes(), name
+
 
 class TestReconstruct:
     def test_posterior_mean_is_deterministic(self):
@@ -333,8 +353,10 @@ class TestReconstruct:
         m.hyper.lam.data *= 0.0
         traj = tiny_data(n=4).trajectories[3]
         rng = np.random.default_rng(0)
-        out = forward(m, traj, Tensor(rng.standard_normal(m.p)), Tensor(rng.standard_normal(m.d_gamma)))
-        drift = max(np.max(np.abs(z.data - out.z_path[0].data)) for z in out.z_path)
+        theta = hypernet_map(m.hyper, Tensor(rng.standard_normal((1, m.d_gamma))))
+        z0 = Tensor(rng.standard_normal((1, m.p)))
+        z_path = integrate_batch(make_batch_field(m.f_spec, theta), z0, traj.times[None, :], m.solver)
+        drift = max(np.max(np.abs(z.data - z0.data)) for z in z_path)
         assert drift == 0.0
 
 

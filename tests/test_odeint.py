@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fnode.tensorgrad as tg
 from fnode.odeint import (
@@ -136,37 +138,39 @@ class TestIntegrateBatch:
         return times, z0, a
 
     def test_matches_per_row_integration(self):
-        # padded lockstep stepping must reproduce the scalar-path numerics
+        # z' = a_b z is z0 exp(a_b (t - t0)).  RK4's relative error per step of
+        # size h is at most (|a| h)^5 / 100, and a row takes at most
+        # span / h full steps plus one partial step per segment.
         times, z0, a = self.batch_setup()
 
         def batch_field(Z, t_row):
             return tg.mul(Z, Tensor(np.broadcast_to(a, Z.data.shape).copy()))
 
-        states = integrate_batch(batch_field, Tensor(z0), times, SolverConfig())
-        for b in range(times.shape[0]):
-
-            def fld(z, t, b=b):
-                return tg.scale(z, float(a[b, 0]))
-
-            path = integrate(fld, Tensor(z0[b]), TimeGrid(times[b]), SolverConfig())
-            for j, ref in enumerate(path):
-                np.testing.assert_allclose(states[j].data[b], ref.data, rtol=1e-12, atol=1e-14)
+        h = 0.1
+        states = integrate_batch(batch_field, Tensor(z0), times, SolverConfig(step_size=h))
+        got = np.stack([s.data for s in states], axis=1)
+        exact = z0[:, None, :] * np.exp(a[:, None, :] * (times - times[:, :1])[:, :, None])
+        n_steps = (times[:, -1] - times[:, 0]) / h + times.shape[1]
+        rel = n_steps[:, None, None] * (np.abs(a[:, None, :]) * h) ** 5 / 100 + 1e-14
+        assert np.all(np.abs(got - exact) <= rel * np.abs(exact))
 
     def test_time_dependent_field_matches(self):
-        times, z0, _ = self.batch_setup(seed=3, B=4, T=5)
+        # z' = a_b cos(2 pi t) z is z0 exp(a_b (sin 2 pi t - sin 2 pi t0) / (2 pi)).
+        # Fourth-order convergence on every row needs each row's own stage times.
+        times, z0, a = self.batch_setup(seed=3, B=4, T=5)
+        w = 2.0 * np.pi
 
         def batch_field(Z, t_row):
-            drive = np.repeat(np.cos(2 * np.pi * t_row)[:, None], Z.data.shape[1], axis=1)
-            return tg.tanh(Z) + Tensor(drive)
+            return tg.mul(Z, Tensor(a * np.cos(w * t_row)[:, None] * np.ones(Z.data.shape)))
 
-        states = integrate_batch(batch_field, Tensor(z0), times, SolverConfig())
-        for b in range(4):
-
-            def fld(z, t):
-                return tg.tanh(z) + Tensor(np.full(2, math.cos(2 * math.pi * t)))
-
-            path = integrate(fld, Tensor(z0[b]), TimeGrid(times[b]), SolverConfig())
-            np.testing.assert_allclose(states[-1].data[b], path[-1].data, rtol=1e-10)
+        phase = (np.sin(w * times) - np.sin(w * times[:, :1])) / w
+        exact = z0[:, None, :] * np.exp(a[:, None, :] * phase[:, :, None])
+        errs = []
+        for h in (0.05, 0.025):
+            states = integrate_batch(batch_field, Tensor(z0), times, SolverConfig(step_size=h))
+            errs.append(np.max(np.abs(np.stack([s.data for s in states], axis=1) - exact)))
+        assert errs[0] <= 1e-5
+        assert 12.0 <= errs[0] / errs[1] <= 20.0
 
     def test_rejects_row_count_mismatch(self):
         times, z0, _ = self.batch_setup()
@@ -195,3 +199,39 @@ class TestIntegrateBatch:
         escape = t0[1] + 1.0 / z0[1, 0]
         assert ei.value.row == 1
         assert escape <= ei.value.t <= escape + 5 * h
+
+
+# Rows of mixed step counts: a row padded with zero-length steps while others
+# still step must match the same row run alone, at every grid time.
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(-1.0, 1.0),  # t0
+            st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4),  # gaps between grid times
+            st.floats(-2.0, 2.0),  # z0
+            st.floats(-1.5, 1.5),  # rate
+        ),
+        min_size=2,
+        max_size=4,
+    ),
+    h=st.floats(0.02, 0.5),
+)
+def test_padding_leaves_each_row_as_if_run_alone(rows, h):
+    n_gaps = min(len(r[1]) for r in rows)
+    times = np.array([t0 + np.concatenate([[0.0], np.cumsum(gaps[:n_gaps])]) for t0, gaps, _, _ in rows])
+    z0 = np.array([[r[2]] for r in rows])
+    rate = np.array([[r[3]] for r in rows])
+
+    def field_for(rate_rows):
+        def fld(Z, t_row):
+            return tg.tanh(tg.mul(Z, Tensor(rate_rows))) + Tensor(np.cos(t_row)[:, None])
+
+        return fld
+
+    cfg = SolverConfig(step_size=h)
+    batch = integrate_batch(field_for(rate), Tensor(z0), times, cfg)
+    for b in range(len(rows)):
+        alone = integrate_batch(field_for(rate[b : b + 1]), Tensor(z0[b : b + 1]), times[b : b + 1], cfg)
+        for together, single in zip(batch, alone):
+            np.testing.assert_array_equal(together.data[b], single.data[0])

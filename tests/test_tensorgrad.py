@@ -192,8 +192,6 @@ PRIMITIVE_PROGRAMS = {
     "sum_axis0": lambda ps: tg.tensor_sum(tg.square(tg.tensor_sum(ps["m1"], axis=0))),
     "sum_axis1": lambda ps: tg.tensor_sum(tg.square(tg.tensor_sum(ps["m1"], axis=1))),
     "concat": lambda ps: tg.tensor_sum(tg.square(tg.concat([ps["a"], ps["b"]]))),
-    "stack_rows": lambda ps: tg.tensor_sum(tg.square(tg.stack_rows([ps["a"], ps["b"]]))),
-    "slice1d": lambda ps: tg.tensor_sum(tg.square(tg.slice1d(ps["a"], 1, 3))),
     "row": lambda ps: tg.tensor_sum(tg.square(tg.row(ps["m1"], 1))),
     "cols": lambda ps: tg.tensor_sum(tg.square(tg.cols(ps["m1"], 1, 3))),
     "reshape": lambda ps: tg.tensor_sum(tg.square(tg.reshape(ps["m1"], (4, 3)))),
