@@ -5,6 +5,13 @@ sample bank and a mixture is fit by expectation-maximization, with the number
 of components and the covariance structure chosen by BIC.  The fitted mixture
 is the sampler used for generation and the density used for likelihood-based
 outlier scoring.
+
+Components are scored together: each covariance is factored once per EM
+step (one Cholesky, or one batched Cholesky for ``full``) and the
+Mahalanobis distances of all K components come from a few matrix products,
+with no loop over components.  EM carries raw arrays; a :class:`GMMModel`,
+whose constructor checks shapes, weights and floors, is built once per
+restart.
 """
 
 from __future__ import annotations
@@ -58,15 +65,23 @@ class GMMModel:
         self.covariances = np.asarray(self.covariances, dtype=np.float64)
         if self.cov_type not in COV_TYPES:
             raise ValueError(f"unknown covariance type {self.cov_type!r}")
+        if self.means.ndim != 2:
+            raise ValueError(f"means must be [K, d], got shape {list(self.means.shape)}")
+        K, d = self.means.shape
+        layout = {"spherical": (K,), "diag": (K, d), "tied": (d, d), "full": (K, d, d)}[self.cov_type]
+        if self.weights.shape != (K,) or self.covariances.shape != layout:
+            raise ValueError(
+                f"{self.cov_type} mixture with means {list(self.means.shape)} needs weights {[K]} and "
+                f"covariances {list(layout)}, got {list(self.weights.shape)} and {list(self.covariances.shape)}"
+            )
         if abs(self.weights.sum() - 1.0) > 1e-12 or np.any(self.weights <= 0):
             raise ValueError("weights must be positive and sum to 1")
         if self.cov_type in ("spherical", "diag") and np.any(self.covariances < COV_FLOOR):
             raise ValueError(f"variances fall below the {COV_FLOOR} floor")
         if self.cov_type in ("tied", "full"):
-            mats = self.covariances if self.cov_type == "full" else self.covariances[None]
-            for c in mats:
-                if np.any(np.diag(np.linalg.cholesky(c)) < COV_FLOOR):
-                    raise ValueError("covariance Cholesky diagonal below floor")
+            L = np.linalg.cholesky(self.covariances)
+            if np.any(np.diagonal(L, axis1=-2, axis2=-1) < COV_FLOOR):
+                raise ValueError("covariance Cholesky diagonal below floor")
 
     @property
     def n_components(self) -> int:
@@ -138,29 +153,40 @@ def collect_gamma_samples(m, data, n_gamma: int, seed: int = 0, include_z0: bool
 # -- likelihood machinery -----------------------------------------------------------
 
 
-def _component_log_prob(model: GMMModel, X: np.ndarray) -> np.ndarray:
-    """log N(x_i | mu_k, Sigma_k) for every (i, k)."""
-    n, d = X.shape
-    K = model.n_components
-    out = np.empty((n, K))
-    ct = model.cov_type
-    for k in range(K):
-        diff = X - model.means[k]
-        if ct == "spherical":
-            var = model.covariances[k]
-            maha = np.sum(diff * diff, axis=1) / var
-            logdet = d * np.log(var)
-        elif ct == "diag":
-            var = model.covariances[k]
-            maha = np.sum(diff * diff / var, axis=1)
-            logdet = np.sum(np.log(var))
+def _weighted_log_prob(X, weights, means, cov, cov_type: str) -> np.ndarray:
+    """log w_k + log N(x_i | mu_k, Sigma_k) for every (i, k), all components at once.
+
+    Each covariance is factored once and every component's Mahalanobis
+    distances come from a few matrix products, as in scikit-learn's
+    ``GaussianMixture`` (``precisions_cholesky_``).  Rows and means are first
+    shifted by the mean of the means, so the expanded quadratics do not cancel
+    when the data sit far from the origin.  A covariance that is not positive
+    definite raises ``LinAlgError``.
+    """
+    d, K = X.shape[1], means.shape[0]
+    centre = means.mean(axis=0)
+    X, means = X - centre, means - centre
+    if cov_type in ("spherical", "diag"):
+        # |x - mu|^2 / var summed over dims = x^2 . p - 2 x . (mu p) + mu^2 . p, with p = 1 / var
+        prec = np.broadcast_to(1.0 / (cov[:, None] if cov_type == "spherical" else cov), (K, d))
+        maha = (X * X) @ prec.T - 2.0 * (X @ (means * prec).T) + np.sum(means * means * prec, axis=1)
+        half_logdet = -0.5 * np.sum(np.log(prec), axis=1)
+    else:
+        # Sigma = L L^T, so Sigma^-1 = P P^T with P = L^-T and the distance is |(x - mu) P|^2
+        L = np.linalg.cholesky(cov)
+        P = np.swapaxes(np.linalg.solve(L, np.broadcast_to(np.eye(d), L.shape)), -1, -2)
+        half_logdet = np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+        if cov_type == "tied":
+            Y, Ym = X @ P, means @ P
+            maha = np.sum(Y * Y, axis=1)[:, None] - 2.0 * (Y @ Ym.T) + np.sum(Ym * Ym, axis=1)
         else:
-            cov = model.covariances if ct == "tied" else model.covariances[k]
-            prec = np.linalg.inv(cov)
-            maha = np.einsum("ij,jk,ik->i", diff, prec, diff)
-            logdet = np.linalg.slogdet(cov)[1]
-        out[:, k] = -0.5 * (d * LOG_2PI + logdet + maha)
-    return out
+            # one [n, d] @ [d, K*d] product for all factors, then per-component sums of
+            # squares; in place, as each fresh [n, K*d] temporary costs page faults
+            Y = X @ P.transpose(1, 0, 2).reshape(d, K * d)
+            Y -= (means[:, None, :] @ P).reshape(K * d)
+            Y *= Y
+            maha = Y @ np.repeat(np.eye(K), d, axis=0)
+    return np.log(weights) - 0.5 * (d * LOG_2PI + maha) - half_logdet
 
 
 def _logsumexp(a: np.ndarray, axis: int = 1) -> np.ndarray:
@@ -171,7 +197,7 @@ def _logsumexp(a: np.ndarray, axis: int = 1) -> np.ndarray:
 def score_rows(model: GMMModel, X: np.ndarray) -> np.ndarray:
     """Mixture log-density of each row of ``X``."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return _logsumexp(_component_log_prob(model, X) + np.log(model.weights))
+    return _logsumexp(_weighted_log_prob(X, model.weights, model.means, model.covariances, model.cov_type))
 
 
 def log_likelihood(model: GMMModel, point) -> float:
@@ -214,48 +240,35 @@ def _init_covariances(X: np.ndarray, K: int, cov_type: str) -> np.ndarray:
 
 
 def _m_step(X: np.ndarray, resp: np.ndarray, cov_type: str):
+    """Weights, means and floored covariances from the responsibilities."""
     n, d = X.shape
     nk = resp.sum(axis=0) + 10.0 * np.finfo(np.float64).eps
-    weights = nk / n
     means = (resp.T @ X) / nk[:, None]
-    K = resp.shape[1]
     if cov_type == "full":
-        cov = np.empty((K, d, d))
-        for k in range(K):
+        cov = np.empty((nk.shape[0], d, d))
+        for k in range(nk.shape[0]):
             diff = X - means[k]
             cov[k] = (resp[:, k] * diff.T) @ diff / nk[k]
-            cov[k].flat[:: d + 1] += COV_FLOOR
+        cov[:, np.arange(d), np.arange(d)] += COV_FLOOR
     elif cov_type == "tied":
-        cov = np.zeros((d, d))
-        for k in range(K):
-            diff = X - means[k]
-            cov += (resp[:, k] * diff.T) @ diff
-        cov /= n
+        cov = (X.T @ X - (nk * means.T) @ means) / n
         cov.flat[:: d + 1] += COV_FLOOR
-    elif cov_type == "diag":
-        cov = np.empty((K, d))
-        for k in range(K):
-            diff = X - means[k]
-            cov[k] = np.maximum(resp[:, k] @ (diff * diff) / nk[k], COV_FLOOR)
     else:
-        cov = np.empty(K)
-        for k in range(K):
-            diff = X - means[k]
-            cov[k] = np.maximum((resp[:, k] @ np.sum(diff * diff, axis=1)) / (nk[k] * d), COV_FLOOR)
-    return weights, means, cov
+        var = resp.T @ (X * X) / nk[:, None] - means * means
+        cov = np.maximum(var if cov_type == "diag" else var.mean(axis=1), COV_FLOOR)
+    return nk / n, means, cov
 
 
 def _em_once(X, K, cov_type, rng, max_iter, tol):
-    n = X.shape[0]
-    weights = np.full(K, 1.0 / K)
-    means = _kmeanspp_centers(X, K, rng)
-    cov = _init_covariances(X, K, cov_type)
-    model = GMMModel(weights, means, cov, cov_type)
+    # Fit on centred rows, so the M-step's expanded second moments do not cancel.
+    shift = X.mean(axis=0)
+    X = X - shift
+    weights, means, cov = np.full(K, 1.0 / K), _kmeanspp_centers(X, K, rng), _init_covariances(X, K, cov_type)
 
     history = []
     prev = -np.inf
     for _ in range(max_iter):
-        weighted = _component_log_prob(model, X) + np.log(model.weights)
+        weighted = _weighted_log_prob(X, weights, means, cov, cov_type)
         norm = _logsumexp(weighted)
         loglik = float(norm.sum())
         history.append(loglik)
@@ -269,12 +282,11 @@ def _em_once(X, K, cov_type, rng, max_iter, tol):
                 resp[i] = 0.0
                 resp[i, k] = 1.0
 
-        w, mu, cv = _m_step(X, resp, cov_type)
-        model = GMMModel(w, mu, cv, cov_type)
+        weights, means, cov = _m_step(X, resp, cov_type)
         if loglik - prev < tol and np.isfinite(prev):
             break
         prev = loglik
-    return model, history
+    return GMMModel(weights, means + shift, cov, cov_type), history
 
 
 def em_fit(
@@ -308,8 +320,11 @@ def em_fit(
 def bic(model: GMMModel, bank: GammaSampleBank | np.ndarray) -> float:
     """-2 * loglik + n_params * ln(n) for the fitted mixture on the bank."""
     X = bank.samples if isinstance(bank, GammaSampleBank) else np.asarray(bank, dtype=np.float64)
-    n = X.shape[0]
-    return float(-2.0 * score_rows(model, X).sum() + _n_params(model) * np.log(n))
+    return _bic(float(score_rows(model, X).sum()), _n_params(model), X.shape[0])
+
+
+def _bic(loglik: float, n_params: int, n: int) -> float:
+    return float(-2.0 * loglik + n_params * np.log(n))
 
 
 def _n_params(model: GMMModel) -> int:
@@ -325,12 +340,16 @@ def _n_params(model: GMMModel) -> int:
 
 @dataclass
 class SelectionRow:
+    """One fit of the selection grid; ``n_iter`` and ``converged`` describe its kept EM restart."""
+
     K: int
     cov_type: str
     loglik: float
     params: int
     bic: float
     selected: bool = False
+    n_iter: int = 0
+    converged: bool = False
 
 
 def select_model(
@@ -345,6 +364,8 @@ def select_model(
 
     Ties break toward fewer parameters, then the canonical covariance order
     (spherical, tied, diag, full).  Returns (best model, selection table).
+    A row is ``converged`` when its kept restart's last EM step gained less
+    than ``tol``.
     """
     X = bank.samples if isinstance(bank, GammaSampleBank) else np.asarray(bank, dtype=np.float64)
     if len(component_range) == 0 or len(cov_types) == 0:
@@ -361,12 +382,14 @@ def select_model(
             # Child seed depends only on (seed, K, cov_type), not loop order.
             child_seed = seed * 1000003 + K * 101 + rank
             try:
-                model, _ = em_fit(X, K, ct, seed=child_seed, max_iter=max_iter, tol=tol)
+                model, history = em_fit(X, K, ct, seed=child_seed, max_iter=max_iter, tol=tol)
             except (ValueError, np.linalg.LinAlgError) as e:
                 failures.append(f"K={K} {ct}: {e}")
                 continue
-            row = SelectionRow(K, ct, float(score_rows(model, X).sum()), _n_params(model), bic(model, X))
-            table.append(row)
+            loglik, params = float(score_rows(model, X).sum()), _n_params(model)
+            converged = len(history) > 1 and history[-1] - history[-2] < tol
+            bic_value = _bic(loglik, params, X.shape[0])
+            table.append(SelectionRow(K, ct, loglik, params, bic_value, n_iter=len(history), converged=converged))
             fits[(K, ct)] = model
     if not table:
         raise RuntimeError("all mixture fits failed: " + "; ".join(failures))
@@ -399,9 +422,7 @@ def sample(model: GMMModel, n: int, seed: int = 0) -> np.ndarray:
             continue
         eps = rng.standard_normal((idx.size, model.d))
         ct = model.cov_type
-        if ct == "spherical":
-            out[idx] = model.means[k] + np.sqrt(model.covariances[k]) * eps
-        elif ct == "diag":
+        if ct in ("spherical", "diag"):
             out[idx] = model.means[k] + np.sqrt(model.covariances[k]) * eps
         else:
             cov = model.covariances if ct == "tied" else model.covariances[k]

@@ -140,13 +140,7 @@ class Tensor:
     def __add__(self, other):
         if isinstance(other, (int, float)):
             return shift(self, float(other))
-        if self.data.shape == other.data.shape:
-            return add(self, other)
-        if self.data.ndim == 2 and other.data.ndim == 1:
-            return broadcast_add(self, other)
-        if self.data.ndim == 1 and other.data.ndim == 2:
-            return broadcast_add(other, self)
-        raise ShapeMismatch(f"add: {self.shape} vs {other.shape}")
+        return add(self, other)
 
     __radd__ = __add__
 
@@ -282,34 +276,14 @@ def broadcast_add(mat: Tensor, vec: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for (2d,2d), (1d,2d) and (2d,1d) operand ranks."""
+    """Matrix product of two rank-2 tensors."""
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+        raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
 
-        def bwd(g):
-            _acc(a, g @ bd.T, own=True)
-            _acc(b, ad.T @ g, own=True)
-
-    elif ad.ndim == 1 and bd.ndim == 2:
-        if ad.shape[0] != bd.shape[0]:
-            raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
-
-        def bwd(g):
-            _acc(a, bd @ g, own=True)
-            _acc(b, ad[:, None] * g[None, :], own=True)
-
-    elif ad.ndim == 2 and bd.ndim == 1:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
-
-        def bwd(g):
-            _acc(a, g[:, None] * bd[None, :], own=True)
-            _acc(b, ad.T @ g, own=True)
-
-    else:
-        raise ShapeMismatch(f"matmul: unsupported ranks {a.shape} @ {b.shape}")
+    def bwd(g):
+        _acc(a, g @ bd.T, own=True)
+        _acc(b, ad.T @ g, own=True)
 
     return Tensor(ad @ bd, (a, b), bwd, "matmul")
 

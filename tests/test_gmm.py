@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fnode.gmm as gmm_mod
 from fnode.gmm import (
     COV_TYPES,
     GammaSampleBank,
@@ -36,16 +39,42 @@ class TestGMMModel:
         with pytest.raises(ValueError):
             GMMModel(np.array([1.0]), np.zeros((1, 2)), np.array([[1e-9, 1.0]]), "diag")
 
+    # (cov_type, weights, means, covariances) that break the documented layout
+    # spherical [K], diag [K, d], tied [d, d], full [K, d, d]; here K = 2, d = 3.
+    BAD_LAYOUTS = {
+        "diag with [K]": ("diag", np.full(2, 0.5), np.zeros((2, 3)), np.ones(2)),
+        "spherical with [K, d]": ("spherical", np.full(2, 0.5), np.zeros((2, 3)), np.ones((2, 3))),
+        "tied with [K, d, d]": ("tied", np.full(2, 0.5), np.zeros((2, 3)), np.tile(np.eye(3), (2, 1, 1))),
+        "full with [d, d]": ("full", np.full(2, 0.5), np.zeros((2, 3)), np.eye(3)),
+        "full with [K, d-1, d-1]": ("full", np.full(2, 0.5), np.zeros((2, 3)), np.tile(np.eye(2), (2, 1, 1))),
+        "weights of length K+1": ("diag", np.full(3, 1 / 3), np.zeros((2, 3)), np.ones((2, 3))),
+        "rank-1 means": ("spherical", np.ones(1), np.zeros(3), np.ones(1)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_LAYOUTS))
+    def test_shape_mismatch_rejected(self, case):
+        cov_type, weights, means, cov = self.BAD_LAYOUTS[case]
+        with pytest.raises(ValueError):
+            GMMModel(weights, means, cov, cov_type)
+
 
 class TestEMFit:
-    def test_k1_diag_matches_closed_form_mle(self):
+    @pytest.mark.parametrize("cov_type", COV_TYPES)
+    def test_k1_matches_closed_form_mle(self, cov_type):
         rng = np.random.default_rng(4)
-        X = rng.standard_normal((200, 3)) * np.array([1.5, 0.7, 0.2]) + np.array([1.0, -2.0, 0.5])
-        model, _ = em_fit(GammaSampleBank.from_array(X), K=1, cov_type="diag", seed=0)
+        X = rng.standard_normal((200, 3)) @ np.array([[1.5, 0.0, 0.0], [0.4, 0.7, 0.0], [0.0, 0.1, 0.2]])
+        X += np.array([1.0, -2.0, 0.5])
+        model, _ = em_fit(GammaSampleBank.from_array(X), K=1, cov_type=cov_type, seed=0)
+        diff = X - X.mean(axis=0)
+        biased = diff.T @ diff / X.shape[0]
+        want = {
+            "spherical": np.maximum(np.mean(np.diag(biased)), 1e-6),
+            "diag": np.maximum(np.diag(biased), 1e-6),
+            "tied": biased + 1e-6 * np.eye(3),
+            "full": biased + 1e-6 * np.eye(3),
+        }[cov_type]
         np.testing.assert_allclose(model.means[0], X.mean(axis=0), atol=1e-8)
-        np.testing.assert_allclose(
-            model.covariances[0], np.maximum(X.var(axis=0), 1e-6), atol=1e-8
-        )
+        np.testing.assert_allclose(model.covariances if cov_type == "tied" else model.covariances[0], want, atol=1e-8)
         assert model.weights[0] == 1.0
 
     def test_two_separated_clusters(self):
@@ -123,6 +152,30 @@ class TestSelectModel:
         best_b, _ = select_model(X[perm], range(1, 6), ("spherical", "diag"), seed=3)
         assert (best_a.n_components, best_a.cov_type) == (best_b.n_components, best_b.cov_type)
 
+    def test_each_fit_scored_once(self, monkeypatch):
+        X = three_clusters(n_per=40)
+        calls = []
+        score = gmm_mod.score_rows
+        monkeypatch.setattr(gmm_mod, "score_rows", lambda m, rows: calls.append(1) or score(m, rows))
+        best, table = select_model(X, [1, 2, 3], ("spherical", "diag"), seed=0)
+        assert len(calls) == len(table) == 6
+        monkeypatch.undo()
+        for r in table:
+            if r.selected:
+                assert r.bic == bic(best, X)
+                assert r.loglik == float(score_rows(best, X).sum())
+
+    def test_rows_report_em_convergence(self):
+        X = three_clusters(n_per=80, d=2, seed=3)
+        _, short = select_model(X, [3], ("diag",), seed=0, max_iter=2)
+        assert (short[0].n_iter, short[0].converged) == (2, False)
+        # a gain below tol on the last allowed step still counts as converged
+        _, loose = select_model(X, [3], ("diag",), seed=0, max_iter=2, tol=1e9)
+        assert (loose[0].n_iter, loose[0].converged) == (2, True)
+        _, single = select_model(X, [1], ("diag", "full"), seed=0)
+        for r in single:
+            assert r.converged and 2 <= r.n_iter <= 200
+
     def test_csv_table(self):
         X = three_clusters(n_per=40)
         _, table = select_model(X, [2, 3], ("diag",), seed=0)
@@ -150,12 +203,72 @@ class TestLogLikelihood:
 
     def test_density_integrates_to_one_1d(self):
         model = GMMModel(
-            np.array([0.4, 0.6]), np.array([[-1.0], [2.0]]), np.array([0.5, 1.5]), "diag"
+            np.array([0.4, 0.6]), np.array([[-1.0], [2.0]]), np.array([[0.5], [1.5]]), "diag"
         )
         xs = np.linspace(-14.0, 15.0, 20001)
         dens = np.exp(score_rows(model, xs[:, None]))
         integral = np.trapezoid(dens, xs)
         assert integral == pytest.approx(1.0, abs=1e-4)
+
+
+def _oracle_log_density(weights, means, full_covs, X):
+    """Mixture log-density by one Cholesky solve per component on [K, d, d] covariances."""
+    d = X.shape[1]
+    comp = np.empty((X.shape[0], len(weights)))
+    for k, cov in enumerate(full_covs):
+        L = np.linalg.cholesky(cov)
+        y = np.linalg.solve(L, (X - means[k]).T)
+        half_logdet = np.sum(np.log(np.diag(L)))
+        comp[:, k] = math.log(weights[k]) - 0.5 * d * math.log(2 * math.pi) - half_logdet - 0.5 * np.sum(y * y, axis=0)
+    top = comp.max(axis=1)
+    return top + np.log(np.sum(np.exp(comp - top[:, None]), axis=1))
+
+
+def _random_mixture(cov_type, K, d, seed, offset=0.0):
+    """A GMMModel with random SPD covariances, its [K, d, d] covariances and 60 rows around it."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 1.5, K)
+    weights /= weights.sum()
+    means = rng.normal(0.0, 2.0, (K, d)) + offset
+    A = rng.standard_normal((K, d, d))
+    spd = A @ A.transpose(0, 2, 1) / d + 0.3 * np.eye(d)
+    variances = rng.uniform(0.3, 2.0, (K, d))
+    cov, full = {
+        "spherical": (variances[:, 0], variances[:, :1, None] * np.eye(d)),
+        "diag": (variances, variances[:, :, None] * np.eye(d)),
+        "tied": (spd[0], np.broadcast_to(spd[0], (K, d, d))),
+        "full": (spd, spd),
+    }[cov_type]
+    X = means[rng.integers(K, size=60)] + 1.5 * rng.standard_normal((60, d))
+    return GMMModel(weights, means, cov, cov_type), full, X
+
+
+class TestScoreRowsOracle:
+    # At offset 1e4 the expanded quadratics are only accurate because rows and
+    # means are centred before expanding.
+    @pytest.mark.parametrize("offset, rtol", [(0.0, 1e-10), (1e4, 1e-9)])
+    @pytest.mark.parametrize("cov_type", COV_TYPES)
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_matches_per_component_cholesky_solve(self, cov_type, d, K, offset, rtol):
+        model, full, X = _random_mixture(cov_type, K, d, seed=10 * d + K, offset=offset)
+        want = _oracle_log_density(model.weights, model.means, full, X)
+        np.testing.assert_allclose(score_rows(model, X), want, rtol=rtol, atol=0)
+
+
+# Each row is scored on its own, whatever the order of the others.  Equal up to
+# rounding: a matrix product need not sum a row the same way at every position.
+@settings(max_examples=40, deadline=None)
+@given(
+    cov_type=st.sampled_from(COV_TYPES),
+    K=st.integers(1, 4),
+    d=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_score_rows_commutes_with_row_permutation(cov_type, K, d, seed):
+    model, _, X = _random_mixture(cov_type, K, d, seed)
+    perm = np.random.default_rng(seed).permutation(X.shape[0])
+    np.testing.assert_allclose(score_rows(model, X[perm]), score_rows(model, X)[perm], rtol=1e-13, atol=0)
 
 
 class TestSample:
@@ -174,7 +287,7 @@ class TestSample:
 
     def test_same_seed_identical(self):
         model = GMMModel(
-            np.array([0.5, 0.5]), np.array([[0.0], [3.0]]), np.array([1.0, 0.5]), "diag"
+            np.array([0.5, 0.5]), np.array([[0.0], [3.0]]), np.array([[1.0], [0.5]]), "diag"
         )
         np.testing.assert_array_equal(sample(model, 64, seed=9), sample(model, 64, seed=9))
 

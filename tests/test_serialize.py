@@ -150,6 +150,11 @@ def _transpose_dec_w0(doc):
     w["shape"] = [n_in, n_out]
 
 
+def _flat_sampler_covariances(doc):
+    # the fixture's sampler is diag with K = 2, so its covariances must be [2, d]
+    doc["gmm"]["covariances"] = {"shape": [2], "f8": _b64(np.ones(2))}
+
+
 def _keep_only_version(doc):
     for key in [k for k in doc if k != "format_version"]:
         del doc[key]
@@ -164,6 +169,7 @@ SCHEMA_DEFECTS = {
     "short payload": _set_param("dec.b0", f8=_b64(np.zeros(1))),
     "shape against spec": _transpose_dec_w0,
     "scalar lambda as vector": _set_param("hyper.lambda", shape=[1]),
+    "sampler covariances against means": _flat_sampler_covariances,
     "version only": _keep_only_version,
 }
 
