@@ -303,6 +303,8 @@ def em_fit(
     Returns (model, loglik_history); the per-iteration total log-likelihood is
     nondecreasing within a run.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     X = bank.samples if isinstance(bank, GammaSampleBank) else np.asarray(bank, dtype=np.float64)
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -370,6 +372,8 @@ def select_model(
     X = bank.samples if isinstance(bank, GammaSampleBank) else np.asarray(bank, dtype=np.float64)
     if len(component_range) == 0 or len(cov_types) == 0:
         raise ValueError("component_range and cov_types must be non-empty")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if max(component_range) > X.shape[0]:
         raise ValueError("every K must be <= number of bank rows")
 

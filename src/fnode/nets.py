@@ -29,6 +29,8 @@ __all__ = [
     "hypernet_map",
     "trajectory_features",
     "split_gaussian",
+    "batch_features",
+    "encode_features",
     "encode_batch",
 ]
 
@@ -180,14 +182,20 @@ def split_gaussian(out: Tensor, d: int) -> GaussianParams:
     return GaussianParams(tg.cols(out, 0, d), tg.cols(out, d, 2 * d))
 
 
-def encode_batch(enc: MLP, trajs, obs_scale: float = 1.0) -> GaussianParams:
-    """Posterior moments for equal-length trajectories, one row per trajectory.
+def batch_features(trajs, obs_scale: float = 1.0) -> np.ndarray:
+    """[B, n_points * (1 + obs_dim)] encoder input, one row per equal-length trajectory."""
+    return np.stack([trajectory_features(t.times, t.values, obs_scale) for t in trajs])
+
+
+def encode_features(enc: MLP, feats: np.ndarray) -> GaussianParams:
+    """Posterior moments from a [B, F] block of encoder features, one row per trajectory.
 
     The one encoder of the package, for the initial state and the dynamics code
-    alike; a single trajectory is a batch of one.
+    alike; training calls it on feature rows it stacked once.
     """
-    feats = Tensor(
-        np.stack([trajectory_features(t.times, t.values, obs_scale) for t in trajs])
-    )
-    out = enc(feats)
-    return split_gaussian(out, enc.spec.out_width // 2)
+    return split_gaussian(enc(Tensor(feats)), enc.spec.out_width // 2)
+
+
+def encode_batch(enc: MLP, trajs, obs_scale: float = 1.0) -> GaussianParams:
+    """Posterior moments for equal-length trajectories; a single one is a batch of one."""
+    return encode_features(enc, batch_features(trajs, obs_scale))

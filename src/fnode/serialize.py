@@ -228,4 +228,9 @@ def _rebuild(doc: dict, version: int):
         obs_scale=float(md["obs_scale"]),
         params=params,
     )
-    return m, _decode_gmm(doc.get("gmm"), version), doc.get("seeds", {})
+    S = _decode_gmm(doc.get("gmm"), version)
+    if S is not None and S.d not in (m.d_gamma, m.p + m.d_gamma):
+        raise ArchiveError(
+            f"sampler has width {S.d}, the model needs {m.d_gamma} (code) or {m.p + m.d_gamma} (z0 and code)"
+        )
+    return m, S, doc.get("seeds", {})

@@ -48,7 +48,7 @@ __all__ = [
     "cols",
     "reshape",
     "transpose",
-    "rowwise_linear",
+    "rowwise_mlp",
     "add_scaled_rows",
     "rk4_combine",
     "backward",
@@ -422,55 +422,50 @@ def transpose(a: Tensor) -> Tensor:
 # -- fused batched primitives -------------------------------------------------
 #
 # The solver's inner loop is dominated by per-node Python overhead, so the
-# few operations it repeats are fused: one node per network layer and per
-# Runge-Kutta combination instead of half a dozen.  Each fused op is checked
-# against central differences exactly like the elementary ones.
+# few operations it repeats are fused: one node per evaluation of the vector
+# field (time column, every layer and activation) and one per Runge-Kutta
+# combination, instead of a dozen.  Each fused op is checked against central
+# differences exactly like the elementary ones.
 
 
-def rowwise_linear(x: Tensor, w_flat: Tensor, b: Tensor, n_in: int, n_out: int, tanh_out: bool) -> Tensor:
-    """Per-row affine layer: row b of the output is x[b] @ W_b + bias_b.
+def rowwise_mlp(z: Tensor, t_row: np.ndarray, layers) -> Tensor:
+    """Per-row MLP on [z | t]: row b of each layer is W_b @ h[b] + bias_b.
 
-    ``w_flat`` packs one row-major [n_out, n_in] weight matrix per batch row;
-    ``b`` holds one bias vector per row.  Optionally applies tanh.
+    ``t_row`` is a constant [B] time column appended to the [B, p] state.
+    ``layers`` holds one (w_flat, b, n_in, n_out, tanh_out) entry per layer:
+    ``w_flat`` packs one row-major [n_out, n_in] weight matrix per batch row
+    and ``b`` one bias vector per row.  One tape node covers the whole
+    network; each layer's input and output are kept for the backward pass.
     """
-    B = x.data.shape[0]
-    if (
-        x.data.ndim != 2
-        or x.data.shape[1] != n_in
-        or w_flat.data.shape != (B, n_in * n_out)
-        or b.data.shape != (B, n_out)
-    ):
-        raise ShapeMismatch(
-            f"rowwise_linear: x {x.shape}, w {w_flat.shape}, b {b.shape} for ({n_in}->{n_out})"
-        )
-    # weights are [n_out, n_in] row-major per sample: out = W @ x per row
-    w3 = w_flat.data.reshape(B, n_out, n_in)
-    xd = x.data
-    pre = np.matmul(w3, xd[:, :, None])[:, :, 0] + b.data
-    # The weight gradient of one call is an outer product per row.  A solver
+    B, p = z.data.shape
+    h = np.concatenate([z.data, t_row[:, None]], axis=1)
+    saved = []
+    for wf, bf, n_in, n_out, tanh_out in layers:
+        if h.shape[1] != n_in or wf.data.shape != (B, n_in * n_out) or bf.data.shape != (B, n_out):
+            raise ShapeMismatch(f"rowwise_mlp: input {h.shape}, w {wf.shape}, b {bf.shape} for ({n_in}->{n_out})")
+        w3 = wf.data.reshape(B, n_out, n_in)
+        out = np.matmul(w3, h[:, :, None])[:, :, 0] + bf.data
+        if tanh_out:
+            out = np.tanh(out)
+        saved.append((wf, bf, tanh_out, h, w3, out))
+        h = out
+
+    # The weight gradient of one layer is an outer product per row.  A solver
     # loop hits the same weight block hundreds of times per pass, so instead
     # of materializing and accumulating each [B, n_out, n_in] block the pairs
     # are stashed and contracted in one batched matmul when backward() reaches
     # the weight node.
-    if tanh_out:
-        out_data = np.tanh(pre)
-
-        def bwd(g):
-            gpre = g * (1.0 - out_data * out_data)
-            _acc(x, np.matmul(gpre[:, None, :], w3)[:, 0, :], own=True)
-            _acc_outer(w_flat, gpre, xd)
+    def bwd(g):
+        for wf, bf, tanh_out, x, w3, out in reversed(saved):
+            gpre = g * (1.0 - out * out) if tanh_out else g
+            g = np.matmul(gpre[:, None, :], w3)[:, 0, :]
+            _acc_outer(wf, gpre, x)
             # gpre is stashed above, so the bias must not take ownership of it
-            _acc(b, gpre)
+            _acc(bf, gpre)
+        _acc(z, g[:, :p])
 
-    else:
-        out_data = pre
-
-        def bwd(g):
-            _acc(x, np.matmul(g[:, None, :], w3)[:, 0, :], own=True)
-            _acc_outer(w_flat, g, xd)
-            _acc(b, g)
-
-    return Tensor(out_data, (x, w_flat, b), bwd, "rowwise_linear")
+    parents = (z,) + tuple(t for wf, bf, *_ in layers for t in (wf, bf))
+    return Tensor(h, parents, bwd, "rowwise_mlp")
 
 
 def _acc_outer(t: Tensor, g_rows: np.ndarray, x_rows: np.ndarray) -> None:
@@ -485,8 +480,8 @@ def _flush_pending(t: Tensor) -> None:
     t._pending = None
     B = gs[0].shape[0]
     # sum_e outer(g_e[b], x_e[b]) as one [B, o, E] @ [B, E, i] matmul
-    G = np.ascontiguousarray(np.stack(gs).transpose(1, 2, 0))
-    X = np.ascontiguousarray(np.stack(xs).transpose(1, 0, 2))
+    G = np.stack(gs, axis=2)
+    X = np.stack(xs, axis=1)
     _acc(t, np.matmul(G, X).reshape(B, -1), own=True)
 
 

@@ -1,3 +1,4 @@
+import base64
 import json
 import subprocess
 import sys
@@ -117,6 +118,18 @@ class TestTrain:
         for line in lines[1:]:
             float(line.split(",")[col])
 
+    def test_gmm_max_iter_zero_is_validation_error(self, cli_workspace, tmp_path, capsys):
+        cfg = tmp_path / "zero_iter.txt"
+        text = cli_workspace["config"].read_text().replace("epochs = 6", "epochs = 0")
+        cfg.write_text(text + "gmm_max_iter = 0\n")
+        capsys.readouterr()
+        rc = run(
+            ["train", "--data", cli_workspace["data"], "--config", cfg, "--out", tmp_path / "m.json", "--gmm-only"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "max_iter" in err
+
     def test_seed_flag_overrides_config(self, cli_workspace, tmp_path):
         out = tmp_path / "seeded.json"
         rc = run(
@@ -207,6 +220,29 @@ class TestOOD:
         assert lines[0] == "index,label,nll,threshold,flagged"
         flags = [int(ln.split(",")[4]) for ln in lines[1:]]
         assert abs(np.mean(flags) - 0.05) <= 0.1
+
+    def test_sampler_width_mismatch_is_one_line(self, cli_workspace, tmp_path, capsys):
+        # the fixture's model has p = 3 and d_gamma = 4, so a sampler must be 4 or 7 wide
+        doc = json.loads(cli_workspace["model"].read_text())
+        K = doc["gmm"]["weights"]["shape"][0]
+        assert doc["gmm"]["cov_type"] == "diag"
+        for key in ("means", "covariances"):
+            block = np.full((K, 3), 0.5)
+            doc["gmm"][key] = {"shape": [K, 3], "f8": base64.b64encode(block.astype("<f8").tobytes()).decode()}
+        bad = tmp_path / "width3.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = run(
+            [
+                "ood", "--model", bad, "--train-data", cli_workspace["data"],
+                "--test-data", cli_workspace["data"], "--out", tmp_path / "ood.csv",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "width 3" in err and "needs 4 (code) or 7 (z0 and code)" in err
+        assert "broadcast" not in err
 
     def test_missing_labels_omit_class_block(self, cli_workspace, tmp_path, capsys):
         data = load_dataset(cli_workspace["data"])

@@ -99,6 +99,14 @@ class TestEMFit:
         with pytest.raises(ValueError):
             em_fit(X, K=5, cov_type="diag", seed=0)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        X = three_clusters(n_per=20, d=2)
+        with pytest.raises(ValueError, match="max_iter"):
+            em_fit(X, K=2, cov_type="diag", seed=0, max_iter=max_iter)
+        with pytest.raises(ValueError, match="max_iter"):
+            select_model(X, [1, 2], ("diag",), seed=0, max_iter=max_iter)
+
 
 class TestBIC:
     def test_param_counts(self):

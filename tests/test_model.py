@@ -376,6 +376,65 @@ class TestAdam:
         assert abs(params["x"].item()) < 1e-2
 
 
+def adam_same_order(theta, grads, lr, b1, b2, eps):
+    """Per-element Adam in Python floats, in the order of ``Adam.step``'s array operations."""
+    theta = [float(x) for x in theta]
+    m, v = [0.0] * len(theta), [0.0] * len(theta)
+    for t, g in enumerate(grads, start=1):
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        for i, gi in enumerate(np.asarray(g, dtype=np.float64).reshape(-1).tolist()):
+            m[i] = m[i] * b1 + gi * (1.0 - b1)
+            v[i] = v[i] * b2 + gi * gi * (1.0 - b2)
+            theta[i] -= m[i] / (math.sqrt(v[i] / c2) + eps) * (lr / c1)
+    return np.array(theta), np.array(m), np.array(v)
+
+
+def adam_textbook(theta, grads, lr, b1, b2, eps):
+    """Kingma & Ba's update with the bias-corrected moments formed first."""
+    theta, m, v = np.array(theta, dtype=np.float64), 0.0, 0.0
+    for t, g in enumerate(grads, start=1):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g**2
+        m_hat, v_hat = m / (1 - b1**t), v / (1 - b2**t)
+        theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return theta
+
+
+class TestBlockedAdam:
+    def test_partial_last_block_matches_per_element_adam(self):
+        # "w" spans one full block and a partial one; the 0-d "c" is like hyper.lambda
+        n = Adam.BLOCK + 1001
+        rng = np.random.default_rng(8)
+        w0, c0 = rng.standard_normal(n), np.float64(rng.standard_normal())
+        params = ParamSet([("w", Tensor(w0.copy())), ("c", Tensor(c0)), ("unused", Tensor(np.ones(3)))])
+        w_grads = [rng.standard_normal(n) for _ in range(3)]
+        c_grads = [np.float64(g) for g in rng.standard_normal(3)]
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr, betas=(b1, b2), eps=eps)
+        for gw, gc in zip(w_grads, c_grads):
+            params.zero_grads()
+            params["w"].grad, params["c"].grad = gw.copy(), gc.copy()
+            opt.step()
+
+        w_ref, m_ref, v_ref = adam_same_order(w0, w_grads, lr, b1, b2, eps)
+        assert params["w"].data.tobytes() == w_ref.tobytes()
+        assert opt._m["w"].tobytes() == m_ref.tobytes() and opt._v["w"].tobytes() == v_ref.tobytes()
+        c_ref = adam_same_order([c0], c_grads, lr, b1, b2, eps)[0]
+        assert params["c"].data.shape == () and params["c"].data.tobytes() == c_ref.tobytes()
+        np.testing.assert_array_equal(params["unused"].data, np.ones(3))
+
+        # relative to the larger of the start and end magnitude: an entry that
+        # ends near 0 by cancellation keeps the rounding of its operands
+        for name, start, grads in (("w", w0, w_grads), ("c", c0, c_grads)):
+            got, want = params[name].data, adam_textbook(start, grads, lr, b1, b2, eps)
+            assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(np.abs(start), np.abs(want)))
+
+    def test_non_contiguous_parameter_rejected(self):
+        params = ParamSet([("w", Tensor(np.ones((3, 4)).T))])
+        with pytest.raises(ValueError, match="contiguous"):
+            Adam(params, 1e-3)
+
+
 class TestTrainConfig:
     def test_rejects_anneal_longer_than_epochs(self):
         with pytest.raises(ValueError):

@@ -182,6 +182,19 @@ class TestFiniteDiffCheck:
             tg.finite_diff_check(prog, make_params(x=[1.0]), [], h=0.0)
 
 
+# Three rows, each with its own weights for a (2 + 1) -> 4 -> 3 -> 2 network.
+T3 = np.array([0.3, -0.5, 1.1])
+MLP_LAYERS = ((3, 4), (4, 3), (3, 2))
+
+
+def mlp_layers(ps, final_tanh):
+    last = len(MLP_LAYERS) - 1
+    return [
+        (ps[f"wl{i}"], ps[f"bl{i}"], n_in, n_out, i < last or final_tanh)
+        for i, (n_in, n_out) in enumerate(MLP_LAYERS)
+    ]
+
+
 PRIMITIVE_PROGRAMS = {
     "add": lambda ps: tg.tensor_sum(tg.square(tg.add(ps["a"], ps["b"]))),
     "sub": lambda ps: tg.tensor_sum(tg.square(tg.sub(ps["a"], ps["b"]))),
@@ -204,11 +217,14 @@ PRIMITIVE_PROGRAMS = {
     "scale": lambda ps: tg.tensor_sum(tg.scale(ps["a"], 1.7)),
     "shift": lambda ps: tg.tensor_sum(tg.square(tg.shift(ps["a"], 0.3))),
     "neg": lambda ps: tg.tensor_sum(tg.square(tg.neg(ps["a"]))),
-    "rowwise_linear": lambda ps: tg.tensor_sum(
-        tg.square(tg.rowwise_linear(ps["m1"], ps["wflat"], ps["brows"], 4, 2, True))
-    ),
-    "rowwise_linear_plain": lambda ps: tg.tensor_sum(
-        tg.square(tg.rowwise_linear(ps["m1"], ps["wflat"], ps["brows"], 4, 2, False))
+    "rowwise_mlp": lambda ps: tg.tensor_sum(tg.square(tg.rowwise_mlp(ps["z3"], T3, mlp_layers(ps, True)))),
+    "rowwise_mlp_plain": lambda ps: tg.tensor_sum(tg.square(tg.rowwise_mlp(ps["z3"], T3, mlp_layers(ps, False)))),
+    # two evaluations sharing weights, as in a solver step: the weight
+    # gradients are stashed twice and the state gradient flows through both
+    "rowwise_mlp_chained": lambda ps: tg.tensor_sum(
+        tg.square(
+            tg.rowwise_mlp(tg.rowwise_mlp(ps["z3"], T3, mlp_layers(ps, False)), T3 + 0.2, mlp_layers(ps, False))
+        )
     ),
     "add_scaled_rows": lambda ps: tg.tensor_sum(
         tg.square(tg.add_scaled_rows(ps["m1"], ps["m1b"], np.array([[0.3], [0.0], [1.2]])))
@@ -237,8 +253,11 @@ def primitive_params(seed):
         m1e=rng.standard_normal((3, 4)),
         m2=rng.standard_normal((4, 2)),
         b4=rng.standard_normal(4),
-        wflat=rng.standard_normal((3, 8)),
-        brows=rng.standard_normal((3, 2)),
+        z3=rng.standard_normal((3, 2)),
+        # half-scale weights keep the tanh units out of saturation, where a
+        # gradient of 1e-7 is below what central differences resolve
+        **{f"wl{i}": 0.5 * rng.standard_normal((3, n_in * n_out)) for i, (n_in, n_out) in enumerate(MLP_LAYERS)},
+        **{f"bl{i}": rng.standard_normal((3, n_out)) for i, (_, n_out) in enumerate(MLP_LAYERS)},
     )
 
 
@@ -248,6 +267,33 @@ def test_primitive_gradients_match_central_differences(name):
     for seed in range(5):
         err = tg.finite_diff_check(prog, primitive_params(seed), [], h=1e-5)
         assert err <= 1e-4, f"{name} seed {seed}: {err}"
+
+
+class TestRowwiseMLP:
+    @pytest.mark.parametrize("final_tanh", [True, False])
+    def test_forward_matches_per_row_numpy_network(self, final_tanh):
+        ps = primitive_params(7)
+        out = tg.rowwise_mlp(ps["z3"], T3, mlp_layers(ps, final_tanh)).data
+        for b in range(3):
+            h = np.append(ps["z3"].data[b], T3[b])
+            for i, (n_in, n_out) in enumerate(MLP_LAYERS):
+                W = ps[f"wl{i}"].data[b].reshape(n_out, n_in)
+                h = W @ h + ps[f"bl{i}"].data[b]
+                if i < len(MLP_LAYERS) - 1 or final_tanh:
+                    h = np.tanh(h)
+            np.testing.assert_allclose(out[b], h, rtol=1e-13, atol=1e-15)
+
+    def test_one_tape_node_per_call(self):
+        ps = primitive_params(0)
+        out = tg.rowwise_mlp(ps["z3"], T3, mlp_layers(ps, True))
+        assert out._op == "rowwise_mlp"
+        assert out._parents[0] is ps["z3"] and len(out._parents) == 1 + 2 * len(MLP_LAYERS)
+
+    def test_width_mismatch_rejected(self):
+        ps = primitive_params(0)
+        layers = mlp_layers(ps, True)
+        with pytest.raises(tg.ShapeMismatch, match="rowwise_mlp"):
+            tg.rowwise_mlp(ps["z3"], T3, layers[1:])
 
 
 class TestParamSet:
