@@ -8,7 +8,7 @@ likelihood-based out-of-distribution detection.
 """
 
 from . import cli, gmm, inference, model, nets, odeint, serialize, svg, syndata, tensorgrad
-from .gmm import GMMModel, GammaSampleBank, collect_gamma_samples, em_fit, select_model
+from .gmm import GMMModel, collect_gamma_samples, em_fit, select_model
 from .inference import (
     CredibleBand,
     OODReport,
@@ -31,6 +31,6 @@ from .syndata import (
     load_dataset,
     save_dataset,
 )
-from .tensorgrad import ParamSet, Tensor, evaluate, finite_diff_check, gradient
+from .tensorgrad import ParamSet, Tensor
 
 __version__ = "0.1.0"

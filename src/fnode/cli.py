@@ -287,11 +287,13 @@ def cmd_train(args) -> int:
 def cmd_sample(args) -> int:
     if args.n < 1:
         raise ValidationError("--n must be >= 1")
+    if args.grid_points is not None and args.grid_points < 1:
+        raise ValidationError("--grid-points must be >= 1")
     m, S, _ = _load_model(args.model)
     data = _load_data(args.data)
     source = _traj_by_index(data, args.index)
 
-    if args.grid_points:
+    if args.grid_points is not None:
         times = np.linspace(source.times[0], source.times[-1], args.grid_points)
     else:
         times = source.times

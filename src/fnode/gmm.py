@@ -26,14 +26,12 @@ from .nets import encode_batch
 
 __all__ = [
     "GMMModel",
-    "GammaSampleBank",
     "SelectionRow",
     "COV_TYPES",
     "collect_gamma_samples",
     "em_fit",
     "bic",
     "select_model",
-    "log_likelihood",
     "score_rows",
     "sample",
     "selection_table_csv",
@@ -43,6 +41,8 @@ log = logging.getLogger(__name__)
 
 COV_TYPES = ("spherical", "tied", "diag", "full")
 COV_FLOOR = 1e-6
+# EM runs per fit; the one with the highest final log-likelihood is kept
+N_RESTARTS = 3
 LOG_2PI = np.log(2.0 * np.pi)
 
 
@@ -92,40 +92,13 @@ class GMMModel:
         return self.means.shape[1]
 
 
-@dataclass
-class GammaSampleBank:
-    """Pooled posterior draws, grouped by their source trajectory."""
-
-    samples: np.ndarray
-    provenance: np.ndarray
-    n_gamma: int = 1
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        self.provenance = np.asarray(self.provenance, dtype=np.int64)
-        if self.samples.ndim != 2 or self.samples.shape[0] != self.provenance.shape[0]:
-            raise ValueError("samples and provenance must align")
-        if self.n_gamma < 1:
-            raise ValueError("n_gamma must be >= 1")
-
-    @classmethod
-    def from_array(cls, rows) -> "GammaSampleBank":
-        rows = np.asarray(rows, dtype=np.float64)
-        return cls(rows, np.arange(rows.shape[0]), n_gamma=1)
-
-    def __len__(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.samples.shape[1]
-
-
-def collect_gamma_samples(m, data, n_gamma: int, seed: int = 0, include_z0: bool = False) -> GammaSampleBank:
+def collect_gamma_samples(m, data, n_gamma: int, seed: int = 0, include_z0: bool = False) -> np.ndarray:
     """Reparameterized posterior draws of the code for every trajectory.
 
-    With ``include_z0`` each row is the concatenation (z0 draw, gamma draw),
-    for fitting a joint sampler used in fully unconditional generation.
+    Returns the [N * n_gamma, d] bank the mixture is fit on, in data order:
+    trajectory j's draws are ``bank[j * n_gamma : (j + 1) * n_gamma]``.  With
+    ``include_z0`` each row is the concatenation (z0 draw, gamma draw), for
+    fitting a joint sampler used in fully unconditional generation.
     """
     if n_gamma < 1:
         raise ValueError("n_gamma must be >= 1")
@@ -145,9 +118,7 @@ def collect_gamma_samples(m, data, n_gamma: int, seed: int = 0, include_z0: bool
             z = mu_z[j] + sd_z[j] * rng.standard_normal((n_gamma, m.p))
             g = np.concatenate([z, g], axis=1)
         rows.append(g)
-    samples = np.concatenate(rows, axis=0)
-    provenance = np.repeat(np.arange(len(trajs)), n_gamma)
-    return GammaSampleBank(samples, provenance, n_gamma=n_gamma)
+    return np.concatenate(rows, axis=0)
 
 
 # -- likelihood machinery -----------------------------------------------------------
@@ -198,14 +169,6 @@ def score_rows(model: GMMModel, X: np.ndarray) -> np.ndarray:
     """Mixture log-density of each row of ``X``."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     return _logsumexp(_weighted_log_prob(X, model.weights, model.means, model.covariances, model.cov_type))
-
-
-def log_likelihood(model: GMMModel, point) -> float:
-    """Mixture log-density at a single point (log-sum-exp, no underflow)."""
-    point = np.asarray(point, dtype=np.float64).reshape(-1)
-    if point.shape[0] != model.d:
-        raise ValueError(f"point has dim {point.shape[0]}, model has {model.d}")
-    return float(score_rows(model, point[None, :])[0])
 
 
 # -- EM ------------------------------------------------------------------------------
@@ -289,39 +252,31 @@ def _em_once(X, K, cov_type, rng, max_iter, tol):
     return GMMModel(weights, means + shift, cov, cov_type), history
 
 
-def em_fit(
-    bank: GammaSampleBank | np.ndarray,
-    K: int,
-    cov_type: str = "diag",
-    seed: int = 0,
-    max_iter: int = 200,
-    tol: float = 1e-6,
-    n_restarts: int = 3,
-):
-    """EM fit with k-means++ seeding; best of ``n_restarts`` runs is kept.
+def em_fit(bank: np.ndarray, K: int, cov_type: str = "diag", seed: int = 0, max_iter: int = 200, tol: float = 1e-6):
+    """EM fit of an [n, d] bank with k-means++ seeding; best of ``N_RESTARTS`` runs is kept.
 
     Returns (model, loglik_history); the per-iteration total log-likelihood is
     nondecreasing within a run.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    X = bank.samples if isinstance(bank, GammaSampleBank) else np.asarray(bank, dtype=np.float64)
+    X = np.asarray(bank, dtype=np.float64)
     if K < 1:
         raise ValueError("K must be >= 1")
     if np.unique(X, axis=0).shape[0] < K:
         raise ValueError(f"need at least K={K} distinct rows, bank has fewer")
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(max(1, n_restarts)):
+    for _ in range(N_RESTARTS):
         model, history = _em_once(X, K, cov_type, rng, max_iter, tol)
         if best is None or history[-1] > best[1][-1]:
             best = (model, history)
     return best
 
 
-def bic(model: GMMModel, bank: GammaSampleBank | np.ndarray) -> float:
+def bic(model: GMMModel, bank: np.ndarray) -> float:
     """-2 * loglik + n_params * ln(n) for the fitted mixture on the bank."""
-    X = bank.samples if isinstance(bank, GammaSampleBank) else np.asarray(bank, dtype=np.float64)
+    X = np.asarray(bank, dtype=np.float64)
     return _bic(float(score_rows(model, X).sum()), _n_params(model), X.shape[0])
 
 
@@ -355,7 +310,7 @@ class SelectionRow:
 
 
 def select_model(
-    bank: GammaSampleBank | np.ndarray,
+    bank: np.ndarray,
     component_range: Sequence[int],
     cov_types: Sequence[str] = COV_TYPES,
     seed: int = 0,
@@ -369,7 +324,7 @@ def select_model(
     A row is ``converged`` when its kept restart's last EM step gained less
     than ``tol``.
     """
-    X = bank.samples if isinstance(bank, GammaSampleBank) else np.asarray(bank, dtype=np.float64)
+    X = np.asarray(bank, dtype=np.float64)
     if len(component_range) == 0 or len(cov_types) == 0:
         raise ValueError("component_range and cov_types must be non-empty")
     if max_iter < 1:

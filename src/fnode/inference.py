@@ -58,11 +58,6 @@ class CredibleBand:
         if np.any(self.lower > self.mean + eps) or np.any(self.mean > self.upper + eps):
             raise ValueError("band must satisfy lower <= mean <= upper")
 
-    def contains(self, values: np.ndarray) -> np.ndarray:
-        """Boolean mask of observations falling inside the band."""
-        v = np.asarray(values, dtype=np.float64)
-        return (v >= self.lower) & (v <= self.upper)
-
 
 @dataclass
 class OODReport:
@@ -157,6 +152,8 @@ def neighborhood_sample(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     if S.d != m.d_gamma:
         raise ValueError("neighborhood sampling needs a code-space sampler")
     gamma_j = encode_batch(m.enc_gamma, [exemplar], m.obs_scale).mean.data[0]
@@ -248,6 +245,8 @@ def ood_scores(m: FNODEModel, S: gmm_mod.GMMModel, data, n_gamma: int = 16, seed
     Per-trajectory generators are seeded as seed XOR index, so scoring is
     order-independent and parallelizable.
     """
+    if n_gamma < 1:
+        raise ValueError(f"n_gamma must be >= 1, got {n_gamma}")
     joint = S.d == m.p + m.d_gamma
     trajs = data.trajectories
     q_gamma = encode_batch(m.enc_gamma, trajs, m.obs_scale)

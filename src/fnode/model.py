@@ -11,7 +11,7 @@ Gaussian-likelihood evidence lower bound with a linear KL warm-up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -95,9 +95,10 @@ class ELBOBreakdown:
 class FNODEModel:
     """All trainable pieces plus solver and likelihood configuration.
 
-    ``params`` holds every trainable tensor under a component prefix
-    (``enc_z0.``, ``enc_gamma.``, ``hyper.``, ``dec.``); the component objects
-    share those tensors, so in-place optimizer updates are visible everywhere.
+    ``params`` is derived from the components: every trainable tensor under a
+    component prefix (``enc_z0.``, ``enc_gamma.``, ``hyper.``, ``dec.``), in
+    that order.  The components share those tensors, so in-place optimizer
+    updates are visible everywhere.
     """
 
     enc_z0: MLP
@@ -112,7 +113,7 @@ class FNODEModel:
     obs_dim: int
     n_points: int
     obs_scale: float
-    params: ParamSet
+    params: ParamSet = field(init=False)
 
     def __post_init__(self):
         if self.hyper.body.out_width != weight_count(self.f_spec):
@@ -121,6 +122,10 @@ class FNODEModel:
             raise ValueError("transition net must map [p+1] -> [p]")
         if not self.sigma_x > 0:
             raise ValueError("sigma_x must be positive")
+        if not (math.isfinite(self.obs_scale) and self.obs_scale > 0):
+            raise ValueError(f"obs_scale must be finite and positive, got {self.obs_scale!r}")
+        parts = (("enc_z0.", self.enc_z0), ("enc_gamma.", self.enc_gamma), ("hyper.", self.hyper), ("dec.", self.dec))
+        self.params = ParamSet((prefix + name, t) for prefix, part in parts for name, t in part.params.items())
 
     @classmethod
     def build(
@@ -146,17 +151,6 @@ class FNODEModel:
         f_spec = MLPSpec((p + 1, *f_hidden, p))
         hyper = init_hypernetwork(d_gamma, f_spec, hyper_hidden, rng, lambda_init)
         dec = MLP.init((p, *dec_hidden, obs_dim), rng)
-
-        params = ParamSet()
-        for prefix, ps in (
-            ("enc_z0.", enc_z0.params),
-            ("enc_gamma.", enc_gamma.params),
-            ("hyper.", hyper.params),
-            ("dec.", dec.params),
-        ):
-            for name, t in ps.items():
-                params.add(prefix + name, t)
-
         return cls(
             enc_z0=enc_z0,
             enc_gamma=enc_gamma,
@@ -170,7 +164,6 @@ class FNODEModel:
             obs_dim=obs_dim,
             n_points=n_points,
             obs_scale=obs_scale,
-            params=params,
         )
 
 
@@ -259,7 +252,7 @@ def _elbo_core(m: FNODEModel, feats, times, targets, kl_weight: float, noises):
         theta_all = hypernet_map(m.hyper, gamma_all)
         fld = make_batch_field(m.f_spec, theta_all)
         states = integrate_batch(fld, z0_all, times, m.solver)
-        recon = m.dec(tg.concat(states, axis=0))
+        recon = m.dec(tg.concat(states))
         sq = tg.tensor_sum(tg.square(recon - targets_tm))
         recon_draws.append(tg.scale(sq, -1.0 / (2.0 * m.sigma_x**2)) + log_norm)
 
@@ -464,14 +457,15 @@ def decode_path(m: FNODEModel, z0: Tensor, theta: Tensor, anchor_t: float, times
         grid = after if offset == 0 else np.concatenate([[anchor_t], after])
         path = integrate_batch(fld, z0, np.broadcast_to(grid, (B, grid.size)), m.solver)
         states += path[offset:]
-    return m.dec(tg.concat(states, axis=0))
+    return m.dec(tg.concat(states))
 
 
-def reconstruct(m: FNODEModel, x, times, use_posterior_mean: bool = True, seed: int = 0) -> list[Tensor]:
-    """Decoded trajectory over ``times`` (which may extend past the data).
+def reconstruct(m: FNODEModel, x, times, use_posterior_mean: bool = True, seed: int = 0) -> np.ndarray:
+    """Decoded trajectory of ``x`` as a [T, obs_dim] array, one row per time of ``times``.
 
-    With ``use_posterior_mean`` the encoder means are used directly; otherwise
-    one reparameterized draw of (z0, gamma) is taken.
+    ``times`` may start before the first observation and extend past the
+    data.  With ``use_posterior_mean`` the encoder means are used directly;
+    otherwise one reparameterized draw of (z0, gamma) is taken.
     """
     q_z0 = encode_batch(m.enc_z0, [x], m.obs_scale)
     q_gamma = encode_batch(m.enc_gamma, [x], m.obs_scale)
@@ -482,6 +476,5 @@ def reconstruct(m: FNODEModel, x, times, use_posterior_mean: bool = True, seed: 
         z0 = reparameterize(q_z0, Tensor(rng.standard_normal((1, m.p))))
         gamma = reparameterize(q_gamma, Tensor(rng.standard_normal((1, m.d_gamma))))
     theta = hypernet_map(m.hyper, gamma)
-    times = np.asarray(times, dtype=np.float64) if not isinstance(times, TimeGrid) else times.times
-    recon = decode_path(m, z0, theta, float(np.asarray(x.times)[0]), times)
-    return [tg.row(recon, i) for i in range(times.size)]
+    times = times.times if isinstance(times, TimeGrid) else times
+    return decode_path(m, z0, theta, float(np.asarray(x.times)[0]), times).data

@@ -37,14 +37,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MLPSpec:
-    """Fully connected architecture: layer widths plus activation choices.
+    """Fully connected architecture: layer widths and the final activation.
 
-    ``layer_widths[0]`` is the input width; tanh is applied between layers and
-    optionally after the last one.
+    ``layer_widths[0]`` is the input width; tanh is applied between layers and,
+    with ``final_activation="tanh"``, after the last one.
     """
 
     layer_widths: tuple[int, ...]
-    activation: str = "tanh"
     final_activation: str = "none"
 
     def __post_init__(self):
@@ -52,8 +51,8 @@ class MLPSpec:
         object.__setattr__(self, "layer_widths", widths)
         if len(widths) < 2 or any(w <= 0 for w in widths):
             raise ValueError(f"bad layer widths {widths}")
-        if self.activation != "tanh" or self.final_activation not in ("none", "tanh"):
-            raise ValueError("unsupported activation")
+        if self.final_activation not in ("none", "tanh"):
+            raise ValueError(f"unsupported final activation {self.final_activation!r}")
 
     @property
     def n_layers(self) -> int:

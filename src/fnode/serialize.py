@@ -201,16 +201,6 @@ def _rebuild(doc: dict, version: int):
     hyper = Hypernetwork(hyper_spec, hyper_params)
     dec = MLP(dec_spec, _mlp_params_from(dec_spec, raw_params, "dec.", version))
 
-    params = ParamSet()
-    for prefix, ps in (
-        ("enc_z0.", enc_z0.params),
-        ("enc_gamma.", enc_gamma.params),
-        ("hyper.", hyper.params),
-        ("dec.", dec.params),
-    ):
-        for name, t in ps.items():
-            params.add(prefix + name, t)
-
     m = FNODEModel(
         enc_z0=enc_z0,
         enc_gamma=enc_gamma,
@@ -226,7 +216,6 @@ def _rebuild(doc: dict, version: int):
         obs_dim=int(md["obs_dim"]),
         n_points=int(md["n_points"]),
         obs_scale=float(md["obs_scale"]),
-        params=params,
     )
     S = _decode_gmm(doc.get("gmm"), version)
     if S is not None and S.d not in (m.d_gamma, m.p + m.d_gamma):

@@ -7,17 +7,16 @@ is deliberately small: rank <= 2 arrays, a fixed primitive vocabulary, no
 implicit broadcasting beyond the dedicated ``broadcast_add`` op.  All
 arithmetic is float64 so that central-difference checks can be made tight.
 
-Parameters of a computation are carried in a :class:`ParamSet`, an ordered
-name -> Tensor map.  The public entry points :func:`evaluate`,
-:func:`gradient` and :func:`finite_diff_check` treat a "program" as any
-callable ``program(params, *inputs) -> Tensor`` built from these primitives.
+Trainable tensors are carried in a :class:`ParamSet`, an ordered
+name -> Tensor map.  The model builds its forward pass from these primitives,
+calls :func:`backward` on the scalar loss and reads each parameter's ``grad``.
 """
 
 from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,12 +38,9 @@ __all__ = [
     "neg",
     "tanh",
     "exp",
-    "log",
     "square",
     "tensor_sum",
-    "tensor_mean",
     "concat",
-    "row",
     "cols",
     "reshape",
     "transpose",
@@ -52,9 +48,6 @@ __all__ = [
     "add_scaled_rows",
     "rk4_combine",
     "backward",
-    "evaluate",
-    "gradient",
-    "finite_diff_check",
 ]
 
 
@@ -148,37 +141,6 @@ class Tensor:
         if isinstance(other, (int, float)):
             return shift(self, -float(other))
         return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        if self.data.shape == other.data.shape:
-            return mul(self, other)
-        if other.data.size == 1:
-            return scalar_mul(self, other)
-        if self.data.size == 1:
-            return scalar_mul(other, self)
-        raise ShapeMismatch(f"mul: {self.shape} vs {other.shape}")
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None):
-        return tensor_sum(self, axis=axis)
-
-    def mean(self):
-        return tensor_mean(self)
-
-    def tanh(self):
-        return tanh(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def _acc(t: Tensor, g: np.ndarray, own: bool = False) -> None:
@@ -306,16 +268,6 @@ def exp(a: Tensor) -> Tensor:
     return Tensor(out_data, (a,), bwd, "exp")
 
 
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = np.log(a.data)
-
-    def bwd(g):
-        _acc(a, g / a.data, own=True)
-
-    return Tensor(out_data, (a,), bwd, "log")
-
-
 def square(a: Tensor) -> Tensor:
     def bwd(g):
         _acc(a, 2.0 * g * a.data, own=True)
@@ -326,66 +278,29 @@ def square(a: Tensor) -> Tensor:
 # -- reductions --------------------------------------------------------------
 
 
-def tensor_sum(a: Tensor, axis: int | None = None) -> Tensor:
-    if axis is None:
-
-        def bwd(g):
-            _acc(a, np.full_like(a.data, g.reshape(())), own=True)
-
-        return Tensor(np.sum(a.data).reshape(()), (a,), bwd, "sum")
-
-    if a.data.ndim != 2 or axis not in (0, 1):
-        raise ShapeMismatch(f"sum: axis={axis} on shape {a.shape}")
+def tensor_sum(a: Tensor) -> Tensor:
+    """Sum of every entry, as a 0-d tensor."""
 
     def bwd(g):
-        _acc(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape), own=False)
+        _acc(a, np.full_like(a.data, g.reshape(())), own=True)
 
-    return Tensor(np.sum(a.data, axis=axis), (a,), bwd, "sum")
-
-
-def tensor_mean(a: Tensor) -> Tensor:
-    n = a.data.size
-
-    def bwd(g):
-        _acc(a, np.full_like(a.data, g.reshape(()) / n), own=True)
-
-    return Tensor(np.mean(a.data).reshape(()), (a,), bwd, "mean")
+    return Tensor(np.sum(a.data).reshape(()), (a,), bwd, "sum")
 
 
 # -- structural primitives ----------------------------------------------------
 
 
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not parts:
-        raise ShapeMismatch("concat: no operands")
-    nd = parts[0].data.ndim
-    if any(p.data.ndim != nd for p in parts):
-        raise ShapeMismatch("concat: mixed ranks")
-    if nd == 1 and axis != 0 or nd == 2 and axis not in (0, 1):
-        raise ShapeMismatch(f"concat: axis={axis} for rank {nd}")
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Stack rank-2 tensors of equal width, one block of rows after another."""
+    if not parts or any(p.data.ndim != 2 or p.data.shape[1] != parts[0].data.shape[1] for p in parts):
+        raise ShapeMismatch(f"concat: needs rank-2 operands of one width, got {[p.shape for p in parts]}")
+    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
 
     def bwd(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if axis == 0:
-                _acc(p, g[lo:hi])
-            else:
-                _acc(p, g[:, lo:hi])
+            _acc(p, g[lo:hi])
 
-    return Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd, "concat")
-
-
-def row(a: Tensor, i: int) -> Tensor:
-    if a.data.ndim != 2 or not (0 <= i < a.data.shape[0]):
-        raise ShapeMismatch(f"row: index {i} of shape {a.shape}")
-
-    def bwd(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[i] += g
-
-    return Tensor(a.data[i], (a,), bwd, "row")
+    return Tensor(np.concatenate([p.data for p in parts]), tuple(parts), bwd, "concat")
 
 
 def cols(a: Tensor, start: int, stop: int) -> Tensor:
@@ -597,94 +512,8 @@ class ParamSet:
     def tensors(self):
         return self._entries.values()
 
-    def subset(self, prefix: str) -> "ParamSet":
-        """View of the entries whose names start with ``prefix`` (stripped).
-
-        The returned set shares Tensor objects with this one, so gradients and
-        in-place updates are visible through both.
-        """
-        sub = ParamSet()
-        for name, t in self._entries.items():
-            if name.startswith(prefix):
-                sub.add(name[len(prefix):], t)
-        return sub
-
     def zero_grads(self) -> None:
         for t in self._entries.values():
             t.grad = None
             t._pending = None
 
-
-# -- public evaluation API ------------------------------------------------------
-
-Program = Callable[..., Tensor]
-
-
-def evaluate(program: Program, params: ParamSet, inputs: Sequence[Tensor]) -> Tensor:
-    """Run ``program(params, *inputs)`` with per-primitive finiteness checks."""
-    with finite_checks(True):
-        return program(params, *inputs)
-
-
-def gradient(program: Program, params: ParamSet, inputs: Sequence[Tensor]) -> ParamSet:
-    """Exact gradients of a scalar-valued program wrt every parameter.
-
-    Unused parameters yield zero tensors of matching shape.
-    """
-    params.zero_grads()
-    for t in inputs:
-        t.grad = None
-    with finite_checks(True):
-        out = program(params, *inputs)
-    if out.data.size != 1:
-        raise NonScalarOutput(f"program output has shape {out.shape}")
-    backward(out)
-    grads = ParamSet()
-    for name, t in params.items():
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        grads.add(name, Tensor(g))
-    return grads
-
-
-def finite_diff_check(
-    program: Program,
-    params: ParamSet,
-    inputs: Sequence[Tensor],
-    h: float,
-    *,
-    entries_per_param: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Max relative error between :func:`gradient` and central differences.
-
-    The relative error uses denominator ``max(|analytic|, |numeric|, 1e-8)``.
-    ``entries_per_param`` optionally subsamples coordinates of each parameter
-    (without it every entry is perturbed, which is quadratic in model size).
-    The program must be a pure function of ``params`` and ``inputs``.
-    """
-    if h <= 0:
-        raise ValueError("finite_diff_check: h must be positive")
-    analytic = gradient(program, params, inputs)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for name, t in params.items():
-        flat = t.data.reshape(-1)
-        n = flat.shape[0]
-        if entries_per_param is not None and entries_per_param < n:
-            idxs = rng.choice(n, size=entries_per_param, replace=False)
-        else:
-            idxs = range(n)
-        a_flat = analytic[name].data.reshape(-1)
-        for i in idxs:
-            orig = flat[i]
-            try:
-                flat[i] = orig + h
-                f_hi = evaluate(program, params, inputs).item()
-                flat[i] = orig - h
-                f_lo = evaluate(program, params, inputs).item()
-            finally:
-                flat[i] = orig
-            numeric = (f_hi - f_lo) / (2.0 * h)
-            denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(a_flat[i] - numeric) / denom)
-    return worst

@@ -1,0 +1,87 @@
+"""Test oracles over ``fnode.tensorgrad``: evaluate a program, its exact gradient, and central differences.
+
+A "program" is any callable ``program(params, *inputs) -> Tensor`` built from
+``tensorgrad`` primitives.  :func:`finite_diff_check` compares
+:func:`gradient` against central differences of :func:`evaluate`.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+import numpy as np
+
+from fnode.tensorgrad import NonScalarOutput, ParamSet, Tensor, backward, finite_checks
+
+
+Program = Callable[..., Tensor]
+
+
+def evaluate(program: Program, params: ParamSet, inputs: Sequence[Tensor]) -> Tensor:
+    """Run ``program(params, *inputs)`` with per-primitive finiteness checks."""
+    with finite_checks(True):
+        return program(params, *inputs)
+
+
+def gradient(program: Program, params: ParamSet, inputs: Sequence[Tensor]) -> ParamSet:
+    """Exact gradients of a scalar-valued program wrt every parameter.
+
+    Unused parameters yield zero tensors of matching shape.
+    """
+    params.zero_grads()
+    for t in inputs:
+        t.grad = None
+    with finite_checks(True):
+        out = program(params, *inputs)
+    if out.data.size != 1:
+        raise NonScalarOutput(f"program output has shape {out.shape}")
+    backward(out)
+    grads = ParamSet()
+    for name, t in params.items():
+        g = t.grad if t.grad is not None else np.zeros_like(t.data)
+        grads.add(name, Tensor(g))
+    return grads
+
+
+def finite_diff_check(
+    program: Program,
+    params: ParamSet,
+    inputs: Sequence[Tensor],
+    h: float,
+    *,
+    entries_per_param: int | None = None,
+    seed: int = 0,
+) -> float:
+    """Max relative error between :func:`gradient` and central differences.
+
+    The relative error uses denominator ``max(|analytic|, |numeric|, 1e-8)``.
+    ``entries_per_param`` optionally subsamples coordinates of each parameter
+    (without it every entry is perturbed, which is quadratic in model size).
+    The program must be a pure function of ``params`` and ``inputs``.
+    """
+    if h <= 0:
+        raise ValueError("finite_diff_check: h must be positive")
+    analytic = gradient(program, params, inputs)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for name, t in params.items():
+        flat = t.data.reshape(-1)
+        n = flat.shape[0]
+        if entries_per_param is not None and entries_per_param < n:
+            idxs = rng.choice(n, size=entries_per_param, replace=False)
+        else:
+            idxs = range(n)
+        a_flat = analytic[name].data.reshape(-1)
+        for i in idxs:
+            orig = flat[i]
+            try:
+                flat[i] = orig + h
+                f_hi = evaluate(program, params, inputs).item()
+                flat[i] = orig - h
+                f_lo = evaluate(program, params, inputs).item()
+            finally:
+                flat[i] = orig
+            numeric = (f_hi - f_lo) / (2.0 * h)
+            denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
+            worst = max(worst, abs(a_flat[i] - numeric) / denom)
+    return worst

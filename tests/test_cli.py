@@ -382,6 +382,64 @@ class TestArchiveRoundTripThroughCLI:
         assert outs[0] == outs[1]
 
 
+def _sample(ws, out, *extra, model=None):
+    return ["sample", "--model", model or ws["model"], "--data", ws["data"], "--index", 0, *extra, "--out", out]
+
+
+def _neighborhood(ws, out, max_attempts):
+    return _sample(ws, out, "--mode", "neighborhood", "--exemplar", 1, "--delta", 1.0, "--max-attempts", max_attempts)
+
+
+def _ood(ws, out, n_gamma):
+    data = ws["data"]
+    return ["ood", "--model", ws["model"], "--train-data", data, "--test-data", data, "--n-gamma", n_gamma,
+            "--out", out]
+
+
+def _scaled_sample(ws, tmp, out, value):
+    doc = json.loads(ws["model"].read_text())
+    doc["model"]["obs_scale"] = value
+    path = tmp / "scaled.json"
+    path.write_text(json.dumps(doc))
+    return _sample(ws, out, model=path)
+
+
+def _scaled_train(ws, tmp, out, value):
+    cfg = tmp / "scaled.txt"
+    cfg.write_text(ws["config"].read_text() + f"obs_scale = {value}\n")
+    return ["train", "--data", ws["data"], "--config", cfg, "--out", out]
+
+
+# Flag, archive and config values that must be refused: case -> (word the
+# message names, builder of the argv from the workspace, tmp_path and output).
+BAD_VALUES = {
+    "sample_max_attempts_0": ("max_attempts", lambda ws, tmp, out: _neighborhood(ws, out, 0)),
+    "sample_max_attempts_negative": ("max_attempts", lambda ws, tmp, out: _neighborhood(ws, out, -1)),
+    "sample_grid_points_0": ("--grid-points", lambda ws, tmp, out: _sample(ws, out, "--grid-points", 0)),
+    "sample_grid_points_negative": ("--grid-points", lambda ws, tmp, out: _sample(ws, out, "--grid-points", -2)),
+    "ood_n_gamma_0": ("n_gamma", lambda ws, tmp, out: _ood(ws, out, 0)),
+    "ood_n_gamma_negative": ("n_gamma", lambda ws, tmp, out: _ood(ws, out, -1)),
+    "archive_obs_scale_0": ("obs_scale", lambda ws, tmp, out: _scaled_sample(ws, tmp, out, "0")),
+    "archive_obs_scale_nan": ("obs_scale", lambda ws, tmp, out: _scaled_sample(ws, tmp, out, "nan")),
+    "archive_obs_scale_inf": ("obs_scale", lambda ws, tmp, out: _scaled_sample(ws, tmp, out, "inf")),
+    "config_obs_scale_nan": ("obs_scale", lambda ws, tmp, out: _scaled_train(ws, tmp, out, "nan")),
+    "config_obs_scale_inf": ("obs_scale", lambda ws, tmp, out: _scaled_train(ws, tmp, out, "inf")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_value_is_one_line_validation_error(case, cli_workspace, tmp_path, capsys):
+    word, build = BAD_VALUES[case]
+    out = tmp_path / "out.csv"
+    argv = build(cli_workspace, tmp_path, out)
+    capsys.readouterr()
+    rc = run(argv)
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and word in err, err
+    assert not out.exists()
+
+
 def test_module_entry_point_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "fnode", "definitely-not-a-command"],

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 import fnode.gmm as gmm_mod
 from fnode.gmm import (
     COV_TYPES,
-    GammaSampleBank,
     GMMModel,
     bic,
     collect_gamma_samples,
     em_fit,
-    log_likelihood,
     sample,
     score_rows,
     select_model,
@@ -64,7 +62,7 @@ class TestEMFit:
         rng = np.random.default_rng(4)
         X = rng.standard_normal((200, 3)) @ np.array([[1.5, 0.0, 0.0], [0.4, 0.7, 0.0], [0.0, 0.1, 0.2]])
         X += np.array([1.0, -2.0, 0.5])
-        model, _ = em_fit(GammaSampleBank.from_array(X), K=1, cov_type=cov_type, seed=0)
+        model, _ = em_fit(X, K=1, cov_type=cov_type, seed=0)
         diff = X - X.mean(axis=0)
         biased = diff.T @ diff / X.shape[0]
         want = {
@@ -196,17 +194,18 @@ class TestSelectModel:
 class TestLogLikelihood:
     def test_standard_normal_at_origin(self):
         model = GMMModel(np.array([1.0]), np.zeros((1, 1)), np.array([1.0]), "spherical")
-        assert log_likelihood(model, [0.0]) == pytest.approx(-0.5 * math.log(2 * math.pi))
+        assert score_rows(model, [[0.0]])[0] == pytest.approx(-0.5 * math.log(2 * math.pi))
 
     def test_mode_beats_distant_point(self):
         model = GMMModel(
             np.array([0.9, 0.1]), np.array([[0.0], [8.0]]), np.array([1.0, 1.0]), "spherical"
         )
-        assert log_likelihood(model, [0.0]) >= log_likelihood(model, [5.0])
+        at_mode, distant = score_rows(model, [[0.0], [5.0]])
+        assert at_mode >= distant
 
     def test_far_point_is_finite(self):
         model = GMMModel(np.array([1.0]), np.zeros((1, 2)), np.array([1.0]), "spherical")
-        val = log_likelihood(model, [100.0, 100.0])
+        val = score_rows(model, [[100.0, 100.0]])[0]
         assert math.isfinite(val) and val < -1000
 
     def test_density_integrates_to_one_1d(self):
@@ -327,8 +326,14 @@ class TestCollect:
     def test_row_counts_and_provenance(self):
         m, data = self.make_model_and_data()
         bank = collect_gamma_samples(m, data, n_gamma=4, seed=0)
-        assert bank.samples.shape == (12, 3)
-        np.testing.assert_array_equal(bank.provenance, np.repeat([0, 1, 2], 4))
+        assert bank.shape == (12, 3)
+        # rows 4j..4j+3 are trajectory j's draws: standardised by its own
+        # posterior, the bank gives back the seed's noise stream in data order
+        from fnode.nets import encode_batch
+
+        q = encode_batch(m.enc_gamma, data.trajectories, m.obs_scale)
+        mu, sd = np.repeat(q.mean.data, 4, axis=0), np.repeat(np.exp(0.5 * q.log_var.data), 4, axis=0)
+        np.testing.assert_allclose((bank - mu) / sd, np.random.default_rng(0).standard_normal((12, 3)), atol=1e-12)
 
     def test_degenerate_posterior_returns_means(self):
         m, data = self.make_model_and_data()
@@ -339,7 +344,7 @@ class TestCollect:
         from fnode.nets import encode_batch
 
         mu = encode_batch(m.enc_gamma, data.trajectories, m.obs_scale).mean.data
-        np.testing.assert_allclose(bank.samples, np.repeat(mu, 2, axis=0), atol=1e-12)
+        np.testing.assert_allclose(bank, np.repeat(mu, 2, axis=0), atol=1e-12)
 
     def test_sample_mean_approaches_posterior_mean(self):
         m, data = self.make_model_and_data()
@@ -349,11 +354,11 @@ class TestCollect:
         q = encode_batch(m.enc_gamma, data.trajectories, m.obs_scale)
         mu, sd = q.mean.data, np.exp(0.5 * q.log_var.data)
         for j in range(3):
-            rows = bank.samples[bank.provenance == j]
+            rows = bank[1000 * j : 1000 * (j + 1)]
             bound = 3 * sd[j] / math.sqrt(1000)
             assert np.all(np.abs(rows.mean(axis=0) - mu[j]) <= bound)
 
     def test_joint_mode_concatenates_z0(self):
         m, data = self.make_model_and_data()
         bank = collect_gamma_samples(m, data, n_gamma=2, seed=0, include_z0=True)
-        assert bank.samples.shape == (6, m.p + m.d_gamma)
+        assert bank.shape == (6, m.p + m.d_gamma)

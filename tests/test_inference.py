@@ -89,7 +89,7 @@ class TestTransfer:
         m, data, _ = trained
         src = data.trajectories[2]
         out = transfer_trajectory(m, src, src, src.times)
-        recon = np.stack([r.data for r in reconstruct(m, src, src.times, use_posterior_mean=True)])
+        recon = reconstruct(m, src, src.times, use_posterior_mean=True)
         np.testing.assert_allclose(out, recon, rtol=1e-12)
 
     def test_idempotent(self, trained):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import autodiff
 import fnode.tensorgrad as tg
 from fnode.model import (
     Adam,
@@ -232,7 +233,7 @@ class TestELBOGradients:
             loss_t, _ = _batch_elbo(m, trajs, 1.0, noises)
             return tg.neg(loss_t)
 
-        err = tg.finite_diff_check(prog, m.params, [], h=1e-5)
+        err = autodiff.finite_diff_check(prog, m.params, [], h=1e-5)
         assert err <= 1e-4
 
 
@@ -321,15 +322,13 @@ class TestReconstruct:
         traj = tiny_data(n=4).trajectories[0]
         a = reconstruct(m, traj, traj.times, use_posterior_mean=True)
         b = reconstruct(m, traj, traj.times, use_posterior_mean=True)
-        for ra, rb in zip(a, b):
-            np.testing.assert_array_equal(ra.data, rb.data)
+        np.testing.assert_array_equal(a, b)
 
     def test_matches_observed_grid_shape(self):
         m = tiny_model()
         traj = tiny_data(n=4).trajectories[0]
         recon = reconstruct(m, traj, traj.times)
-        assert len(recon) == len(traj.times)
-        assert recon[0].data.shape == (1,)
+        assert isinstance(recon, np.ndarray) and recon.shape == (len(traj.times), 1)
 
     def test_extrapolation_extends_interpolation(self):
         # adding later times must not change the states at the observed times
@@ -337,8 +336,7 @@ class TestReconstruct:
         traj = tiny_data(n=4).trajectories[1]
         base = reconstruct(m, traj, traj.times)
         extended = reconstruct(m, traj, np.concatenate([traj.times, [traj.times[-1] + 0.3]]))
-        for ra, rb in zip(base, extended[: len(base)]):
-            np.testing.assert_allclose(ra.data, rb.data, rtol=1e-12)
+        np.testing.assert_allclose(base, extended[: len(base)], rtol=1e-12)
 
     def test_times_before_anchor_integrate_backwards(self):
         m = tiny_model()
@@ -346,7 +344,7 @@ class TestReconstruct:
         traj = tiny_data(n=4).trajectories[0]
         times = np.concatenate([[traj.times[0] - 0.2], traj.times])
         recon = reconstruct(m, traj, times)
-        np.testing.assert_allclose(recon[0].data, recon[1].data, rtol=1e-12)
+        np.testing.assert_allclose(recon[0], recon[1], rtol=1e-12)
 
     def test_frozen_lambda_keeps_latent_constant(self):
         m = tiny_model()
@@ -443,3 +441,19 @@ class TestTrainConfig:
     def test_rejects_negative_epochs(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
+
+
+class TestModelRegistry:
+    def test_params_follow_component_order_and_share_tensors(self):
+        m = tiny_model()
+        layers = ["w0", "b0", "w1", "b1"]
+        want = [f"{part}.{name}" for part in ("enc_z0", "enc_gamma") for name in layers]
+        want += [f"hyper.{name}" for name in layers + ["lambda"]] + [f"dec.{name}" for name in layers]
+        assert m.params.names() == want
+        assert m.params["hyper.lambda"] is m.hyper.lam
+        assert m.params["enc_gamma.b1"] is m.enc_gamma.params["b1"]
+
+    @pytest.mark.parametrize("obs_scale", [0.0, -1.0, math.nan, math.inf])
+    def test_obs_scale_must_be_finite_and_positive(self, obs_scale):
+        with pytest.raises(ValueError, match="obs_scale"):
+            tiny_model(obs_scale=obs_scale)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import autodiff
 import fnode.tensorgrad as tg
 from fnode.model import make_batch_field
 from fnode.nets import (
@@ -133,7 +134,7 @@ class TestFunctionalForward:
         def prog(ps, zin):
             return tg.tensor_sum(tg.square(make_batch_field(spec, ps["theta"])(zin, t_row)))
 
-        assert tg.finite_diff_check(prog, params, [z], h=1e-5) <= 1e-4
+        assert autodiff.finite_diff_check(prog, params, [z], h=1e-5) <= 1e-4
 
 
 class TestHypernetwork:
@@ -236,13 +237,17 @@ class TestEndToEndGradients:
         t_row = np.array([0.3])
 
         def prog(ps, feats_in, zin):
-            enc = MLP(enc_g.spec, ps.subset("g."))
-            hy = Hypernetwork(hyper.body, ps.subset("h."))
-            de = MLP(dec.spec, ps.subset("d."))
+            # each component reads its entries of the perturbed set under their own names
+            def part(prefix, own):
+                return ParamSet((name, ps[prefix + name]) for name in own)
+
+            enc = MLP(enc_g.spec, part("g.", enc_g.params))
+            hy = Hypernetwork(hyper.body, part("h.", hyper.params))
+            de = MLP(dec.spec, part("d.", dec.params))
             gamma = tg.cols(enc(feats_in), 0, d_gamma)
             theta = hypernet_map(hy, gamma)
             zdot = make_batch_field(f_spec, theta)(zin, t_row)
             return tg.tensor_sum(tg.square(de(zdot)))
 
-        err = tg.finite_diff_check(prog, params, [feats, z], h=1e-5)
+        err = autodiff.finite_diff_check(prog, params, [feats, z], h=1e-5)
         assert err <= 1e-4

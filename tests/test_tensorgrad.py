@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import autodiff
 import fnode.tensorgrad as tg
 from fnode.tensorgrad import ParamSet, Tensor
 
@@ -18,13 +19,13 @@ class TestEvaluate:
             return tg.tensor_sum(tg.mul(params["a"], params["b"]))
 
         params = make_params(a=[1.0, 2.0], b=[3.0, 4.0])
-        assert tg.evaluate(prog, params, []).item() == 11.0
+        assert autodiff.evaluate(prog, params, []).item() == 11.0
 
     def test_tanh_at_origin(self):
         def prog(params):
             return tg.tanh(params["x"])
 
-        assert tg.evaluate(prog, make_params(x=0.0), []).item() == 0.0
+        assert autodiff.evaluate(prog, make_params(x=0.0), []).item() == 0.0
 
     def test_matmul_identity(self):
         def prog(params, v):
@@ -32,7 +33,7 @@ class TestEvaluate:
 
         params = make_params(I=np.eye(3))
         v = Tensor([[1.0], [2.0], [3.0]])
-        out = tg.evaluate(prog, params, [v])
+        out = autodiff.evaluate(prog, params, [v])
         np.testing.assert_array_equal(out.data, [[1.0], [2.0], [3.0]])
 
     def test_shape_mismatch_names_primitive(self):
@@ -41,7 +42,7 @@ class TestEvaluate:
 
         params = make_params(a=[1.0, 2.0], b=[1.0, 2.0, 3.0])
         with pytest.raises(tg.ShapeMismatch, match="add"):
-            tg.evaluate(prog, params, [])
+            autodiff.evaluate(prog, params, [])
 
     def test_matmul_and_add_take_rank_2_only(self):
         m, v = Tensor(np.ones((2, 3))), Tensor(np.ones(3))
@@ -52,10 +53,10 @@ class TestEvaluate:
 
     def test_nonfinite_intermediate_names_primitive(self):
         def prog(params):
-            return tg.log(params["x"])
+            return tg.exp(params["x"])
 
-        with pytest.raises(tg.NonFiniteValue, match="log"):
-            tg.evaluate(prog, make_params(x=[-1.0]), [])
+        with pytest.raises(tg.NonFiniteValue, match="exp"), np.errstate(over="ignore"):
+            autodiff.evaluate(prog, make_params(x=[1000.0]), [])
 
     def test_leaf_must_be_finite(self):
         with pytest.raises(tg.NonFiniteValue):
@@ -69,11 +70,11 @@ class TestEvaluate:
             return tg.tensor_sum(tg.tanh(tg.matmul(ps["w"], x) + ps["b"]))
 
         x = Tensor(rng.standard_normal((4, 1)))
-        a = tg.evaluate(prog, params, [x]).item()
-        b = tg.evaluate(prog, params, [x]).item()
+        a = autodiff.evaluate(prog, params, [x]).item()
+        b = autodiff.evaluate(prog, params, [x]).item()
         assert a == b
-        ga = tg.gradient(prog, params, [x])
-        gb = tg.gradient(prog, params, [x])
+        ga = autodiff.gradient(prog, params, [x])
+        gb = autodiff.gradient(prog, params, [x])
         for name in params.names():
             np.testing.assert_array_equal(ga[name].data, gb[name].data)
 
@@ -83,14 +84,14 @@ class TestGradient:
         def prog(params):
             return tg.square(params["x"])
 
-        g = tg.gradient(prog, make_params(x=3.0), [])
+        g = autodiff.gradient(prog, make_params(x=3.0), [])
         assert g["x"].item() == 6.0
 
     def test_tanh_prime_at_zero(self):
         def prog(params):
             return tg.tanh(params["x"])
 
-        g = tg.gradient(prog, make_params(x=0.0), [])
+        g = autodiff.gradient(prog, make_params(x=0.0), [])
         assert g["x"].item() == 1.0
 
     def test_linear_map_weight_grad(self):
@@ -98,7 +99,7 @@ class TestGradient:
             return tg.tensor_sum(tg.matmul(params["W"], params["v"]))
 
         params = make_params(W=np.zeros((3, 2)), v=[[1.0], [2.0]])
-        g = tg.gradient(prog, params, [])
+        g = autodiff.gradient(prog, params, [])
         np.testing.assert_array_equal(g["W"].data, np.tile([1.0, 2.0], (3, 1)))
 
     def test_unused_param_gets_zeros(self):
@@ -106,7 +107,7 @@ class TestGradient:
             return tg.tensor_sum(params["a"])
 
         params = make_params(a=[1.0, 2.0], unused=np.ones((2, 3)))
-        g = tg.gradient(prog, params, [])
+        g = autodiff.gradient(prog, params, [])
         np.testing.assert_array_equal(g["unused"].data, np.zeros((2, 3)))
 
     def test_non_scalar_output_rejected(self):
@@ -114,7 +115,7 @@ class TestGradient:
             return params["a"]
 
         with pytest.raises(tg.NonScalarOutput):
-            tg.gradient(prog, make_params(a=[1.0, 2.0]), [])
+            autodiff.gradient(prog, make_params(a=[1.0, 2.0]), [])
 
     def test_linearity(self):
         # grad(a*f + b*g) == a*grad(f) + b*grad(g) to float accumulation order
@@ -132,9 +133,9 @@ class TestGradient:
             return tg.scale(f(params), a) + tg.scale(g(params), b)
 
         params = make_params(x=x)
-        gf = tg.gradient(f, params, [])["x"].data
-        gg = tg.gradient(g, params, [])["x"].data
-        gc = tg.gradient(combo, params, [])["x"].data
+        gf = autodiff.gradient(f, params, [])["x"].data
+        gg = autodiff.gradient(g, params, [])["x"].data
+        gc = autodiff.gradient(combo, params, [])["x"].data
         np.testing.assert_allclose(gc, a * gf + b * gg, rtol=1e-12)
 
 
@@ -148,14 +149,14 @@ class TestFiniteDiffCheck:
         def prog(params):
             return tg.mul(tg.square(params["x"]), params["x"])
 
-        err = tg.finite_diff_check(prog, make_params(x=2.0), [], h=1e-5)
+        err = autodiff.finite_diff_check(prog, make_params(x=2.0), [], h=1e-5)
         assert err <= 1e-6
 
     def test_constant_program(self):
         def prog(params):
             return tg.scale(tg.tensor_sum(params["x"]), 0.0)
 
-        err = tg.finite_diff_check(prog, make_params(x=[1.0, 2.0]), [], h=1e-5)
+        err = autodiff.finite_diff_check(prog, make_params(x=[1.0, 2.0]), [], h=1e-5)
         assert err == 0.0
 
     def test_small_mlp_loss(self):
@@ -172,14 +173,14 @@ class TestFiniteDiffCheck:
             h = tg.tanh(tg.matmul(ps["w0"], xin) + ps["b0"])
             return tg.tensor_sum(tg.matmul(ps["w1"], h) + ps["b1"])
 
-        assert tg.finite_diff_check(prog, params, [x], h=1e-5) <= 1e-4
+        assert autodiff.finite_diff_check(prog, params, [x], h=1e-5) <= 1e-4
 
     def test_requires_positive_h(self):
         def prog(params):
             return tg.tensor_sum(params["x"])
 
         with pytest.raises(ValueError):
-            tg.finite_diff_check(prog, make_params(x=[1.0]), [], h=0.0)
+            autodiff.finite_diff_check(prog, make_params(x=[1.0]), [], h=0.0)
 
 
 # Three rows, each with its own weights for a (2 + 1) -> 4 -> 3 -> 2 network.
@@ -204,13 +205,9 @@ PRIMITIVE_PROGRAMS = {
     "broadcast_add": lambda ps: tg.tensor_sum(tg.square(tg.broadcast_add(ps["m1"], ps["b4"]))),
     "tanh": lambda ps: tg.tensor_sum(tg.tanh(ps["a"])),
     "exp": lambda ps: tg.tensor_sum(tg.exp(ps["a"])),
-    "log": lambda ps: tg.tensor_sum(tg.log(tg.exp(ps["a"]))),
     "square": lambda ps: tg.tensor_sum(tg.square(ps["a"])),
-    "mean": lambda ps: tg.tensor_mean(tg.square(ps["m1"])),
-    "sum_axis0": lambda ps: tg.tensor_sum(tg.square(tg.tensor_sum(ps["m1"], axis=0))),
-    "sum_axis1": lambda ps: tg.tensor_sum(tg.square(tg.tensor_sum(ps["m1"], axis=1))),
-    "concat": lambda ps: tg.tensor_sum(tg.square(tg.concat([ps["a"], ps["b"]]))),
-    "row": lambda ps: tg.tensor_sum(tg.square(tg.row(ps["m1"], 1))),
+    # blocks of 3, 2 and 3 rows, with m1 twice so its two gradient slices add
+    "concat": lambda ps: tg.tensor_sum(tg.square(tg.concat([ps["m1"], tg.transpose(ps["m2"]), ps["m1"]]))),
     "cols": lambda ps: tg.tensor_sum(tg.square(tg.cols(ps["m1"], 1, 3))),
     "reshape": lambda ps: tg.tensor_sum(tg.square(tg.reshape(ps["m1"], (4, 3)))),
     "transpose": lambda ps: tg.tensor_sum(tg.square(tg.matmul(tg.transpose(ps["m1"]), ps["m1"]))),
@@ -265,7 +262,7 @@ def primitive_params(seed):
 def test_primitive_gradients_match_central_differences(name):
     prog = PRIMITIVE_PROGRAMS[name]
     for seed in range(5):
-        err = tg.finite_diff_check(prog, primitive_params(seed), [], h=1e-5)
+        err = autodiff.finite_diff_check(prog, primitive_params(seed), [], h=1e-5)
         assert err <= 1e-4, f"{name} seed {seed}: {err}"
 
 
@@ -308,11 +305,3 @@ class TestParamSet:
         for name in ("z", "a", "m"):
             ps.add(name, Tensor(0.0))
         assert ps.names() == ["z", "a", "m"]
-
-    def test_subset_shares_tensors(self):
-        ps = ParamSet()
-        t = Tensor([1.0])
-        ps.add("enc.w0", t)
-        ps.add("dec.w0", Tensor([2.0]))
-        sub = ps.subset("enc.")
-        assert sub["w0"] is t
