@@ -74,8 +74,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if min(self.batch_size, self.kl_anneal_epochs, self.mc_samples) < 1:
             raise ValueError("batch_size, kl_anneal_epochs, mc_samples must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
         if self.epochs > 0 and self.kl_anneal_epochs > self.epochs:
             raise ValueError("kl_anneal_epochs must not exceed epochs")
 
@@ -120,8 +120,8 @@ class FNODEModel:
             raise ValueError("hypernetwork output width != transition weight count")
         if self.f_spec.in_width != self.p + 1 or self.f_spec.out_width != self.p:
             raise ValueError("transition net must map [p+1] -> [p]")
-        if not self.sigma_x > 0:
-            raise ValueError("sigma_x must be positive")
+        if not (math.isfinite(self.sigma_x) and self.sigma_x > 0):
+            raise ValueError(f"sigma_x must be finite and positive, got {self.sigma_x!r}")
         if not (math.isfinite(self.obs_scale) and self.obs_scale > 0):
             raise ValueError(f"obs_scale must be finite and positive, got {self.obs_scale!r}")
         parts = (("enc_z0.", self.enc_z0), ("enc_gamma.", self.enc_gamma), ("hyper.", self.hyper), ("dec.", self.dec))
@@ -144,6 +144,8 @@ class FNODEModel:
         lambda_init: float = 0.1,
         seed: int = 0,
     ) -> "FNODEModel":
+        if not math.isfinite(lambda_init):
+            raise ValueError(f"lambda_init must be finite, got {lambda_init!r}")
         rng = np.random.default_rng(seed)
         feat = n_points * (1 + obs_dim)
         enc_z0 = MLP.init((feat, *enc_hidden, 2 * p), rng)

@@ -1,8 +1,14 @@
 """Fixed-step Runge-Kutta-4 integration of a batch of latent states.
 
 The one solver, :func:`integrate_batch`, advances a [B, p] state over per-row
-time grids.  The vector field is any callable built from taped primitives, so
-the returned states stay differentiable with respect to the initial state and
+time grids.  Each row follows its own step schedule (full steps of the step
+size, then one partial step onto each grid time), and the batch takes the
+k-th step of every row's schedule together; a row whose schedule has ended
+takes zero-length steps, which leave its state unchanged bit for bit.  So the
+batch costs as many steps as its longest row, and every row's states, and the
+gradient that reaches its initial state, are those of the row solved alone.
+The vector field is any callable built from taped primitives, so the
+returned states stay differentiable with respect to the initial state and
 whatever parameters the field closes over (gradients come from
 backpropagating through the solver steps, not an adjoint solve).
 :func:`integrate` runs a single rank-1 state through it.
@@ -10,6 +16,7 @@ backpropagating through the solver steps, not an adjoint solve).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -52,8 +59,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.method != "rk4":
             raise ValueError(f"unsupported method {self.method!r}")
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step_size must be finite and positive, got {self.step_size!r}")
 
 
 @dataclass(frozen=True)
@@ -107,36 +114,54 @@ def integrate_batch(field, z0: Tensor, times: np.ndarray, cfg: SolverConfig) -> 
     ``field(Z, t_row)`` maps a [B, p] state and a per-row time column to
     [B, p] derivatives.  Returns one [B, p] state tensor per grid column.
 
-    Between grid times each row takes full steps of ``cfg.step_size`` and
-    shortens its final partial step to land exactly on the next grid time.
-    Rows advance in lockstep: a row that needs fewer steps in a segment is
-    padded with zero-length steps, which leave its state bit-identical, so a
-    row ends exactly where it would if run alone.  A non-finite state raises
-    :class:`IntegrationBlowUp` naming the first failed row and its time.
+    Each row follows its own schedule: for each segment between grid times in
+    turn, full steps of ``cfg.step_size`` and then one partial step that lands
+    exactly on the next grid time.  The batch's k-th step is the k-th step of
+    every row's schedule, so it takes as many steps as its longest schedule;
+    a row whose schedule has ended takes zero-length steps, which leave its
+    state bit-identical, so a row ends exactly where it would if run alone.
+    A row's state at grid time j + 1 is the one after its own steps through
+    segment j, picked from the step path with :func:`tensorgrad.pick_rows`.
+    A non-finite state raises :class:`IntegrationBlowUp` at the earliest
+    failing step, naming the first row that failed in that step and the end
+    of that row's own step as the time.
     """
     times = np.asarray(times, dtype=np.float64)
     B, T = times.shape
     if z0.data.shape[0] != B:
         raise ValueError(f"z0 batch {z0.data.shape[0]} != times batch {B}")
-    if T > 1 and not np.all(np.diff(times, axis=1) > 0):
+    if not np.all(np.diff(times, axis=1) > 0):
         raise ValueError("each row of times must be strictly increasing")
+    if T == 1:
+        return [z0]
     h = cfg.step_size
 
-    states = [z0]
-    z = z0
-    for j in range(T - 1):
-        t_lo = times[:, j]
-        gap = times[:, j + 1] - t_lo
-        n_full = np.floor(gap / h + 1e-12).astype(np.int64)
-        rem = gap - n_full * h
-        rem[rem <= 1e-12] = 0.0
-        n_steps = int(np.max(n_full + (rem > 0)))
-        for s in range(n_steps):
-            h_row = np.where(s < n_full, h, np.where(s == n_full, rem, 0.0))
-            t_row = t_lo + np.minimum(s, n_full) * h
-            z = _batch_step(field, z, t_row, h_row)
-        states.append(z)
-    return states
+    # Per-segment schedule: n_full full steps, then a partial step of rem.
+    t_lo = times[:, :-1]
+    gap = times[:, 1:] - t_lo
+    n_full = np.floor(gap / h + 1e-12).astype(np.int64)
+    rem = gap - n_full * h
+    rem[rem <= 1e-12] = 0.0
+    steps = n_full + (rem > 0)
+    ends = np.cumsum(steps, axis=1)  # [B, T-1]: a row's steps through each segment
+    K = int(ends[:, -1].max())
+
+    # Step table [B, K]: seg is the segment of each row's k-th step (the number
+    # of its segments that end at or before step k), s the step within it.
+    # A row past its last step stays in its last segment, where s runs past
+    # the schedule and the step length is 0.
+    rows = np.arange(B)[:, None]
+    done = np.bincount((ends + rows * (K + 1)).ravel(), minlength=B * (K + 1))
+    seg = np.minimum(np.cumsum(done.reshape(B, K + 1), axis=1)[:, :K], T - 2)
+    s = np.arange(K) - (ends - steps)[rows, seg]
+    nf = n_full[rows, seg]
+    t_tab = t_lo[rows, seg] + np.minimum(s, nf) * h
+    h_tab = np.where(s < nf, h, np.where(s == nf, rem[rows, seg], 0.0))
+
+    path = [z0]
+    for k in range(K):
+        path.append(_batch_step(field, path[-1], t_tab[:, k], h_tab[:, k]))
+    return [z0] + [tg.pick_rows(path, ends[:, j]) for j in range(T - 1)]
 
 
 def _rk4_batch(field, z: Tensor, t_row: np.ndarray, h_row: np.ndarray) -> Tensor:

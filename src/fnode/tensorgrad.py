@@ -47,6 +47,7 @@ __all__ = [
     "rowwise_mlp",
     "add_scaled_rows",
     "rk4_combine",
+    "pick_rows",
     "backward",
 ]
 
@@ -429,6 +430,29 @@ def rk4_combine(z: Tensor, k1: Tensor, k2: Tensor, k3: Tensor, k4: Tensor, h_col
         _acc(k3, 2.0 * gw, own=True)
 
     return Tensor(out_data, (z, k1, k2, k3, k4), bwd, "rk4_combine")
+
+
+def pick_rows(path: Sequence[Tensor], idx: np.ndarray) -> Tensor:
+    """Row b of ``path[idx[b]]`` for every row b of a list of equal-shape tensors.
+
+    When every row picks the same entry, that tensor itself is returned and no
+    node is added.
+    """
+    first = int(idx[0])
+    if np.all(idx == first):
+        return path[first]
+    picked = [(path[k], idx == k) for k in np.unique(idx)]
+    out = np.empty_like(path[first].data)
+    for t, mask in picked:
+        out[mask] = t.data[mask]
+
+    def bwd(g):
+        for t, mask in picked:
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+            t.grad[mask] += g[mask]
+
+    return Tensor(out, tuple(t for t, _ in picked), bwd, "pick_rows")
 
 
 # -- graph traversal ----------------------------------------------------------

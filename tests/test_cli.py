@@ -404,10 +404,15 @@ def _scaled_sample(ws, tmp, out, value):
     return _sample(ws, out, model=path)
 
 
-def _scaled_train(ws, tmp, out, value):
-    cfg = tmp / "scaled.txt"
-    cfg.write_text(ws["config"].read_text() + f"obs_scale = {value}\n")
-    return ["train", "--data", ws["data"], "--config", cfg, "--out", out]
+def _bad_config(key, value):
+    """A BAD_VALUES case: ``train`` with the workspace config plus ``key = value``."""
+
+    def argv(ws, tmp, out):
+        cfg = tmp / "configured.txt"
+        cfg.write_text(ws["config"].read_text() + f"{key} = {value}\n")
+        return ["train", "--data", ws["data"], "--config", cfg, "--out", out]
+
+    return key, argv
 
 
 # Flag, archive and config values that must be refused: case -> (word the
@@ -422,8 +427,15 @@ BAD_VALUES = {
     "archive_obs_scale_0": ("obs_scale", lambda ws, tmp, out: _scaled_sample(ws, tmp, out, "0")),
     "archive_obs_scale_nan": ("obs_scale", lambda ws, tmp, out: _scaled_sample(ws, tmp, out, "nan")),
     "archive_obs_scale_inf": ("obs_scale", lambda ws, tmp, out: _scaled_sample(ws, tmp, out, "inf")),
-    "config_obs_scale_nan": ("obs_scale", lambda ws, tmp, out: _scaled_train(ws, tmp, out, "nan")),
-    "config_obs_scale_inf": ("obs_scale", lambda ws, tmp, out: _scaled_train(ws, tmp, out, "inf")),
+    "config_obs_scale_nan": _bad_config("obs_scale", "nan"),
+    "config_obs_scale_inf": _bad_config("obs_scale", "inf"),
+    "config_step_size_inf": _bad_config("step_size", "inf"),
+    "config_step_size_nan": _bad_config("step_size", "nan"),
+    "config_learning_rate_nan": _bad_config("learning_rate", "nan"),
+    "config_learning_rate_inf": _bad_config("learning_rate", "inf"),
+    "config_lambda_init_nan": _bad_config("lambda_init", "nan"),
+    "config_lambda_init_inf": _bad_config("lambda_init", "inf"),
+    "config_sigma_x_inf": _bad_config("sigma_x", "inf"),
 }
 
 

@@ -202,6 +202,66 @@ class TestIntegrateBatch:
         assert escape <= ei.value.t <= escape + 5 * h
 
 
+def ragged_rows(seed, B=6, T=7, h=0.1):
+    """Per-row grids whose gaps span zero to eight steps of size h, with tiny
+    gaps that take no step and exact multiples of h; and each row's own step
+    count S_b, one step per started h of each gap."""
+    rng = np.random.default_rng(seed)
+    gaps = h * rng.choice([1e-12, 0.3, 1.0, 1.5, 2.0, 3.7, 6.2, 8.0], size=(B, T - 1))
+    times = np.concatenate([rng.uniform(-1.0, 1.0, size=(B, 1)), gaps], axis=1).cumsum(axis=1)
+    gaps = np.diff(times, axis=1)
+    own_steps = np.array([sum(math.ceil(g / h - 1e-9) for g in row) for row in gaps])
+    lockstep = sum(max(math.ceil(g / h - 1e-9) for g in col) for col in gaps.T)
+    return times, own_steps, lockstep
+
+
+def mlp_layers(rng, B, widths):
+    """Per-row tanh MLP weights for tg.rowwise_mlp, one [B, n_in*n_out] block per layer."""
+    return [
+        (Tensor(0.5 * rng.standard_normal((B, n_in * n_out))), Tensor(rng.standard_normal((B, n_out))), n_in, n_out, True)
+        for n_in, n_out in zip(widths[:-1], widths[1:])
+    ]
+
+
+class TestOwnSchedules:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_field_calls_follow_the_longest_row(self, seed):
+        # Each solver step is four field calls, and the batch steps only as
+        # often as its longest row, not as the slowest row of each segment.
+        h = 0.1
+        times, own_steps, lockstep = ragged_rows(seed, h=h)
+        calls = []
+
+        def fld(Z, t_row):
+            calls.append(None)
+            return tg.tanh(Z)
+
+        integrate_batch(fld, Tensor(np.ones((times.shape[0], 2))), times, SolverConfig(step_size=h))
+        assert len(calls) == 4 * own_steps.max()
+        assert own_steps.max() < lockstep
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_row_gradient_equals_row_run_alone(self, seed):
+        # d(sum of squared states)/d(z0) for one row of a ragged batch is
+        # the gradient of that row solved on its own, bit for bit.
+        times, _, _ = ragged_rows(seed, B=5)
+        rng = np.random.default_rng(seed)
+        z0 = rng.standard_normal((5, 2))
+        layers = mlp_layers(rng, 5, (3, 4, 2))
+        cfg = SolverConfig(step_size=0.1)
+
+        def z0_grad(rows):
+            z = Tensor(z0[rows])
+            sub = [(Tensor(w.data[rows]), Tensor(b.data[rows]), *rest) for w, b, *rest in layers]
+            states = integrate_batch(lambda Z, t: tg.rowwise_mlp(Z, t, sub), z, times[rows], cfg)
+            tg.backward(tg.tensor_sum(tg.square(tg.concat(states))))
+            return z.grad
+
+        together = z0_grad(slice(None))
+        for b in range(5):
+            np.testing.assert_array_equal(together[b], z0_grad(slice(b, b + 1))[0])
+
+
 # Rows of mixed step counts: a row padded with zero-length steps while others
 # still step must match the same row run alone, at every grid time.
 @settings(max_examples=60, deadline=None)

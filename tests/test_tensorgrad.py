@@ -226,6 +226,18 @@ PRIMITIVE_PROGRAMS = {
     "add_scaled_rows": lambda ps: tg.tensor_sum(
         tg.square(tg.add_scaled_rows(ps["m1"], ps["m1b"], np.array([[0.3], [0.0], [1.2]])))
     ),
+    # two grid columns over a three-step path: row 1 reaches both columns at
+    # step 2 (a zero-step segment), so its two gradient slices add in m1c
+    "pick_rows": lambda ps: tg.tensor_sum(
+        tg.square(
+            tg.concat(
+                [
+                    tg.pick_rows([ps["m1"], ps["m1b"], ps["m1c"]], np.array([0, 2, 1])),
+                    tg.scale(tg.pick_rows([ps["m1"], ps["m1b"], ps["m1c"]], np.array([1, 2, 2])), 1.3),
+                ]
+            )
+        )
+    ),
     "rk4_combine": lambda ps: tg.tensor_sum(
         tg.square(
             tg.rk4_combine(
@@ -264,6 +276,38 @@ def test_primitive_gradients_match_central_differences(name):
     for seed in range(5):
         err = autodiff.finite_diff_check(prog, primitive_params(seed), [], h=1e-5)
         assert err <= 1e-4, f"{name} seed {seed}: {err}"
+
+
+class TestPickRows:
+    def test_picks_each_rows_own_step(self):
+        path = [Tensor(np.full((3, 2), float(k))) for k in range(4)]
+        out = tg.pick_rows(path, np.array([3, 0, 3]))
+        np.testing.assert_array_equal(out.data, [[3.0, 3.0], [0.0, 0.0], [3.0, 3.0]])
+        assert out._op == "pick_rows" and set(map(id, out._parents)) == {id(path[0]), id(path[3])}
+
+    def test_shared_step_is_the_path_tensor_itself(self):
+        path = [Tensor(np.full((3, 2), float(k))) for k in range(4)]
+        assert tg.pick_rows(path, np.array([2, 2, 2])) is path[2]
+
+    def test_shared_grid_solve_adds_no_pick_rows_node(self):
+        # Rollouts share one grid across rows, so every grid state is a solver
+        # step's own output and the tape holds no pick_rows node.
+        from fnode.odeint import SolverConfig, integrate_batch
+
+        grid = np.array([0.0, 0.25, 0.3, 0.9])
+        z0 = Tensor(np.array([[0.5], [-1.0], [2.0]]))
+        states = integrate_batch(
+            lambda Z, t: tg.tanh(Z), z0, np.broadcast_to(grid, (3, grid.size)), SolverConfig(step_size=0.1)
+        )
+        assert states[0] is z0
+        assert all(s._op == "rk4_combine" for s in states[1:])
+        seen, stack = set(), list(states)
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                assert node._op != "pick_rows"
+                stack.extend(node._parents)
 
 
 class TestRowwiseMLP:
