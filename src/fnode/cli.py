@@ -314,7 +314,7 @@ def cmd_sample(args) -> int:
     else:  # neighborhood
         if args.exemplar is None or args.delta is None:
             raise ValidationError("--mode neighborhood needs --exemplar and --delta")
-        if args.delta <= 0:
+        if not args.delta > 0:
             raise ValidationError("--delta must be positive")
         if S is None:
             raise ValidationError("archive holds no fitted sampler; train with epochs > 0")

@@ -74,6 +74,9 @@ class GMMModel:
                 f"{self.cov_type} mixture with means {list(self.means.shape)} needs weights {[K]} and "
                 f"covariances {list(layout)}, got {list(self.weights.shape)} and {list(self.covariances.shape)}"
             )
+        for name in ("weights", "means", "covariances"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"mixture {name} hold non-finite entries")
         if abs(self.weights.sum() - 1.0) > 1e-12 or np.any(self.weights <= 0):
             raise ValueError("weights must be positive and sum to 1")
         if self.cov_type in ("spherical", "diag") and np.any(self.covariances < COV_FLOOR):

@@ -1,13 +1,32 @@
-"""Versioned JSON archive for trained models and their mixture sampler.
+"""Versioned model archives: one JSON header line and a raw float64 payload.
 
-The archive is one JSON document.  Since format version 2 each array is
-stored as ``{"shape": [...], "f8": <base64 of its little-endian float64 bytes
-in C order>}``, which is bit-exact and decodes without parsing text.  Scalars
-and network specs stay plain JSON (scalars as 17-significant-digit strings).
-Version 1 archives, whose arrays hold a space-separated decimal string under
-``"data"``, still load.  Loading checks the document's schema and every
-parameter's shape against its spec; a format_version gate refuses archives
-written by an incompatible layout.
+A format-3 archive, the one :func:`save_archive` writes, is three parts::
+
+    fnode-archive\n        the magic line
+    {...}\n                the header: the archive document as one line of
+                           compact JSON with sorted keys
+    <payload>              the arrays' float64 blocks, end to end
+
+The header holds the format version, the model's sizes, its scalars (as
+17-significant-digit strings), the solver and network specs, a summary of the
+training history, the seeds and the mixture sampler.  Each array in it is
+``{"shape": [...], "offset": <byte offset>}``: its little-endian C-order block
+of ``8 * prod(shape)`` bytes starts ``offset`` bytes into the payload.
+
+:func:`load_archive` reads the file once and builds each array from its block
+with one copy, so every array is writable and in native byte order.  It checks
+the header's schema, each parameter's shape against its spec, and the
+sampler's width and values.  The payload must hold shape entries that are
+non-negative integers and offsets that are non-negative multiples of 8, no
+block may run past the payload's end, and the blocks must tile the payload
+exactly: no gap, no overlap, no trailing byte.  An archive that fails any
+check, or whose header line is not JSON, raises :class:`ArchiveError`.
+
+A file without the magic line is read as one JSON document, the layout of
+formats 1 and 2, which still load bit-identically.  Format 2 stores each
+array as ``{"shape", "f8": <base64 of its bytes>}``, format 1 as
+``{"shape", "data": <space-separated decimals>}``.  A format_version gate
+refuses any other version, and a version that does not match the layout.
 """
 
 from __future__ import annotations
@@ -24,7 +43,7 @@ from .gmm import GMMModel
 from .model import ELBOBreakdown, FNODEModel
 from .nets import MLP, Hypernetwork, MLPSpec
 from .odeint import SolverConfig
-from .syndata import fmt_float, write_text_atomic
+from .syndata import fmt_float, write_bytes_atomic
 from .tensorgrad import NonFiniteValue, ParamSet, Tensor
 
 __all__ = [
@@ -34,21 +53,58 @@ __all__ = [
     "load_archive",
 ]
 
-FORMAT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+READABLE_VERSIONS = (1, 2, 3)
+MAGIC = b"fnode-archive\n"
 
 
 class ArchiveError(ValueError):
     """Unreadable, malformed or version-incompatible model archive."""
 
 
-def _encode_array(arr: np.ndarray) -> dict:
-    arr = np.asarray(arr, dtype="<f8")
-    return {"shape": list(arr.shape), "f8": base64.b64encode(arr.tobytes(order="C")).decode("ascii")}
+def _shape(obj: dict) -> tuple:
+    shape = obj["shape"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ArchiveError(f"array shape {shape!r} is not a list of non-negative integers")
+    return tuple(shape)
 
 
-def _decode_array(obj: dict, version: int) -> np.ndarray:
-    shape = tuple(obj["shape"])
+class _Payload:
+    """The payload being read: each block becomes an array, its span is kept for the tiling check."""
+
+    def __init__(self, buf: memoryview):
+        self.buf = buf
+        self.spans: list[tuple[int, int]] = []
+
+    def array(self, obj: dict) -> np.ndarray:
+        shape = _shape(obj)
+        offset = obj["offset"]
+        if type(offset) is not int or offset < 0 or offset % 8:
+            raise ArchiveError(f"array offset {offset!r} is not a non-negative multiple of 8")
+        count = math.prod(shape)
+        if offset + 8 * count > len(self.buf):
+            raise ArchiveError(
+                f"array block of {8 * count} bytes at offset {offset} runs past the end of the "
+                f"{len(self.buf)}-byte payload"
+            )
+        self.spans.append((offset, 8 * count))
+        # astype copies, so the array is writable and in native byte order
+        return np.frombuffer(self.buf, "<f8", count, offset).astype(np.float64).reshape(shape)
+
+    def check_tiled(self) -> None:
+        end = 0
+        for offset, size in sorted(self.spans):
+            if offset != end:
+                kind = "overlap" if offset < end else "leave a gap"
+                raise ArchiveError(f"array blocks {kind} at payload byte {min(offset, end)}")
+            end += size
+        if end != len(self.buf):
+            raise ArchiveError(f"payload holds {len(self.buf) - end} bytes after its last array block")
+
+
+def _decode_document_array(obj: dict, version: int) -> np.ndarray:
+    """An array of a format-1 or format-2 document."""
+    shape = _shape(obj)
     if version == 1:
         flat = np.array([float(tok) for tok in obj["data"].split()], dtype=np.float64)
         return flat.reshape(shape)
@@ -71,26 +127,13 @@ def _decode_spec(obj: dict) -> MLPSpec:
     return MLPSpec(tuple(obj["widths"]), final_activation=obj["final_activation"])
 
 
-def _encode_gmm(S: GMMModel | None) -> dict | None:
+_GMM_ARRAYS = ("weights", "means", "covariances")
+
+
+def _encode_gmm(S: GMMModel | None, block) -> dict | None:
     if S is None:
         return None
-    return {
-        "cov_type": S.cov_type,
-        "weights": _encode_array(S.weights),
-        "means": _encode_array(S.means),
-        "covariances": _encode_array(S.covariances),
-    }
-
-
-def _decode_gmm(obj: dict | None, version: int) -> GMMModel | None:
-    if obj is None:
-        return None
-    return GMMModel(
-        weights=_decode_array(obj["weights"], version),
-        means=_decode_array(obj["means"], version),
-        covariances=_decode_array(obj["covariances"], version),
-        cov_type=obj["cov_type"],
-    )
+    return {"cov_type": S.cov_type, **{key: block(getattr(S, key)) for key in _GMM_ARRAYS}}
 
 
 def _history_summary(history: Sequence[ELBOBreakdown] | None) -> dict | None:
@@ -116,6 +159,13 @@ def save_archive(
     history: Sequence[ELBOBreakdown] | None = None,
     seeds: dict | None = None,
 ) -> None:
+    arrays: list[np.ndarray] = []
+
+    def block(arr) -> dict:
+        """Append ``arr`` to the payload; its header entry."""
+        arrays.append(np.asarray(arr, dtype="<f8", order="C"))
+        return {"shape": list(arrays[-1].shape), "offset": sum(a.nbytes for a in arrays[:-1])}
+
     doc = {
         "format_version": FORMAT_VERSION,
         "model": {
@@ -133,30 +183,52 @@ def save_archive(
                 "f": _encode_spec(m.f_spec),
                 "dec": _encode_spec(m.dec.spec),
             },
-            "params": {name: _encode_array(t.data) for name, t in m.params.items()},
+            "params": {name: block(t.data) for name, t in m.params.items()},
         },
-        "gmm": _encode_gmm(S),
+        "gmm": _encode_gmm(S, block),
         "history": _history_summary(history),
         "seeds": seeds or {},
     }
-    write_text_atomic(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    header = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+    write_bytes_atomic(path, b"".join([MAGIC, header, b"\n", *arrays]))
 
 
-def _param(raw: dict, name: str, shape: tuple, version: int) -> Tensor:
-    arr = _decode_array(raw[name], version)
+def _param(raw: dict, name: str, shape: tuple) -> Tensor:
+    arr = raw[name]
     if arr.shape != shape:
         raise ArchiveError(f"parameter {name} has shape {list(arr.shape)}, its spec needs {list(shape)}")
     return Tensor(arr)
 
 
-def _mlp_params_from(spec: MLPSpec, raw: dict, prefix: str, version: int) -> ParamSet:
+def _mlp_params_from(spec: MLPSpec, raw: dict, prefix: str) -> ParamSet:
     # rebuild in canonical layer order; files store keys sorted alphabetically
     ps = ParamSet()
     ws = spec.layer_widths
     for i, (n_in, n_out) in enumerate(zip(ws[:-1], ws[1:])):
-        ps.add(f"w{i}", _param(raw, prefix + f"w{i}", (n_out, n_in), version))
-        ps.add(f"b{i}", _param(raw, prefix + f"b{i}", (n_out,), version))
+        ps.add(f"w{i}", _param(raw, prefix + f"w{i}", (n_out, n_in)))
+        ps.add(f"b{i}", _param(raw, prefix + f"b{i}", (n_out,)))
     return ps
+
+
+def _read_document(buf: bytes) -> tuple[object, memoryview | None]:
+    """The archive document and, for format 3, its payload."""
+    if not buf.startswith(MAGIC):
+        return json.loads(buf), None
+    end = buf.find(b"\n", len(MAGIC))
+    if end < 0:
+        raise ValueError("the header line has no end")
+    return json.loads(buf[len(MAGIC):end]), memoryview(buf)[end + 1:]
+
+
+def _decode_arrays(doc: dict, decode) -> None:
+    """Replace every array entry of the document with the array it stores."""
+    params = doc["model"]["params"]
+    for name, obj in params.items():
+        params[name] = decode(obj)
+    gmm = doc.get("gmm")
+    if gmm is not None:
+        for key in _GMM_ARRAYS:
+            gmm[key] = decode(gmm[key])
 
 
 def load_archive(path):
@@ -167,24 +239,35 @@ def load_archive(path):
     :class:`ArchiveError`.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as e:
+        with open(path, "rb") as fh:
+            doc, payload = _read_document(fh.read())
+    except (OSError, ValueError, RecursionError) as e:
         raise ArchiveError(f"{path}: unreadable archive ({e})") from e
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version not in READABLE_VERSIONS:
         raise ArchiveError(
             f"{path}: format_version {version!r} is not supported (expected one of {READABLE_VERSIONS})"
         )
+    if (version == FORMAT_VERSION) != (payload is not None):
+        raise ArchiveError(
+            f"{path}: format_version {version} does not match the file's layout (format 3 starts with "
+            f"the magic line, formats 1 and 2 are one JSON document)"
+        )
     try:
-        return _rebuild(doc, version)
+        if payload is None:
+            _decode_arrays(doc, lambda obj: _decode_document_array(obj, version))
+        else:
+            blocks = _Payload(payload)
+            _decode_arrays(doc, blocks.array)
+            blocks.check_tiled()
+        return _rebuild(doc)
     except KeyError as e:
         raise ArchiveError(f"{path}: archive is missing key {e}") from e
     except (TypeError, ValueError, AttributeError, NonFiniteValue) as e:
         raise ArchiveError(f"{path}: malformed archive ({e})") from e
 
 
-def _rebuild(doc: dict, version: int):
+def _rebuild(doc: dict):
     md = doc["model"]
     specs = md["specs"]
     raw_params = md["params"]
@@ -194,12 +277,12 @@ def _rebuild(doc: dict, version: int):
     hyper_spec = _decode_spec(specs["hyper_body"])
     dec_spec = _decode_spec(specs["dec"])
 
-    enc_z0 = MLP(enc_z0_spec, _mlp_params_from(enc_z0_spec, raw_params, "enc_z0.", version))
-    enc_gamma = MLP(enc_gamma_spec, _mlp_params_from(enc_gamma_spec, raw_params, "enc_gamma.", version))
-    hyper_params = _mlp_params_from(hyper_spec, raw_params, "hyper.", version)
-    hyper_params.add("lambda", _param(raw_params, "hyper.lambda", (), version))
+    enc_z0 = MLP(enc_z0_spec, _mlp_params_from(enc_z0_spec, raw_params, "enc_z0."))
+    enc_gamma = MLP(enc_gamma_spec, _mlp_params_from(enc_gamma_spec, raw_params, "enc_gamma."))
+    hyper_params = _mlp_params_from(hyper_spec, raw_params, "hyper.")
+    hyper_params.add("lambda", _param(raw_params, "hyper.lambda", ()))
     hyper = Hypernetwork(hyper_spec, hyper_params)
-    dec = MLP(dec_spec, _mlp_params_from(dec_spec, raw_params, "dec.", version))
+    dec = MLP(dec_spec, _mlp_params_from(dec_spec, raw_params, "dec."))
 
     m = FNODEModel(
         enc_z0=enc_z0,
@@ -217,7 +300,8 @@ def _rebuild(doc: dict, version: int):
         n_points=int(md["n_points"]),
         obs_scale=float(md["obs_scale"]),
     )
-    S = _decode_gmm(doc.get("gmm"), version)
+    gmm = doc.get("gmm")
+    S = None if gmm is None else GMMModel(**{key: gmm[key] for key in _GMM_ARRAYS}, cov_type=gmm["cov_type"])
     if S is not None and S.d not in (m.d_gamma, m.p + m.d_gamma):
         raise ArchiveError(
             f"sampler has width {S.d}, the model needs {m.d_gamma} (code) or {m.p + m.d_gamma} (z0 and code)"

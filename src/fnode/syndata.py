@@ -7,7 +7,7 @@ model finds must come from the dynamics, not the starting point.
 
 Files are JSON lines: a header record with dataset-level facts followed by one
 record per trajectory.  Floats are written with 17 significant digits, which
-round-trips float64 exactly.  :func:`write_text_atomic` writes every file the
+round-trips float64 exactly.  :func:`write_bytes_atomic` writes every file the
 package produces: a temp file in the target directory, then a rename.
 """
 
@@ -30,6 +30,7 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "fmt_float",
+    "write_bytes_atomic",
     "write_text_atomic",
 ]
 
@@ -171,8 +172,8 @@ def _fmt_list(xs: Iterable[float]) -> str:
     return "[" + ", ".join(fmt_float(x) for x in xs) + "]"
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename.
+def write_bytes_atomic(path, data) -> None:
+    """Write bytes via a temp file in the target directory, then rename.
 
     The temp file is created with mode 0o666 less the umask, as ``open``
     would create the target, so the rename leaves the usual permissions.
@@ -182,13 +183,18 @@ def write_text_atomic(path, text: str) -> None:
     tmp = os.path.join(d, f".tmp-{secrets.token_hex(8)}-{base}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path, text: str) -> None:
+    """:func:`write_bytes_atomic` of the text's UTF-8 encoding."""
+    write_bytes_atomic(path, text.encode("utf-8"))
 
 
 def save_dataset(data: PanelDataset, path) -> None:

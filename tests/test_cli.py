@@ -1,8 +1,8 @@
-import base64
 import json
 import subprocess
 import sys
 
+import archive_file
 import numpy as np
 import pytest
 
@@ -90,7 +90,7 @@ class TestTrain:
         cfg.write_text(cli_workspace["config"].read_text().replace("epochs = 6", "epochs = 0"))
         out = tmp_path / "m0.json"
         assert run(["train", "--data", cli_workspace["data"], "--config", cfg, "--out", out]) == 0
-        doc = json.loads(out.read_text())
+        doc = archive_file.read(out)
         assert doc["gmm"] is None
         assert doc["history"] is None
 
@@ -102,7 +102,7 @@ class TestTrain:
             ["train", "--data", cli_workspace["data"], "--config", cfg, "--out", out, "--gmm-only"]
         )
         assert rc == 0
-        assert json.loads(out.read_text())["gmm"] is not None
+        assert archive_file.read(out)["gmm"] is not None
 
     def test_gmm_table_bic_cells_are_numbers(self, cli_workspace, tmp_path):
         cfg = tmp_path / "zero.txt"
@@ -139,7 +139,7 @@ class TestTrain:
             ]
         )
         assert rc == 0
-        assert json.loads(out.read_text())["seeds"]["train"] == 99
+        assert archive_file.read(out)["seeds"]["train"] == 99
         assert out.read_bytes() != cli_workspace["model"].read_bytes()
 
 
@@ -223,14 +223,13 @@ class TestOOD:
 
     def test_sampler_width_mismatch_is_one_line(self, cli_workspace, tmp_path, capsys):
         # the fixture's model has p = 3 and d_gamma = 4, so a sampler must be 4 or 7 wide
-        doc = json.loads(cli_workspace["model"].read_text())
-        K = doc["gmm"]["weights"]["shape"][0]
+        doc = archive_file.read(cli_workspace["model"])
+        K = doc["gmm"]["weights"].shape[0]
         assert doc["gmm"]["cov_type"] == "diag"
         for key in ("means", "covariances"):
-            block = np.full((K, 3), 0.5)
-            doc["gmm"][key] = {"shape": [K, 3], "f8": base64.b64encode(block.astype("<f8").tobytes()).decode()}
-        bad = tmp_path / "width3.json"
-        bad.write_text(json.dumps(doc))
+            doc["gmm"][key] = np.full((K, 3), 0.5)
+        bad = tmp_path / "width3.fnode"
+        archive_file.write(bad, doc)
         capsys.readouterr()
         rc = run(
             [
@@ -396,12 +395,31 @@ def _ood(ws, out, n_gamma):
             "--out", out]
 
 
-def _scaled_sample(ws, tmp, out, value):
-    doc = json.loads(ws["model"].read_text())
-    doc["model"]["obs_scale"] = value
-    path = tmp / "scaled.json"
-    path.write_text(json.dumps(doc))
-    return _sample(ws, out, model=path)
+def _edited_sample(edit):
+    """A BAD_VALUES case: ``sample`` from the workspace archive after ``edit(doc)``."""
+
+    def argv(ws, tmp, out):
+        doc = archive_file.read(ws["model"])
+        edit(doc)
+        path = tmp / "edited.fnode"
+        archive_file.write(path, doc)
+        return _sample(ws, out, model=path)
+
+    return argv
+
+
+def _set_obs_scale(value):
+    def edit(doc):
+        doc["model"]["obs_scale"] = value
+
+    return edit
+
+
+def _set_sampler_entry(key, index, value):
+    def edit(doc):
+        doc["gmm"][key][index] = value
+
+    return edit
 
 
 def _bad_config(key, value):
@@ -424,9 +442,13 @@ BAD_VALUES = {
     "sample_grid_points_negative": ("--grid-points", lambda ws, tmp, out: _sample(ws, out, "--grid-points", -2)),
     "ood_n_gamma_0": ("n_gamma", lambda ws, tmp, out: _ood(ws, out, 0)),
     "ood_n_gamma_negative": ("n_gamma", lambda ws, tmp, out: _ood(ws, out, -1)),
-    "archive_obs_scale_0": ("obs_scale", lambda ws, tmp, out: _scaled_sample(ws, tmp, out, "0")),
-    "archive_obs_scale_nan": ("obs_scale", lambda ws, tmp, out: _scaled_sample(ws, tmp, out, "nan")),
-    "archive_obs_scale_inf": ("obs_scale", lambda ws, tmp, out: _scaled_sample(ws, tmp, out, "inf")),
+    "sample_delta_nan": ("--delta", lambda ws, tmp, out: _sample(
+        ws, out, "--mode", "neighborhood", "--exemplar", 1, "--delta", "nan")),
+    "archive_obs_scale_0": ("obs_scale", _edited_sample(_set_obs_scale("0"))),
+    "archive_obs_scale_nan": ("obs_scale", _edited_sample(_set_obs_scale("nan"))),
+    "archive_obs_scale_inf": ("obs_scale", _edited_sample(_set_obs_scale("inf"))),
+    "archive_gmm_means_nan": ("means", _edited_sample(_set_sampler_entry("means", (0, 0), np.nan))),
+    "archive_gmm_covariances_inf": ("covariances", _edited_sample(_set_sampler_entry("covariances", (0, 0), np.inf))),
     "config_obs_scale_nan": _bad_config("obs_scale", "nan"),
     "config_obs_scale_inf": _bad_config("obs_scale", "inf"),
     "config_step_size_inf": _bad_config("step_size", "inf"),

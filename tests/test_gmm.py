@@ -55,6 +55,18 @@ class TestGMMModel:
         with pytest.raises(ValueError):
             GMMModel(weights, means, cov, cov_type)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("key", ["weights", "means", "covariances"])
+    @pytest.mark.parametrize("cov_type", COV_TYPES)
+    def test_non_finite_entry_rejected(self, cov_type, key, value):
+        K, d = 2, 3
+        cov = {"spherical": np.ones(K), "diag": np.ones((K, d)), "tied": np.eye(d), "full": np.tile(np.eye(d), (K, 1, 1))}
+        arrays = {"weights": np.full(K, 0.5), "means": np.zeros((K, d)), "covariances": cov[cov_type]}
+        GMMModel(**arrays, cov_type=cov_type)
+        arrays[key].flat[0] = value
+        with pytest.raises(ValueError, match=f"mixture {key} hold non-finite entries"):
+            GMMModel(**arrays, cov_type=cov_type)
+
 
 class TestEMFit:
     @pytest.mark.parametrize("cov_type", COV_TYPES)

@@ -1,10 +1,16 @@
 import base64
 import json
+import tempfile
+from pathlib import Path
 
+import archive_file
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from fnode.gmm import collect_gamma_samples, em_fit
+from fnode.gmm import COV_FLOOR, COV_TYPES, GMMModel, collect_gamma_samples, em_fit
 from fnode.model import FNODEModel, TrainConfig, fit
 from fnode.serialize import FORMAT_VERSION, ArchiveError, load_archive, save_archive
 from fnode.syndata import generate_set_a
@@ -23,21 +29,35 @@ def small_trained(tmp_path_factory):
     return m, S, history, data
 
 
+def _assert_loads_as(path, m, S):
+    """The archive at ``path`` holds ``m``'s parameters and ``S``, byte for byte."""
+    m2, S2, _ = load_archive(path)
+    assert m2.params.names() == m.params.names()
+    for name, t in m.params.items():
+        got = m2.params[name].data
+        assert got.shape == t.data.shape
+        assert got.tobytes() == t.data.tobytes()
+        assert got.flags.writeable and got.dtype == np.float64
+    assert m2.params["hyper.lambda"].data.shape == ()
+    if S is None:
+        assert S2 is None
+        return
+    assert S2.cov_type == S.cov_type
+    for key in ("weights", "means", "covariances"):
+        got = getattr(S2, key)
+        assert got.shape == getattr(S, key).shape
+        assert got.tobytes() == getattr(S, key).tobytes()
+        assert got.flags.writeable
+
+
 class TestArchive:
     def test_round_trip_is_bit_exact(self, small_trained, tmp_path):
         m, S, history, _ = small_trained
-        path = tmp_path / "m.json"
+        path = tmp_path / "m.fnode"
         save_archive(path, m, S, history, seeds={"train": 0})
         m2, S2, seeds = load_archive(path)
         assert seeds == {"train": 0}
-        assert m2.params.names() == m.params.names()
-        for name, t in m.params.items():
-            np.testing.assert_array_equal(m2.params[name].data, t.data)
-            assert m2.params[name].data.shape == t.data.shape
-        np.testing.assert_array_equal(S2.weights, S.weights)
-        np.testing.assert_array_equal(S2.means, S.means)
-        np.testing.assert_array_equal(S2.covariances, S.covariances)
-        assert S2.cov_type == S.cov_type
+        _assert_loads_as(path, m, S)
         assert (m2.p, m2.d_gamma, m2.obs_dim, m2.n_points) == (m.p, m.d_gamma, m.obs_dim, m.n_points)
         assert m2.sigma_x == m.sigma_x and m2.obs_scale == m.obs_scale
         assert m2.solver.step_size == m.solver.step_size
@@ -46,7 +66,7 @@ class TestArchive:
         from fnode.inference import sample_trajectories
 
         m, S, history, data = small_trained
-        path = tmp_path / "m.json"
+        path = tmp_path / "m.fnode"
         save_archive(path, m, S, history)
         m2, S2, _ = load_archive(path)
         src = data.trajectories[0]
@@ -57,18 +77,18 @@ class TestArchive:
 
     def test_save_without_gmm(self, small_trained, tmp_path):
         m, _, _, _ = small_trained
-        path = tmp_path / "nogmm.json"
+        path = tmp_path / "nogmm.fnode"
         save_archive(path, m, None, None)
         _, S2, _ = load_archive(path)
         assert S2 is None
 
     def test_version_mismatch_is_explicit_error(self, small_trained, tmp_path):
         m, S, history, _ = small_trained
-        path = tmp_path / "m.json"
+        path = tmp_path / "m.fnode"
         save_archive(path, m, S, history)
-        doc = json.loads(path.read_text())
+        doc = archive_file.read(path)
         doc["format_version"] = FORMAT_VERSION + 1
-        path.write_text(json.dumps(doc))
+        archive_file.write(path, doc)
         with pytest.raises(ArchiveError, match="format_version"):
             load_archive(path)
 
@@ -80,51 +100,98 @@ class TestArchive:
 
     def test_history_summary_recorded(self, small_trained, tmp_path):
         m, S, history, _ = small_trained
-        path = tmp_path / "m.json"
+        path = tmp_path / "m.fnode"
         save_archive(path, m, S, history)
-        doc = json.loads(path.read_text())
+        doc = archive_file.read(path)
         assert doc["history"]["epochs"] == len(history)
         assert doc["history"]["last"]["kl_weight"] == history[-1].kl_weight
 
+    def test_layout_is_magic_header_line_and_tiled_payload(self, small_trained, tmp_path):
+        m, S, history, _ = small_trained
+        path = tmp_path / "m.fnode"
+        save_archive(path, m, S, history)
+        header, payload = archive_file.read_raw(path)
+        assert path.read_bytes() == archive_file.MAGIC + archive_file.header_line(header) + b"\n" + payload
+        assert header["format_version"] == FORMAT_VERSION == 3
+        entries = [*header["model"]["params"].values(), *(header["gmm"][k] for k in ("weights", "means", "covariances"))]
+        spans = sorted((e["offset"], 8 * int(np.prod(e["shape"]))) for e in entries)
+        assert [offset for offset, _ in spans] == [0, *np.cumsum([size for _, size in spans])[:-1]]
+        assert sum(size for _, size in spans) == len(payload)
+        doc = archive_file.read(path)
+        for name, t in m.params.items():
+            assert doc["model"]["params"][name].tobytes() == t.data.tobytes()
 
-def _v1_document(doc: dict, m, S) -> dict:
-    """The version-1 twin of a saved document, its decimal payloads written here."""
+    def test_blocks_in_another_order_load_bit_identically(self, small_trained, tmp_path):
+        # the test writer lays blocks out in sorted-key order, sampler first
+        m, S, history, _ = small_trained
+        path = tmp_path / "m.fnode"
+        save_archive(path, m, S, history)
+        archive_file.write(path, archive_file.read(path))
+        header, _ = archive_file.read_raw(path)
+        assert header["gmm"]["covariances"]["offset"] == 0
+        _assert_loads_as(path, m, S)
 
-    def text(arr):
-        arr = np.asarray(arr, dtype=np.float64)
-        return {"shape": list(arr.shape), "data": " ".join(repr(float(x)) for x in arr.reshape(-1))}
 
-    v1 = json.loads(json.dumps(doc))
-    v1["format_version"] = 1
-    v1["model"]["params"] = {name: text(t.data) for name, t in m.params.items()}
-    for key in ("weights", "means", "covariances"):
-        v1["gmm"][key] = text(getattr(S, key))
-    return v1
+def _legacy_document(doc: dict, version: int) -> dict:
+    """The version-1 or version-2 twin of a decoded document, its payloads written here."""
+
+    def encode(node):
+        if isinstance(node, np.ndarray):
+            flat = np.asarray(node, dtype="<f8").reshape(-1)
+            if version == 1:
+                return {"shape": list(node.shape), "data": " ".join(repr(float(x)) for x in flat)}
+            return {"shape": list(node.shape), "f8": base64.b64encode(flat.tobytes()).decode("ascii")}
+        if isinstance(node, dict):
+            return {key: encode(value) for key, value in node.items()}
+        return node
+
+    return {**encode(doc), "format_version": version}
 
 
 class TestArchiveFormats:
     def test_v1_document_loads_bit_identically_to_v2(self, small_trained, tmp_path):
         m, S, history, _ = small_trained
-        v2 = tmp_path / "v2.json"
-        save_archive(v2, m, S, history, seeds={"train": 0})
-        doc = json.loads(v2.read_text())
-        assert doc["format_version"] == FORMAT_VERSION == 2
-        v1 = tmp_path / "v1.json"
-        v1.write_text(json.dumps(_v1_document(doc, m, S)))
-        (m1, S1, _), (m2, S2, _) = load_archive(v1), load_archive(v2)
-        assert m1.params.names() == m2.params.names() == m.params.names()
-        for name, t in m.params.items():
-            for got in (m1.params[name].data, m2.params[name].data):
-                assert got.shape == t.data.shape
-                assert got.tobytes() == t.data.tobytes()
-                assert got.flags.writeable
-        assert m1.params["hyper.lambda"].data.shape == m2.params["hyper.lambda"].data.shape == ()
-        for key in ("weights", "means", "covariances"):
-            assert getattr(S1, key).tobytes() == getattr(S2, key).tobytes() == getattr(S, key).tobytes()
+        v3 = tmp_path / "v3.fnode"
+        save_archive(v3, m, S, history, seeds={"train": 0})
+        doc = archive_file.read(v3)
+        for version in (1, 2):
+            path = tmp_path / f"v{version}.json"
+            path.write_text(json.dumps(_legacy_document(doc, version), indent=1, sort_keys=True) + "\n")
+            _assert_loads_as(path, m, S)
+            assert load_archive(path)[2] == {"train": 0}
+        _assert_loads_as(v3, m, S)
 
 
-def _b64(arr) -> str:
-    return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")
+def _format3(edit):
+    """A defect made on the decoded document, written as format 3 by the test writer."""
+
+    def make(doc, path):
+        edit(doc)
+        archive_file.write(path, doc)
+
+    return make
+
+
+def _format2(edit):
+    """A defect made on the document's format-2 twin, written as JSON text."""
+
+    def make(doc, path):
+        twin = _legacy_document(doc, 2)
+        edit(twin)
+        path.write_text(json.dumps(twin))
+
+    return make
+
+
+def _raw(edit):
+    """A defect made on the header and payload of a format-3 file: ``edit(header, payload) -> payload``."""
+
+    def make(doc, path):
+        archive_file.write(path, doc)
+        header, payload = archive_file.read_raw(path)
+        archive_file.write_raw(path, header, edit(header, payload))
+
+    return make
 
 
 def _drop(*keys):
@@ -144,15 +211,22 @@ def _set_param(name, **entry):
     return edit
 
 
+def _reshape_param(name, shape):
+    def edit(doc):
+        params = doc["model"]["params"]
+        params[name] = params[name].reshape(shape)
+
+    return edit
+
+
 def _transpose_dec_w0(doc):
-    w = doc["model"]["params"]["dec.w0"]
-    n_out, n_in = w["shape"]
-    w["shape"] = [n_in, n_out]
+    n_out, n_in = doc["model"]["params"]["dec.w0"].shape
+    _reshape_param("dec.w0", (n_in, n_out))(doc)
 
 
 def _flat_sampler_covariances(doc):
     # the fixture's sampler is diag with K = 2, so its covariances must be [2, d]
-    doc["gmm"]["covariances"] = {"shape": [2], "f8": _b64(np.ones(2))}
+    doc["gmm"]["covariances"] = np.ones(2)
 
 
 def _keep_only_version(doc):
@@ -160,17 +234,99 @@ def _keep_only_version(doc):
         del doc[key]
 
 
+def _set_version(version):
+    def edit(doc):
+        doc["format_version"] = version
+
+    return edit
+
+
+def _entries(header):
+    """Every array entry of a format-3 header, in payload order."""
+    entries = [*header["model"]["params"].values()]
+    if header["gmm"] is not None:
+        entries += [header["gmm"][k] for k in ("weights", "means", "covariances")]
+    return sorted(entries, key=lambda e: e["offset"])
+
+
+def _set_entry(name, **entry):
+    def edit(header, payload):
+        header["model"]["params"][name].update(entry)
+        return payload
+
+    return edit
+
+
+def _misalign(header, payload):
+    header["model"]["params"]["dec.b0"]["offset"] += 4
+    return payload
+
+
+def _last_block_past_end(header, payload):
+    _entries(header)[-1]["offset"] = len(payload)
+    return payload
+
+
+def _gap_before_last_block(header, payload):
+    last = _entries(header)[-1]
+    at = last["offset"]
+    last["offset"] += 8
+    return payload[:at] + bytes(8) + payload[at:]
+
+
+def _overlap_last_block(header, payload):
+    # the last block moves 8 bytes into the one before it and leaves 8 trailing bytes
+    _entries(header)[-1]["offset"] -= 8
+    return payload
+
+
+def _trailing_bytes(header, payload):
+    return payload + bytes(8)
+
+
+def _truncated(header, payload):
+    return payload[:-8]
+
+
+def _header_not_json(doc, path):
+    archive_file.write(path, doc)
+    _, payload = archive_file.read_raw(path)
+    path.write_bytes(archive_file.MAGIC + b'{"format_version":3,"model":\n' + payload)
+
+
+def _header_nested_too_deeply(doc, path):
+    path.write_bytes(archive_file.MAGIC + b"[" * 100_000 + b"]" * 100_000 + b"\n")
+
+
+# Payload checks of format 3: defect -> (maker, words the error names).
+PAYLOAD_DEFECTS = {
+    "negative shape entry": (_raw(_set_entry("dec.b0", shape=[-1])), "non-negative integers"),
+    "fractional shape entry": (_raw(_set_entry("dec.b0", shape=[1.5])), "non-negative integers"),
+    "negative offset": (_raw(_set_entry("dec.b0", offset=-8)), "non-negative multiple of 8"),
+    "offset not a multiple of 8": (_raw(_misalign), "non-negative multiple of 8"),
+    "block past payload end": (_raw(_last_block_past_end), "runs past the end"),
+    "gap between blocks": (_raw(_gap_before_last_block), "leave a gap"),
+    "overlapping blocks": (_raw(_overlap_last_block), "overlap"),
+    "trailing payload bytes": (_raw(_trailing_bytes), "bytes after its last array block"),
+    "truncated payload": (_raw(_truncated), "runs past the end"),
+    "header not JSON": (_header_not_json, "unreadable archive"),
+    "header nested too deeply": (_header_nested_too_deeply, "unreadable archive"),
+    "format 2 behind the magic line": (_format3(_set_version(2)), "does not match the file's layout"),
+    "format 3 without the magic line": (_format2(_set_version(3)), "does not match the file's layout"),
+}
+
 SCHEMA_DEFECTS = {
-    "no model": _drop("model"),
-    "no specs": _drop("model", "specs"),
-    "no params": _drop("model", "params"),
-    "no parameter": _drop("model", "params", "dec.w0"),
-    "invalid base64": _set_param("dec.b0", f8="@@not base64@@"),
-    "short payload": _set_param("dec.b0", f8=_b64(np.zeros(1))),
-    "shape against spec": _transpose_dec_w0,
-    "scalar lambda as vector": _set_param("hyper.lambda", shape=[1]),
-    "sampler covariances against means": _flat_sampler_covariances,
-    "version only": _keep_only_version,
+    "no model": _format3(_drop("model")),
+    "no specs": _format3(_drop("model", "specs")),
+    "no params": _format3(_drop("model", "params")),
+    "no parameter": _format3(_drop("model", "params", "dec.w0")),
+    "invalid base64": _format2(_set_param("dec.b0", f8="@@not base64@@")),
+    "short payload": _format2(_set_param("dec.b0", f8=base64.b64encode(bytes(8)).decode("ascii"))),
+    "shape against spec": _format3(_transpose_dec_w0),
+    "scalar lambda as vector": _format3(_reshape_param("hyper.lambda", (1,))),
+    "sampler covariances against means": _format3(_flat_sampler_covariances),
+    "version only": _format3(_keep_only_version),
+    **{name: make for name, (make, _) in PAYLOAD_DEFECTS.items()},
 }
 
 
@@ -178,16 +334,23 @@ class TestArchiveSchema:
     @pytest.fixture
     def archive_doc(self, small_trained, tmp_path):
         m, S, history, _ = small_trained
-        path = tmp_path / "m.json"
+        path = tmp_path / "m.fnode"
         save_archive(path, m, S, history)
-        return json.loads(path.read_text())
+        return archive_file.read(path)
 
     @pytest.mark.parametrize("defect", sorted(SCHEMA_DEFECTS))
     def test_defect_is_archive_error(self, archive_doc, tmp_path, defect):
-        SCHEMA_DEFECTS[defect](archive_doc)
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(archive_doc))
+        path = tmp_path / "bad.fnode"
+        SCHEMA_DEFECTS[defect](archive_doc, path)
         with pytest.raises(ArchiveError):
+            load_archive(path)
+
+    @pytest.mark.parametrize("defect", sorted(PAYLOAD_DEFECTS))
+    def test_payload_defect_names_its_check(self, archive_doc, tmp_path, defect):
+        make, words = PAYLOAD_DEFECTS[defect]
+        path = tmp_path / "bad.fnode"
+        make(archive_doc, path)
+        with pytest.raises(ArchiveError, match=words):
             load_archive(path)
 
     @pytest.mark.parametrize("defect", sorted(SCHEMA_DEFECTS))
@@ -195,9 +358,8 @@ class TestArchiveSchema:
         from fnode.cli import main
         from fnode.syndata import save_dataset
 
-        SCHEMA_DEFECTS[defect](archive_doc)
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(archive_doc))
+        path = tmp_path / "bad.fnode"
+        SCHEMA_DEFECTS[defect](archive_doc, path)
         data = tmp_path / "d.jsonl"
         save_dataset(small_trained[3], data)
         capsys.readouterr()
@@ -205,3 +367,83 @@ class TestArchiveSchema:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- properties over random architectures and values -------------------------------------
+
+# finite float64 values, with the edges of the range drawn often
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
+)
+WIDTHS = st.lists(st.integers(1, 4), min_size=0, max_size=2).map(tuple)
+
+
+@st.composite
+def models(draw):
+    """A small random model whose parameters hold arbitrary finite values, and maybe a sampler."""
+    p, d_gamma = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    m = FNODEModel.build(
+        obs_dim=draw(st.integers(1, 2)), n_points=draw(st.integers(1, 3)), p=p, d_gamma=d_gamma,
+        f_hidden=draw(WIDTHS), enc_hidden=draw(WIDTHS), dec_hidden=draw(WIDTHS), hyper_hidden=draw(WIDTHS),
+    )
+    for _, t in m.params.items():
+        t.data[...] = draw(hnp.arrays(np.float64, t.data.shape, elements=FINITE))
+    cov_type = draw(st.sampled_from([None, *COV_TYPES]))
+    if cov_type is None:
+        return m, None
+    K, d = draw(st.integers(1, 3)), draw(st.sampled_from([d_gamma, p + d_gamma]))
+    w = draw(hnp.arrays(np.float64, K, elements=st.floats(0.01, 1.0)))
+    means = draw(hnp.arrays(np.float64, (K, d), elements=FINITE))
+    variances = st.floats(COV_FLOOR, 1e308)
+    if cov_type in ("spherical", "diag"):
+        cov = draw(hnp.arrays(np.float64, (K,) if cov_type == "spherical" else (K, d), elements=variances))
+    else:
+        A = draw(hnp.arrays(np.float64, (K, d, d), elements=st.floats(-10.0, 10.0)))
+        cov = A @ A.transpose(0, 2, 1) + np.eye(d)
+        cov = cov[0] if cov_type == "tied" else cov
+    return m, GMMModel(w / w.sum(), means, cov, cov_type)
+
+
+@settings(max_examples=40, deadline=None)
+@given(models())
+def test_round_trip_property(model_and_sampler):
+    m, S = model_and_sampler
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.fnode"
+        save_archive(path, m, S)
+        _assert_loads_as(path, m, S)
+
+
+def _assert_prefixes_fail(data: bytes, cuts) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cut.fnode"
+        for n in cuts:
+            assert 0 <= n < len(data)
+            path.write_bytes(data[:n])
+            with pytest.raises(ArchiveError):
+                load_archive(path)
+
+
+@settings(max_examples=25, deadline=None)
+@given(models(), st.data())
+def test_every_strict_prefix_is_archive_error(model_and_sampler, data):
+    m, S = model_and_sampler
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.fnode"
+        save_archive(path, m, S)
+        raw = path.read_bytes()
+    cuts = data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=8))
+    _assert_prefixes_fail(raw, cuts)
+
+
+def test_strict_prefixes_at_every_boundary_are_archive_errors(small_trained, tmp_path):
+    m, S, history, _ = small_trained
+    path = tmp_path / "m.fnode"
+    save_archive(path, m, S, history)
+    raw = path.read_bytes()
+    header, _ = archive_file.read_raw(path)
+    start = len(archive_file.MAGIC) + len(archive_file.header_line(header)) + 1
+    bounds = [0, len(archive_file.MAGIC), start - 1, start, len(raw)]
+    bounds += [start + e["offset"] for e in _entries(header)]
+    cuts = {n + k for n in bounds for k in (-1, 0, 1)} | set(range(len(archive_file.MAGIC) + 2))
+    _assert_prefixes_fail(raw, sorted(n for n in cuts if 0 <= n < len(raw)))
