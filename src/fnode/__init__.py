@@ -8,10 +8,11 @@ likelihood-based out-of-distribution detection.
 """
 
 from . import cli, gmm, inference, model, nets, odeint, serialize, svg, syndata, tensorgrad
-from .gmm import GMMModel, collect_gamma_samples, em_fit, select_model
+from .gmm import GMMModel, em_fit, select_model
 from .inference import (
     CredibleBand,
     OODReport,
+    collect_gamma_samples,
     credible_band,
     neighborhood_sample,
     ood_calibrate,
@@ -21,7 +22,7 @@ from .inference import (
 )
 from .model import ELBOBreakdown, FNODEModel, TrainConfig, elbo_loss, fit, reconstruct
 from .nets import MLP, GaussianParams, Hypernetwork, MLPSpec
-from .odeint import SolverConfig, TimeGrid, integrate
+from .odeint import SolverConfig, integrate
 from .serialize import load_archive, save_archive
 from .syndata import (
     PanelDataset,

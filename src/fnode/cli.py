@@ -28,6 +28,7 @@ from .syndata import (
     save_dataset,
     write_text_atomic,
 )
+from .tensorgrad import NonFiniteValue
 
 __all__ = ["main", "RunConfig", "band_to_csv"]
 
@@ -263,7 +264,7 @@ def cmd_train(args) -> int:
 
     S = None
     if tcfg.epochs > 0 or args.gmm_only:
-        bank = gmm_mod.collect_gamma_samples(m, data, cfg_file["n_gamma"], seed=cfg_file["seed"] + 1)
+        bank = inference.collect_gamma_samples(m, data, cfg_file["n_gamma"], seed=cfg_file["seed"] + 1)
         S, table = gmm_mod.select_model(
             bank,
             cfg_file["gmm_components"],
@@ -394,17 +395,19 @@ def cmd_eval(args) -> int:
     q_z0 = encode_batch(m.enc_z0, prefixes, m.obs_scale)
     q_gamma = encode_batch(m.enc_gamma, prefixes, m.obs_scale)
 
+    Z0s, Gs = q_z0.mean.data[None], q_gamma.mean.data[None]
+    if args.samples > 1:
+        # trajectory j's sample k takes its z0 noise, then its code noise, from default_rng(seed ^ j)
+        rngs = [np.random.default_rng(args.seed ^ j) for j in range(len(prefixes))]
+        noise = np.stack([rng.standard_normal((args.samples, m.p + m.d_gamma)) for rng in rngs], axis=1)
+        Z0s, Gs = q_z0.draw(noise[..., : m.p]), q_gamma.draw(noise[..., m.p :])
+
     rows = []
     sums = np.zeros(1 + len(EVAL_HORIZONS))
     counts = np.zeros(1 + len(EVAL_HORIZONS))
     for j, (traj, cut, mask) in enumerate(zip(data.trajectories, cuts, masks)):
         t0 = traj.times[0]
-        Z0, G = q_z0.mean.data[j : j + 1], q_gamma.mean.data[j : j + 1]
-        if args.samples > 1:
-            # sample k takes its z0 noise, then its code noise, from the one stream
-            noise = np.random.default_rng(args.seed ^ j).standard_normal((args.samples, m.p + m.d_gamma))
-            Z0 = Z0 + np.exp(0.5 * q_z0.log_var.data[j : j + 1]) * noise[:, : m.p]
-            G = G + np.exp(0.5 * q_gamma.log_var.data[j : j + 1]) * noise[:, m.p :]
+        Z0, G = Z0s[:, j], Gs[:, j]
         recon = inference.rollout(m, Z0, G, float(traj.times[mask][0]), traj.times)
         sq = ((recon - traj.values) ** 2).sum(axis=0) / args.samples
 
@@ -558,6 +561,7 @@ def main(argv=None) -> int:
     except (
         TrainingDiverged,
         IntegrationBlowUp,
+        NonFiniteValue,
         inference.ZeroAcceptance,
         RuntimeError,
         OSError,

@@ -1,10 +1,11 @@
 """Ex-post Gaussian mixture over collected dynamics codes.
 
-After training, per-trajectory posterior draws of the code are pooled into a
-sample bank and a mixture is fit by expectation-maximization, with the number
-of components and the covariance structure chosen by BIC.  The fitted mixture
-is the sampler used for generation and the density used for likelihood-based
-outlier scoring.
+After training, per-trajectory posterior draws of the code are pooled into an
+[n, d] sample bank (drawn by ``inference.collect_gamma_samples``) and a
+mixture is fit by expectation-maximization, with the number of components and
+the covariance structure chosen by BIC.  The fitted mixture is the sampler
+used for generation and the density used for likelihood-based outlier
+scoring.  This module knows only arrays, not the model.
 
 Components are scored together: each covariance is factored once per EM
 step (one Cholesky, or one batched Cholesky for ``full``) and the
@@ -22,13 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .nets import encode_batch
-
 __all__ = [
     "GMMModel",
     "SelectionRow",
     "COV_TYPES",
-    "collect_gamma_samples",
     "em_fit",
     "bic",
     "select_model",
@@ -93,35 +91,6 @@ class GMMModel:
     @property
     def d(self) -> int:
         return self.means.shape[1]
-
-
-def collect_gamma_samples(m, data, n_gamma: int, seed: int = 0, include_z0: bool = False) -> np.ndarray:
-    """Reparameterized posterior draws of the code for every trajectory.
-
-    Returns the [N * n_gamma, d] bank the mixture is fit on, in data order:
-    trajectory j's draws are ``bank[j * n_gamma : (j + 1) * n_gamma]``.  With
-    ``include_z0`` each row is the concatenation (z0 draw, gamma draw), for
-    fitting a joint sampler used in fully unconditional generation.
-    """
-    if n_gamma < 1:
-        raise ValueError("n_gamma must be >= 1")
-    trajs = data.trajectories
-    rng = np.random.default_rng(seed)
-
-    q_gamma = encode_batch(m.enc_gamma, trajs, m.obs_scale)
-    mu_g, sd_g = q_gamma.mean.data, np.exp(0.5 * q_gamma.log_var.data)
-    if include_z0:
-        q_z0 = encode_batch(m.enc_z0, trajs, m.obs_scale)
-        mu_z, sd_z = q_z0.mean.data, np.exp(0.5 * q_z0.log_var.data)
-
-    rows = []
-    for j in range(len(trajs)):
-        g = mu_g[j] + sd_g[j] * rng.standard_normal((n_gamma, m.d_gamma))
-        if include_z0:
-            z = mu_z[j] + sd_z[j] * rng.standard_normal((n_gamma, m.p))
-            g = np.concatenate([z, g], axis=1)
-        rows.append(g)
-    return np.concatenate(rows, axis=0)
 
 
 # -- likelihood machinery -----------------------------------------------------------

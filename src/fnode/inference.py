@@ -5,6 +5,12 @@ an exemplar trajectory (transfer), or rejection-sample codes within a ball
 around an exemplar's code.  On top of those sit empirical credible bands and a
 likelihood-threshold outlier test.  Each generator decodes all of its draws in
 one :func:`rollout` call, which runs them through the batched solver.
+
+Posterior draws of (z0, code) all come from ``GaussianParams.draw`` on noise
+the caller drew.  The code bank that ``gmm`` fits the mixture on
+(:func:`collect_gamma_samples`) and the draws the outlier score averages over
+(:func:`ood_scores`) share one per-trajectory routine, and differ only in
+their generators.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gmm as gmm_mod
-from .model import FNODEModel, decode_path, reparameterize
+from .model import FNODEModel, decode_path
 from .nets import encode_batch, hypernet_map
 from .tensorgrad import Tensor
 
@@ -24,6 +30,7 @@ __all__ = [
     "CredibleBand",
     "OODReport",
     "ZeroAcceptance",
+    "collect_gamma_samples",
     "rollout",
     "sample_trajectories",
     "transfer_trajectory",
@@ -92,6 +99,40 @@ def rollout(m: FNODEModel, Z0: np.ndarray, G: np.ndarray, anchor_t: float, times
         recon = decode_path(m, Tensor(Z0[lo:hi]), theta, anchor_t, times)
         out[lo:hi] = recon.data.reshape(times.size, hi - lo, m.obs_dim).transpose(1, 0, 2)
     return out
+
+
+def _posterior_draws(m: FNODEModel, trajs, n: int, rngs, joint: bool) -> np.ndarray:
+    """``n`` posterior draws of the code, or of (z0, code) when ``joint``, per trajectory.
+
+    Returns [N, n, width].  Trajectory j takes its code noise, then (joint
+    only) its z0 noise, from ``rngs[j]``; a joint row is (z0 draw | code draw).
+    """
+    noise_g, noise_z = [], []
+    for rng in rngs:
+        noise_g.append(rng.standard_normal((n, m.d_gamma)))
+        if joint:
+            noise_z.append(rng.standard_normal((n, m.p)))
+    # [n, N, d] noise broadcasts against the [N, d] moments
+    draws = encode_batch(m.enc_gamma, trajs, m.obs_scale).draw(np.stack(noise_g, axis=1))
+    if joint:
+        z0 = encode_batch(m.enc_z0, trajs, m.obs_scale).draw(np.stack(noise_z, axis=1))
+        draws = np.concatenate([z0, draws], axis=2)
+    return np.ascontiguousarray(draws.transpose(1, 0, 2))
+
+
+def collect_gamma_samples(m: FNODEModel, data, n_gamma: int, seed: int = 0, include_z0: bool = False) -> np.ndarray:
+    """Posterior draws of the code for every trajectory: the bank the mixture is fit on.
+
+    Returns the [N * n_gamma, d] bank in data order: trajectory j's draws are
+    ``bank[j * n_gamma : (j + 1) * n_gamma]``, all from one generator.  With
+    ``include_z0`` each row is the concatenation (z0 draw, gamma draw), for
+    fitting a joint sampler used in fully unconditional generation.
+    """
+    if n_gamma < 1:
+        raise ValueError("n_gamma must be >= 1")
+    trajs = data.trajectories
+    draws = _posterior_draws(m, trajs, n_gamma, [np.random.default_rng(seed)] * len(trajs), include_z0)
+    return draws.reshape(-1, draws.shape[2])
 
 
 def _mean_z0(m: FNODEModel, traj) -> tuple[np.ndarray, float]:
@@ -210,19 +251,16 @@ def credible_band(
     rng = np.random.default_rng(seed)
 
     q_z0 = encode_batch(m.enc_z0, [x], m.obs_scale)
-    q_gamma = encode_batch(m.enc_gamma, [x], m.obs_scale)
-    mu_z, sd_z = q_z0.mean.data, np.exp(0.5 * q_z0.log_var.data)
-    mu_g, sd_g = q_gamma.mean.data, np.exp(0.5 * q_gamma.log_var.data)
     anchor = float(np.asarray(x.times)[0])
 
     if source == "gmm":
         gammas = gmm_mod.sample(S, n_draws, seed=seed + 1)
-        Z0 = mu_z + sd_z * rng.standard_normal((n_draws, m.p))
+        Z0 = q_z0.draw(rng.standard_normal((n_draws, m.p)))
     else:
         # draw k takes its z0 noise, then its code noise, from the one stream
         noise = rng.standard_normal((n_draws, m.p + m.d_gamma))
-        Z0 = mu_z + sd_z * noise[:, : m.p]
-        gammas = mu_g + sd_g * noise[:, m.p :]
+        Z0 = q_z0.draw(noise[:, : m.p])
+        gammas = encode_batch(m.enc_gamma, [x], m.obs_scale).draw(noise[:, m.p :])
     draws = rollout(m, Z0, gammas, anchor, times)
 
     lo_q, hi_q = (1.0 - level) / 2.0, (1.0 + level) / 2.0
@@ -247,23 +285,10 @@ def ood_scores(m: FNODEModel, S: gmm_mod.GMMModel, data, n_gamma: int = 16, seed
     """
     if n_gamma < 1:
         raise ValueError(f"n_gamma must be >= 1, got {n_gamma}")
-    joint = S.d == m.p + m.d_gamma
     trajs = data.trajectories
-    q_gamma = encode_batch(m.enc_gamma, trajs, m.obs_scale)
-    mu_g, sd_g = q_gamma.mean.data, np.exp(0.5 * q_gamma.log_var.data)
-    if joint:
-        q_z0 = encode_batch(m.enc_z0, trajs, m.obs_scale)
-        mu_z, sd_z = q_z0.mean.data, np.exp(0.5 * q_z0.log_var.data)
-
-    scores = np.empty(len(trajs))
-    for j in range(len(trajs)):
-        rng = np.random.default_rng(seed ^ j)
-        draws = mu_g[j] + sd_g[j] * rng.standard_normal((n_gamma, m.d_gamma))
-        if joint:
-            zdraws = mu_z[j] + sd_z[j] * rng.standard_normal((n_gamma, m.p))
-            draws = np.concatenate([zdraws, draws], axis=1)
-        scores[j] = -gmm_mod.score_rows(S, draws).mean()
-    return scores
+    rngs = [np.random.default_rng(seed ^ j) for j in range(len(trajs))]
+    draws = _posterior_draws(m, trajs, n_gamma, rngs, joint=S.d == m.p + m.d_gamma)
+    return np.array([-gmm_mod.score_rows(S, block).mean() for block in draws])
 
 
 def ood_calibrate(

@@ -32,7 +32,7 @@ from .nets import (
 
 # ``integrate`` is unused here but stays importable as ``model.integrate``: the
 # benchmark's solver probe rebinds that name.
-from .odeint import IntegrationBlowUp, SolverConfig, TimeGrid, integrate, integrate_batch  # noqa: F401
+from .odeint import IntegrationBlowUp, SolverConfig, integrate, integrate_batch  # noqa: F401
 from .tensorgrad import ParamSet, Tensor
 
 __all__ = [
@@ -467,7 +467,7 @@ def reconstruct(m: FNODEModel, x, times, use_posterior_mean: bool = True, seed: 
 
     ``times`` may start before the first observation and extend past the
     data.  With ``use_posterior_mean`` the encoder means are used directly;
-    otherwise one reparameterized draw of (z0, gamma) is taken.
+    otherwise one posterior draw of (z0, gamma) is taken, z0 noise first.
     """
     q_z0 = encode_batch(m.enc_z0, [x], m.obs_scale)
     q_gamma = encode_batch(m.enc_gamma, [x], m.obs_scale)
@@ -475,8 +475,7 @@ def reconstruct(m: FNODEModel, x, times, use_posterior_mean: bool = True, seed: 
         z0, gamma = q_z0.mean, q_gamma.mean
     else:
         rng = np.random.default_rng(seed)
-        z0 = reparameterize(q_z0, Tensor(rng.standard_normal((1, m.p))))
-        gamma = reparameterize(q_gamma, Tensor(rng.standard_normal((1, m.d_gamma))))
+        z0 = Tensor(q_z0.draw(rng.standard_normal((1, m.p))))
+        gamma = Tensor(q_gamma.draw(rng.standard_normal((1, m.d_gamma))))
     theta = hypernet_map(m.hyper, gamma)
-    times = times.times if isinstance(times, TimeGrid) else times
     return decode_path(m, z0, theta, float(np.asarray(x.times)[0]), times).data

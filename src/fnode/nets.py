@@ -124,6 +124,14 @@ class GaussianParams:
     def dim(self) -> int:
         return self.mean.data.shape[-1]
 
+    def draw(self, noise: np.ndarray) -> np.ndarray:
+        """Untaped draws ``mean + exp(log_var / 2) * noise`` for noise the caller drew.
+
+        ``noise`` broadcasts against the [B, d] moments: [n, d] for a batch of
+        one, or [n, B, d] for n draws of every row.
+        """
+        return self.mean.data + np.exp(0.5 * self.log_var.data) * noise
+
 
 @dataclass
 class Hypernetwork:

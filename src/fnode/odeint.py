@@ -27,7 +27,6 @@ from .tensorgrad import NonFiniteValue, Tensor
 
 __all__ = [
     "SolverConfig",
-    "TimeGrid",
     "IntegrationBlowUp",
     "integrate",
     "integrate_batch",
@@ -63,38 +62,17 @@ class SolverConfig:
             raise ValueError(f"step_size must be finite and positive, got {self.step_size!r}")
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Strictly increasing observation/evaluation times."""
+def integrate(field: VectorField, z0: Tensor, grid: Sequence[float], cfg: SolverConfig) -> list[Tensor]:
+    """States of ``dz/dt = field(z, t)`` at every time of ``grid``, for one rank-1 state.
 
-    times: np.ndarray
-
-    def __init__(self, times):
-        arr = np.asarray(times, dtype=np.float64)
-        if arr.ndim != 1 or arr.shape[0] < 1:
-            raise ValueError("TimeGrid needs at least one time")
-        if arr.shape[0] > 1 and not np.all(np.diff(arr) > 0):
-            raise ValueError("TimeGrid times must be strictly increasing")
-        object.__setattr__(self, "times", arr)
-
-    def __len__(self) -> int:
-        return self.times.shape[0]
-
-
-def integrate(
-    field: VectorField,
-    z0: Tensor,
-    grid: TimeGrid | Sequence[float],
-    cfg: SolverConfig,
-) -> list[Tensor]:
-    """States of ``dz/dt = field(z, t)`` at every grid time, for one rank-1 state.
-
-    ``grid.times[0]`` is the time of ``z0``.  This is :func:`integrate_batch`
-    on a batch of one: ``field`` sees the [p] state and a float time, and each
-    returned state is a [p] tensor.
+    ``grid`` is a strictly increasing sequence of times, and ``grid[0]`` is
+    the time of ``z0``.  This is :func:`integrate_batch` on a batch of one:
+    ``field`` sees the [p] state and a float time, and each returned state is
+    a [p] tensor.
     """
-    if not isinstance(grid, TimeGrid):
-        grid = TimeGrid(grid)
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1:
+        raise ValueError(f"grid must be a sequence of times, got shape {grid.shape}")
     if z0.data.ndim != 1:
         raise ValueError(f"z0 must be rank 1, got shape {z0.shape}")
     p = z0.data.shape[0]
@@ -102,7 +80,7 @@ def integrate(
     def row_field(Z: Tensor, t_row: np.ndarray) -> Tensor:
         return tg.reshape(field(tg.reshape(Z, (p,)), float(t_row[0])), (1, p))
 
-    states = integrate_batch(row_field, tg.reshape(z0, (1, p)), grid.times[None, :], cfg)
+    states = integrate_batch(row_field, tg.reshape(z0, (1, p)), grid[None, :], cfg)
     return [z0] + [tg.reshape(z, (p,)) for z in states[1:]]
 
 
@@ -127,6 +105,8 @@ def integrate_batch(field, z0: Tensor, times: np.ndarray, cfg: SolverConfig) -> 
     of that row's own step as the time.
     """
     times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 2 or times.shape[1] < 1:
+        raise ValueError(f"times must be a [B, T] array with T >= 1, got shape {times.shape}")
     B, T = times.shape
     if z0.data.shape[0] != B:
         raise ValueError(f"z0 batch {z0.data.shape[0]} != times batch {B}")

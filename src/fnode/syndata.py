@@ -229,6 +229,8 @@ def load_dataset(path) -> PanelDataset:
             rec = json.loads(text)
         except json.JSONDecodeError as e:
             raise DatasetFormatError(f"{path}:{line_no}: invalid JSON ({e.msg})") from e
+        except RecursionError as e:
+            raise DatasetFormatError(f"{path}:{line_no}: record nested too deeply") from e
         if not isinstance(rec, dict):
             raise DatasetFormatError(f"{path}:{line_no}: record is not an object")
         return rec

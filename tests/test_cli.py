@@ -319,6 +319,42 @@ class TestEval:
         assert capsys.readouterr().err == "error: 8 observed points exceed the model's 5\n"
 
 
+class TestRuntimeErrors:
+    @pytest.mark.parametrize("command", ["sample", "eval"])
+    def test_overflowing_decoder_is_one_line_runtime_error(self, cli_workspace, tmp_path, capsys, command):
+        # a valid, finite archive whose decoder output overflows to inf
+        doc = archive_file.read(cli_workspace["model"])
+        params = doc["model"]["params"]
+        params["dec.w0"][:] = 0.0
+        params["dec.b0"][:] = 10.0
+        params["dec.w1"][:] = 1e308
+        path = tmp_path / "overflow.fnode"
+        archive_file.write(path, doc)
+        out = tmp_path / "out.csv"
+        if command == "sample":
+            argv = ["sample", "--model", path, "--data", cli_workspace["data"], "--mode", "prior", "--out", out]
+        else:
+            argv = ["eval", "--model", path, "--data", cli_workspace["data"], "--out", out]
+        capsys.readouterr()
+        rc = run(argv)
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err, err
+        assert not out.exists()
+
+    def test_deeply_nested_dataset_is_validation_error(self, cli_workspace, tmp_path, capsys):
+        lines = cli_workspace["data"].read_text().splitlines()
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text("\n".join([lines[0], "[" * 100_000 + "]" * 100_000, *lines[1:]]) + "\n")
+        out = tmp_path / "eval.csv"
+        capsys.readouterr()
+        rc = run(["eval", "--model", cli_workspace["model"], "--data", deep, "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "deep.jsonl:2:" in err, err
+        assert not out.exists()
+
+
 class TestPlot:
     def make_traj_csv(self, path, rows):
         path.write_text("sample_id,time,value_1\n" + "\n".join(rows) + "\n")

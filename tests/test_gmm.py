@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from fnode.gmm import (
     COV_TYPES,
     GMMModel,
     bic,
-    collect_gamma_samples,
     em_fit,
     sample,
     score_rows,
@@ -18,6 +19,7 @@ from fnode.gmm import (
     selection_table_csv,
     _n_params,
 )
+from fnode.inference import collect_gamma_samples
 from fnode.model import FNODEModel
 from fnode.syndata import generate_set_a
 
@@ -374,3 +376,10 @@ class TestCollect:
         m, data = self.make_model_and_data()
         bank = collect_gamma_samples(m, data, n_gamma=2, seed=0, include_z0=True)
         assert bank.shape == (6, m.p + m.d_gamma)
+
+
+def test_gmm_has_no_relative_import():
+    # the mixture module works on plain arrays: it must not reach into the model's modules
+    tree = ast.parse(Path(gmm_mod.__file__).read_text(encoding="utf-8"))
+    relative = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert relative == []

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fnode.gmm import GMMModel, collect_gamma_samples, em_fit
+from fnode import gmm
+from fnode.gmm import GMMModel, em_fit
 from fnode.inference import (
     CredibleBand,
     ZeroAcceptance,
     class_flag_proportions,
+    collect_gamma_samples,
     credible_band,
     neighborhood_sample,
     ood_calibrate,
@@ -290,3 +292,78 @@ class TestOOD:
         props = class_flag_proportions(reports)
         assert set(props) == set(range(4))
         assert all(0.0 <= v <= 1.0 for v in props.values())
+
+
+def oracle_draws(q, j, noise):
+    # row j's mean + exp(log_var / 2) * noise, written out apart from the package
+    return q.mean.data[j] + np.exp(q.log_var.data[j] / 2) * noise
+
+
+def diag_mixture(d, seed):
+    rng = np.random.default_rng(seed)
+    return GMMModel(np.array([0.3, 0.7]), rng.standard_normal((2, d)), rng.uniform(0.5, 2.0, (2, d)), "diag")
+
+
+def diag_mixture_logpdf(S, X):
+    # log sum_k w_k prod_i N(x_i | mu_ki, var_ki), one component at a time
+    per_comp = [
+        math.log(w) - 0.5 * np.sum(np.log(2 * np.pi * var) + (X - mu) ** 2 / var, axis=1)
+        for w, mu, var in zip(S.weights, S.means, S.covariances)
+    ]
+    return np.logaddexp(*per_comp)
+
+
+class TestPosteriorDraws:
+    """Draws checked against encoder moments and the documented generator order."""
+
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_bank_rows_follow_one_shared_stream(self, trained, joint):
+        # trajectory by trajectory: code noise, then (joint only) z0 noise; rows are (z0 | code)
+        m, data, _ = trained
+        n = 3
+        bank = collect_gamma_samples(m, data, n, seed=5, include_z0=joint)
+        trajs = data.trajectories
+        q_g, q_z = encode_batch(m.enc_gamma, trajs, m.obs_scale), encode_batch(m.enc_z0, trajs, m.obs_scale)
+        rng = np.random.default_rng(5)
+        assert bank.shape == (len(trajs) * n, m.d_gamma + joint * m.p)
+        for j in range(len(trajs)):
+            rows = oracle_draws(q_g, j, rng.standard_normal((n, m.d_gamma)))
+            if joint:
+                rows = np.concatenate([oracle_draws(q_z, j, rng.standard_normal((n, m.p))), rows], axis=1)
+            np.testing.assert_allclose(bank[j * n : (j + 1) * n], rows, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_ood_scores_follow_per_trajectory_streams(self, trained, joint):
+        # trajectory j draws from default_rng(seed ^ j): code noise, then z0 noise
+        m, data, _ = trained
+        n, seed = 5, 12
+        S = diag_mixture(m.d_gamma + joint * m.p, seed=1)
+        scores = ood_scores(m, S, data, n_gamma=n, seed=seed)
+        trajs = data.trajectories
+        q_g, q_z = encode_batch(m.enc_gamma, trajs, m.obs_scale), encode_batch(m.enc_z0, trajs, m.obs_scale)
+        for j in range(len(trajs)):
+            rng = np.random.default_rng(seed ^ j)
+            draws = oracle_draws(q_g, j, rng.standard_normal((n, m.d_gamma)))
+            if joint:
+                draws = np.concatenate([oracle_draws(q_z, j, rng.standard_normal((n, m.p))), draws], axis=1)
+            assert scores[j] == pytest.approx(-diag_mixture_logpdf(S, draws).mean(), rel=1e-12)
+
+    def test_joint_sample_takes_z0_from_the_first_columns(self):
+        # a frozen field keeps z at its draw and the decoder is linear, so every
+        # decoded time is w . z0 + b with z0 the first p columns of the mixture draw
+        m = linear_decoder_model()
+        x = generate_set_a(n_per_class=1, n_classes=1, n_points=4, seed=0).trajectories[0]
+        S = diag_mixture(m.p + m.d_gamma, seed=2)
+        paths = np.stack(sample_trajectories(m, S, x, x.times, n=6, seed=3))
+        z0 = gmm.sample(S, 6, seed=3)[:, : m.p]
+        expected = z0 @ m.dec.params["w0"].data.T + m.dec.params["b0"].data
+        np.testing.assert_allclose(paths, np.repeat(expected[:, None, :], len(x.times), axis=1), rtol=1e-12, atol=1e-14)
+
+    def test_sampled_reconstruction_takes_z0_noise_first(self):
+        m = linear_decoder_model()
+        x = generate_set_a(n_per_class=1, n_classes=1, n_points=4, seed=0).trajectories[0]
+        got = reconstruct(m, x, x.times, use_posterior_mean=False, seed=8)
+        q_z = encode_batch(m.enc_z0, [x], m.obs_scale)
+        z0 = oracle_draws(q_z, 0, np.random.default_rng(8).standard_normal((1, m.p)))
+        expected = z0 @ m.dec.params["w0"].data.T + m.dec.params["b0"].data
+        np.testing.assert_allclose(got, np.repeat(expected, len(x.times), axis=0), rtol=1e-12, atol=1e-14)

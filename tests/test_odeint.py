@@ -10,7 +10,6 @@ import fnode.tensorgrad as tg
 from fnode.odeint import (
     IntegrationBlowUp,
     SolverConfig,
-    TimeGrid,
     integrate,
     integrate_batch,
 )
@@ -24,24 +23,23 @@ def const_field(c):
     return fld
 
 
-class TestTimeGrid:
+class TestIntegrate:
     def test_requires_strictly_increasing(self):
         with pytest.raises(ValueError):
-            TimeGrid([0.0, 0.0, 1.0])
+            integrate(const_field(1.0), Tensor([0.0]), [0.0, 0.0, 1.0], SolverConfig())
 
     def test_single_time_ok(self):
-        assert len(TimeGrid([0.5])) == 1
+        z0 = Tensor([0.5])
+        assert integrate(const_field(1.0), z0, [0.5], SolverConfig()) == [z0]
 
-
-class TestIntegrate:
     def test_zero_field_is_constant(self):
-        states = integrate(const_field(0.0), Tensor([5.0]), TimeGrid([0.0, 1.0]), SolverConfig())
+        states = integrate(const_field(0.0), Tensor([5.0]), [0.0, 1.0], SolverConfig())
         assert [s.item() for s in states] == [5.0, 5.0]
 
     def test_constant_phase_rate(self):
         # d(psi)/dt = 2*pi is integrated exactly by RK4
         states = integrate(
-            const_field(2.0 * math.pi), Tensor([0.0]), TimeGrid([0.0, 1.5]), SolverConfig()
+            const_field(2.0 * math.pi), Tensor([0.0]), [0.0, 1.5], SolverConfig()
         )
         assert states[-1].item() == pytest.approx(3.0 * math.pi, abs=1e-12)
 
@@ -49,7 +47,7 @@ class TestIntegrate:
         def fld(z, t):
             return z
 
-        states = integrate(fld, Tensor([1.0]), TimeGrid([0.0, 1.0]), SolverConfig(step_size=0.1))
+        states = integrate(fld, Tensor([1.0]), [0.0, 1.0], SolverConfig(step_size=0.1))
         assert states[-1].item() == pytest.approx(math.e, abs=1e-5)
 
     def test_order_four_convergence(self):
@@ -57,7 +55,7 @@ class TestIntegrate:
             return z
 
         def err_at(h):
-            out = integrate(fld, Tensor([1.0]), TimeGrid([0.0, 1.0]), SolverConfig(step_size=h))
+            out = integrate(fld, Tensor([1.0]), [0.0, 1.0], SolverConfig(step_size=h))
             return abs(out[-1].item() - math.e)
 
         ratio = err_at(0.1) / err_at(0.05)
@@ -76,12 +74,12 @@ class TestIntegrate:
         def fld2(z, t):
             return tg.tanh(z)
 
-        fwd = integrate(fld2, z0, TimeGrid([0.0, 1.0]), SolverConfig())[-1]
+        fwd = integrate(fld2, z0, [0.0, 1.0], SolverConfig())[-1]
 
         def rev2(z, tau):
             return tg.neg(tg.tanh(z))
 
-        back = integrate(rev2, fwd, TimeGrid([0.0, 1.0]), SolverConfig())[-1]
+        back = integrate(rev2, fwd, [0.0, 1.0], SolverConfig())[-1]
         np.testing.assert_allclose(back.data, z0.data, rtol=1e-6)
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -90,7 +88,7 @@ class TestIntegrate:
             return tg.square(z)  # dz/dt = z^2 escapes in finite time from z0=2
 
         with pytest.raises(IntegrationBlowUp) as ei:
-            integrate(fld, Tensor([2.0]), TimeGrid([0.0, 5.0]), SolverConfig())
+            integrate(fld, Tensor([2.0]), [0.0, 5.0], SolverConfig())
         assert ei.value.t > 0.0
 
     def test_partial_step_lands_on_grid_times(self):
@@ -98,7 +96,7 @@ class TestIntegrate:
         def fld(z, t):
             return const_field(1.0)(z, t)
 
-        states = integrate(fld, Tensor([0.0]), TimeGrid([0.0, 0.25, 0.4]), SolverConfig())
+        states = integrate(fld, Tensor([0.0]), [0.0, 0.25, 0.4], SolverConfig())
         assert states[1].item() == pytest.approx(0.25, abs=1e-12)
         assert states[2].item() == pytest.approx(0.4, abs=1e-12)
 
@@ -110,7 +108,7 @@ class TestIntegrate:
             def fld(z, t):
                 return tg.scale(z, a)
 
-            out = integrate(fld, params["z0"], TimeGrid([0.0, T]), SolverConfig())
+            out = integrate(fld, params["z0"], [0.0, T], SolverConfig())
             return tg.tensor_sum(out[-1])
 
         params = ParamSet([("z0", Tensor([1.3]))])
@@ -123,7 +121,7 @@ class TestIntegrate:
             def fld(z, t):
                 return tg.scalar_mul(z, params["a"])
 
-            out = integrate(fld, Tensor([1.0]), TimeGrid([0.0, 1.0]), SolverConfig())
+            out = integrate(fld, Tensor([1.0]), [0.0, 1.0], SolverConfig())
             return tg.tensor_sum(out[-1])
 
         params = ParamSet([("a", Tensor(0.5))])
@@ -177,6 +175,10 @@ class TestIntegrateBatch:
         times, z0, _ = self.batch_setup()
         with pytest.raises(ValueError):
             integrate_batch(lambda Z, t: Z, Tensor(z0[:2]), times, SolverConfig())
+
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ValueError):
+            integrate_batch(lambda Z, t: Z, Tensor(np.zeros((1, 2))), np.zeros((1, 0)), SolverConfig())
 
     def test_rejects_non_increasing_rows(self):
         z0 = np.zeros((2, 1))

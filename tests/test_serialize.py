@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fnode.gmm import COV_FLOOR, COV_TYPES, GMMModel, collect_gamma_samples, em_fit
+from fnode.gmm import COV_FLOOR, COV_TYPES, GMMModel, em_fit
+from fnode.inference import collect_gamma_samples
 from fnode.model import FNODEModel, TrainConfig, fit
 from fnode.serialize import FORMAT_VERSION, ArchiveError, load_archive, save_archive
 from fnode.syndata import generate_set_a

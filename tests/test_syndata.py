@@ -145,6 +145,17 @@ class TestRoundTrip:
         with pytest.raises(DatasetFormatError, match=":3"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("line", [0, 2])
+    def test_line_nested_too_deeply_reports_locus(self, tmp_path, line):
+        data = generate_set_a(n_per_class=1, n_classes=2, seed=5)
+        path = tmp_path / "deep.jsonl"
+        save_dataset(data, path)
+        lines = path.read_text().splitlines()
+        lines[line] = "[" * 100_000 + "]" * 100_000
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=f"deep.jsonl:{line + 1}: .*nested too deeply"):
+            load_dataset(path)
+
     def test_mixed_obs_dim_rejected(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
         path.write_text(
