@@ -382,16 +382,10 @@ def cmd_eval(args) -> int:
     header = ["index", "label", "n_observed", "interp_mse"] + [
         f"extrap_{int(100 * h)}" for h in EVAL_HORIZONS
     ]
-    cuts, masks = [], []
-    for traj in data.trajectories:
-        t0, t_end = traj.times[0], traj.times[-1]
-        cut = t0 + args.observe_fraction * (t_end - t0)
-        mask = traj.times <= cut + 1e-12
-        if not mask.any():
-            mask[0] = True
-        cuts.append(cut)
-        masks.append(mask)
-    prefixes = [_observed_prefix(m, t, mask) for t, mask in zip(data.trajectories, masks)]
+    trajs = data.trajectories
+    cuts = [t.times[0] + args.observe_fraction * (t.times[-1] - t.times[0]) for t in trajs]
+    masks = [t.times <= cut + 1e-12 for t, cut in zip(trajs, cuts)]
+    prefixes = [_observed_prefix(m, t, mask) for t, mask in zip(trajs, masks)]
     q_z0 = encode_batch(m.enc_z0, prefixes, m.obs_scale)
     q_gamma = encode_batch(m.enc_gamma, prefixes, m.obs_scale)
 
@@ -402,34 +396,26 @@ def cmd_eval(args) -> int:
         noise = np.stack([rng.standard_normal((args.samples, m.p + m.d_gamma)) for rng in rngs], axis=1)
         Z0s, Gs = q_z0.draw(noise[..., : m.p]), q_gamma.draw(noise[..., m.p :])
 
+    # One rollout per trajectory length: row (k, i) is sample k of trajectory js[i] over its own
+    # times.  cut >= t0, so every mask holds the first time, where each row's rollout starts.
+    sqs = [None] * len(trajs)
+    for n in dict.fromkeys(len(t) for t in trajs):
+        js = [j for j, t in enumerate(trajs) if len(t) == n]
+        grid = np.tile(np.stack([trajs[j].times for j in js]), (args.samples, 1))
+        Z0, G = Z0s[:, js].reshape(-1, m.p), Gs[:, js].reshape(-1, m.d_gamma)
+        recon = inference.rollout(m, Z0, G, None, grid).reshape(args.samples, len(js), n, m.obs_dim)
+        group_sq = ((recon - np.stack([trajs[j].values for j in js])) ** 2).sum(axis=0) / args.samples
+        for j, row_sq in zip(js, group_sq):
+            sqs[j] = row_sq
+
     rows = []
-    sums = np.zeros(1 + len(EVAL_HORIZONS))
-    counts = np.zeros(1 + len(EVAL_HORIZONS))
-    for j, (traj, cut, mask) in enumerate(zip(data.trajectories, cuts, masks)):
-        t0 = traj.times[0]
-        Z0, G = Z0s[:, j], Gs[:, j]
-        recon = inference.rollout(m, Z0, G, float(traj.times[mask][0]), traj.times)
-        sq = ((recon - traj.values) ** 2).sum(axis=0) / args.samples
-
-        interp = float(sq[mask].mean())
-        row: list = [j, "" if traj.label is None else traj.label, int(mask.sum()), interp]
-        sums[0] += interp
-        counts[0] += 1
-        window = cut - t0
-        for hi, h in enumerate(EVAL_HORIZONS):
-            hmask = (traj.times > cut + 1e-12) & (traj.times <= cut + h * window + 1e-12)
-            if hmask.any():
-                v = float(sq[hmask].mean())
-                row.append(v)
-                sums[1 + hi] += v
-                counts[1 + hi] += 1
-            else:
-                row.append("")
-        rows.append(row)
-
-    mean_row: list = ["mean", "", ""]
-    for i in range(1 + len(EVAL_HORIZONS)):
-        mean_row.append(float(sums[i] / counts[i]) if counts[i] else "")
+    for j, (traj, cut, mask, sq) in enumerate(zip(trajs, cuts, masks, sqs)):
+        t = traj.times
+        ahead = [(t > cut + 1e-12) & (t <= cut + h * (cut - t[0]) + 1e-12) for h in EVAL_HORIZONS]
+        row: list = [j, "" if traj.label is None else traj.label, int(mask.sum())]
+        rows.append(row + [float(sq[w].mean()) if w.any() else "" for w in [mask, *ahead]])
+    columns = [[r[i] for r in rows if r[i] != ""] for i in range(3, 4 + len(EVAL_HORIZONS))]
+    mean_row = ["mean", "", ""] + [sum(c) / len(c) if c else "" for c in columns]
     rows.append(mean_row)
     write_text_atomic(args.out, _csv(rows, header))
     print(f"wrote {args.out}: interpolation MSE {mean_row[3]}")
@@ -551,7 +537,9 @@ def main(argv=None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        # finite checks and IntegrationBlowUp catch every non-finite value; numpy's warnings repeat them
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

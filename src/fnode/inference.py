@@ -81,23 +81,31 @@ class OODReport:
 ROLLOUT_ROWS = 256
 
 
-def rollout(m: FNODEModel, Z0: np.ndarray, G: np.ndarray, anchor_t: float, times) -> np.ndarray:
+def rollout(m: FNODEModel, Z0: np.ndarray, G: np.ndarray, anchor_t: float | None, times) -> np.ndarray:
     """Decode (z0, code) pairs over ``times``; returns a [B, T, obs_dim] array.
 
     ``Z0`` is [B, p] and ``G`` is [B, d_gamma]; a single draw is a batch of
-    one.  Rows go through the batched solver ``ROLLOUT_ROWS`` at a time.
+    one.  ``times`` is a [T] grid that every row shares, with the initial
+    states at ``anchor_t``, or a [B, T] grid of per-row times with
+    ``anchor_t`` None, where each row starts at its own first time (see
+    :func:`decode_path`).  Rows go through the batched solver
+    ``ROLLOUT_ROWS`` at a time.
     """
     times = np.asarray(times, dtype=np.float64)
     Z0 = np.asarray(Z0, dtype=np.float64)
     G = np.asarray(G, dtype=np.float64)
     if Z0.ndim != 2 or G.ndim != 2 or Z0.shape[0] != G.shape[0]:
         raise ValueError(f"Z0 {Z0.shape} and G {G.shape} must be [B, p] and [B, d_gamma]")
-    out = np.empty((Z0.shape[0], times.size, m.obs_dim))
+    if times.ndim not in (1, 2) or times.ndim == 2 and times.shape[0] != Z0.shape[0]:
+        raise ValueError(f"times {times.shape} must be a [T] grid or a [B, T] grid for B = {Z0.shape[0]}")
+    out = np.empty((Z0.shape[0], times.shape[-1], m.obs_dim))
     for lo in range(0, Z0.shape[0], ROLLOUT_ROWS):
         hi = min(lo + ROLLOUT_ROWS, Z0.shape[0])
-        theta = hypernet_map(m.hyper, Tensor(G[lo:hi]))
-        recon = decode_path(m, Tensor(Z0[lo:hi]), theta, anchor_t, times)
-        out[lo:hi] = recon.data.reshape(times.size, hi - lo, m.obs_dim).transpose(1, 0, 2)
+        # as a leaf, theta lets the hypernetwork's [rows, weight_count] tape go before the solve
+        theta = Tensor(hypernet_map(m.hyper, Tensor(G[lo:hi])).data)
+        grid = times if times.ndim == 1 else times[lo:hi]
+        recon = decode_path(m, Tensor(Z0[lo:hi]), theta, anchor_t, grid)
+        out[lo:hi] = recon.data.reshape(-1, hi - lo, m.obs_dim).transpose(1, 0, 2)
     return out
 
 

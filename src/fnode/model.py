@@ -423,22 +423,27 @@ def fit(m: FNODEModel, data, cfg: TrainConfig, on_epoch=None):
 # -- deterministic reconstruction ---------------------------------------------------
 
 
-def decode_path(m: FNODEModel, z0: Tensor, theta: Tensor, anchor_t: float, times) -> Tensor:
-    """Decode a batch of rollouts anchored at ``anchor_t`` at every time of ``times``.
+def decode_path(m: FNODEModel, z0: Tensor, theta: Tensor, anchor_t: float | None, times) -> Tensor:
+    """Decode a batch of rollouts at every time of ``times``.
 
-    ``z0`` is [B, p] and ``theta`` the [B, weight_count] field weights.  The
-    result is the [T * B, obs_dim] decoder output in time-major order: row
-    ``i * B + b`` is rollout b at ``times[i]``.  Times earlier than the anchor
-    are reached by integrating the negated field in tau = anchor - t; later
-    ones by the ordinary forward solve.
+    ``z0`` is [B, p] and ``theta`` the [B, weight_count] field weights.
+    ``times`` is either one [T] grid that every rollout shares, with ``z0``
+    the states at ``anchor_t``, or a [B, T] grid of per-row times with
+    ``anchor_t`` None, where row b starts from ``z0[b]`` at its first time
+    ``times[b, 0]``.  The result is the [T * B, obs_dim] decoder output in
+    time-major order: row ``i * B + b`` is rollout b at its i-th time.  Shared
+    times earlier than the anchor are reached by integrating the negated field
+    in tau = anchor - t; all others by the ordinary forward solve.
     """
     times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or times.size < 1:
-        raise ValueError("times must be a non-empty 1-d array")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
     B = z0.data.shape[0]
     fld = make_batch_field(m.f_spec, theta)
+    if times.ndim == 2 and anchor_t is None:
+        return m.dec(tg.concat(integrate_batch(fld, z0, times, m.solver)))
+    if times.ndim != 1 or times.size < 1 or anchor_t is None:
+        raise ValueError("times must be a [T] grid with an anchor time or a [B, T] grid without one")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
 
     eps = 1e-12
     n_before = int(np.sum(times < anchor_t - eps))

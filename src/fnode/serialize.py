@@ -13,9 +13,11 @@ training history, the seeds and the mixture sampler.  Each array in it is
 ``{"shape": [...], "offset": <byte offset>}``: its little-endian C-order block
 of ``8 * prod(shape)`` bytes starts ``offset`` bytes into the payload.
 
-:func:`load_archive` reads the file once and builds each array from its block
-with one copy, so every array is writable and in native byte order.  It checks
-the header's schema, each parameter's shape against its spec, and the
+:func:`load_archive` reads the magic and header lines, then the payload
+straight into one float64 buffer.  Every array is a reshaped view of its own
+block: writable, C-contiguous, aligned and in native byte order, and, as the
+blocks tile the payload, sharing no entry with another array.  It checks the
+header's schema, each parameter's shape against its spec, and the
 sampler's width and values.  The payload must hold shape entries that are
 non-negative integers and offsets that are non-negative multiples of 8, no
 block may run past the payload's end, and the blocks must tile the payload
@@ -35,6 +37,7 @@ import base64
 import binascii
 import json
 import math
+import os
 from typing import Sequence
 
 import numpy as np
@@ -70,10 +73,13 @@ def _shape(obj: dict) -> tuple:
 
 
 class _Payload:
-    """The payload being read: each block becomes an array, its span is kept for the tiling check."""
+    """The rest of an open file as float64 words: each block becomes a view, its span kept for checks."""
 
-    def __init__(self, buf: memoryview):
-        self.buf = buf
+    def __init__(self, fh):
+        # the checks count the file's bytes: ``fromfile`` drops a partial trailing word
+        self.nbytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        # one read into one buffer; astype copies only on a big-endian host
+        self.words = np.fromfile(fh, "<f8").astype(np.float64, copy=False)
         self.spans: list[tuple[int, int]] = []
 
     def array(self, obj: dict) -> np.ndarray:
@@ -82,14 +88,13 @@ class _Payload:
         if type(offset) is not int or offset < 0 or offset % 8:
             raise ArchiveError(f"array offset {offset!r} is not a non-negative multiple of 8")
         count = math.prod(shape)
-        if offset + 8 * count > len(self.buf):
+        if offset + 8 * count > self.nbytes:
             raise ArchiveError(
                 f"array block of {8 * count} bytes at offset {offset} runs past the end of the "
-                f"{len(self.buf)}-byte payload"
+                f"{self.nbytes}-byte payload"
             )
         self.spans.append((offset, 8 * count))
-        # astype copies, so the array is writable and in native byte order
-        return np.frombuffer(self.buf, "<f8", count, offset).astype(np.float64).reshape(shape)
+        return self.words[offset // 8 : offset // 8 + count].reshape(shape)
 
     def check_tiled(self) -> None:
         end = 0
@@ -98,8 +103,8 @@ class _Payload:
                 kind = "overlap" if offset < end else "leave a gap"
                 raise ArchiveError(f"array blocks {kind} at payload byte {min(offset, end)}")
             end += size
-        if end != len(self.buf):
-            raise ArchiveError(f"payload holds {len(self.buf) - end} bytes after its last array block")
+        if end != self.nbytes:
+            raise ArchiveError(f"payload holds {self.nbytes - end} bytes after its last array block")
 
 
 def _decode_document_array(obj: dict, version: int) -> np.ndarray:
@@ -210,14 +215,15 @@ def _mlp_params_from(spec: MLPSpec, raw: dict, prefix: str) -> ParamSet:
     return ps
 
 
-def _read_document(buf: bytes) -> tuple[object, memoryview | None]:
+def _read_document(fh) -> tuple[object, _Payload | None]:
     """The archive document and, for format 3, its payload."""
-    if not buf.startswith(MAGIC):
-        return json.loads(buf), None
-    end = buf.find(b"\n", len(MAGIC))
-    if end < 0:
+    first = fh.readline()
+    if first != MAGIC:
+        return json.loads(first + fh.read()), None
+    header = fh.readline()
+    if not header.endswith(b"\n"):
         raise ValueError("the header line has no end")
-    return json.loads(buf[len(MAGIC):end]), memoryview(buf)[end + 1:]
+    return json.loads(header), _Payload(fh)
 
 
 def _decode_arrays(doc: dict, decode) -> None:
@@ -240,7 +246,7 @@ def load_archive(path):
     """
     try:
         with open(path, "rb") as fh:
-            doc, payload = _read_document(fh.read())
+            doc, payload = _read_document(fh)
     except (OSError, ValueError, RecursionError) as e:
         raise ArchiveError(f"{path}: unreadable archive ({e})") from e
     version = doc.get("format_version") if isinstance(doc, dict) else None
@@ -257,9 +263,8 @@ def load_archive(path):
         if payload is None:
             _decode_arrays(doc, lambda obj: _decode_document_array(obj, version))
         else:
-            blocks = _Payload(payload)
-            _decode_arrays(doc, blocks.array)
-            blocks.check_tiled()
+            _decode_arrays(doc, payload.array)
+            payload.check_tiled()
         return _rebuild(doc)
     except KeyError as e:
         raise ArchiveError(f"{path}: archive is missing key {e}") from e

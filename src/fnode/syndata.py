@@ -169,7 +169,8 @@ def fmt_float(x: float) -> str:
 
 
 def _fmt_list(xs: Iterable[float]) -> str:
-    return "[" + ", ".join(fmt_float(x) for x in xs) + "]"
+    # JSON reads "-0" as the integer 0, which would drop the sign of a negative zero
+    return "[" + ", ".join("-0.0" if s == "-0" else s for s in map(fmt_float, xs)) + "]"
 
 
 def write_bytes_atomic(path, data) -> None:

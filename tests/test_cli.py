@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import archive_file
 import numpy as np
 import pytest
 
+import fnode
 from fnode.cli import RunConfig, ValidationError, main
 from fnode.syndata import PanelDataset, Trajectory, load_dataset, save_dataset
 
@@ -318,28 +321,74 @@ class TestEval:
         assert rc == 2
         assert capsys.readouterr().err == "error: 8 observed points exceed the model's 5\n"
 
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_each_row_is_its_trajectory_evaluated_alone(self, cli_workspace, tmp_path, samples):
+        # oracle: row j of a run at seed s is the one row of a run on {trajectory j} at seed s ^ j
+        rng = np.random.default_rng(4)
+        trajs = []
+        for j, n in enumerate((10, 13, 13, 10, 13)):
+            t0, span = rng.uniform(0.0, 0.5), rng.uniform(1.0, 2.0)
+            times = np.linspace(t0, t0 + span, n)
+            trajs.append(Trajectory(times, np.sin(3.0 * times + j)[:, None] * (j + 1), label=j % 2))
+        seed = 6
+
+        def eval_rows(data_trajs, run_seed, name):
+            data, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.csv"
+            save_dataset(PanelDataset(data_trajs, obs_dim=1), data)
+            argv = ["eval", "--model", cli_workspace["model"], "--data", data, "--observe-fraction", "0.3",
+                    "--samples", samples, "--seed", run_seed, "--out", out]
+            assert run(argv) == 0
+            return [ln.split(",") for ln in out.read_text().splitlines()[1:-1]]
+
+        batched = eval_rows(trajs, seed, "all")
+        assert len(batched) == len(trajs)
+        for j, row in enumerate(batched):
+            (alone,) = eval_rows([trajs[j]], seed ^ j, f"alone_{j}")
+            assert row[0] == str(j) and alone[0] == "0"
+            assert row[1:3] == alone[1:3]
+            assert [c == "" for c in row[3:]] == [c == "" for c in alone[3:]]
+            got = np.array([float(c) for c in row[3:] if c])
+            want = np.array([float(c) for c in alone[3:] if c])
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def _overflowing_decoder_argv(ws, tmp_path, command):
+    """A command on a valid, finite archive whose decoder output overflows to inf; its argv and output."""
+    doc = archive_file.read(ws["model"])
+    params = doc["model"]["params"]
+    params["dec.w0"][:] = 0.0
+    params["dec.b0"][:] = 10.0
+    params["dec.w1"][:] = 1e308
+    path = tmp_path / "overflow.fnode"
+    archive_file.write(path, doc)
+    out = tmp_path / "out.csv"
+    argv = [command, "--model", path, "--data", ws["data"], "--out", out]
+    return argv + ["--mode", "prior"] if command == "sample" else argv, out
+
 
 class TestRuntimeErrors:
     @pytest.mark.parametrize("command", ["sample", "eval"])
     def test_overflowing_decoder_is_one_line_runtime_error(self, cli_workspace, tmp_path, capsys, command):
-        # a valid, finite archive whose decoder output overflows to inf
-        doc = archive_file.read(cli_workspace["model"])
-        params = doc["model"]["params"]
-        params["dec.w0"][:] = 0.0
-        params["dec.b0"][:] = 10.0
-        params["dec.w1"][:] = 1e308
-        path = tmp_path / "overflow.fnode"
-        archive_file.write(path, doc)
-        out = tmp_path / "out.csv"
-        if command == "sample":
-            argv = ["sample", "--model", path, "--data", cli_workspace["data"], "--mode", "prior", "--out", out]
-        else:
-            argv = ["eval", "--model", path, "--data", cli_workspace["data"], "--out", out]
+        argv, out = _overflowing_decoder_argv(cli_workspace, tmp_path, command)
         capsys.readouterr()
         rc = run(argv)
         err = capsys.readouterr().err
         assert rc == 1, err
         assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sample", "eval"])
+    def test_overflow_prints_one_stderr_line_from_a_process(self, cli_workspace, tmp_path, command):
+        # pytest captures numpy's warnings in process, so only a child process shows all of stderr
+        argv, out = _overflowing_decoder_argv(cli_workspace, tmp_path, command)
+        src = str(Path(fnode.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "fnode", *map(str, argv)], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "non-finite" in proc.stderr
         assert not out.exists()
 
     def test_deeply_nested_dataset_is_validation_error(self, cli_workspace, tmp_path, capsys):

@@ -79,6 +79,31 @@ class TestRollout:
             alone = rollout(m, Z0[b : b + 1], G[b : b + 1], float(src.times[0]), src.times)[0]
             np.testing.assert_allclose(whole[b], alone, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("chunk", [256, 2])
+    def test_per_row_grid_rows_match_their_own_shared_grid(self, trained, monkeypatch, chunk):
+        m, data, _ = trained
+        monkeypatch.setattr("fnode.inference.ROLLOUT_ROWS", chunk)
+        rng = np.random.default_rng(5)
+        Z0, G = rng.standard_normal((5, m.p)), rng.standard_normal((5, m.d_gamma))
+        grid = np.stack([data.trajectories[j].times for j in (0, 7, 12, 7, 20)])
+        rows = rollout(m, Z0, G, None, grid)
+        assert rows.shape == (5, grid.shape[1], m.obs_dim)
+        for b in range(5):
+            alone = rollout(m, Z0[b : b + 1], G[b : b + 1], float(grid[b, 0]), grid[b])[0]
+            np.testing.assert_allclose(rows[b], alone, rtol=1e-12, atol=1e-15)
+
+    def test_anchor_time_goes_with_a_shared_grid_only(self, trained):
+        m, data, _ = trained
+        times = data.trajectories[0].times
+        Z0, G = np.zeros((2, m.p)), np.zeros((2, m.d_gamma))
+        with pytest.raises(ValueError, match="anchor"):
+            rollout(m, Z0, G, float(times[0]), np.stack([times, times]))
+        with pytest.raises(ValueError, match="anchor"):
+            rollout(m, Z0, G, None, times)
+        for bad in (np.zeros((2, 2, 2)), np.stack([times] * 3)):
+            with pytest.raises(ValueError, match="grid"):
+                rollout(m, Z0, G, None, bad)
+
     def test_rejects_unbatched_draws(self, trained):
         m, data, _ = trained
         src = data.trajectories[0]

@@ -12,9 +12,11 @@ from hypothesis.extra import numpy as hnp
 
 from fnode.gmm import COV_FLOOR, COV_TYPES, GMMModel, em_fit
 from fnode.inference import collect_gamma_samples
-from fnode.model import FNODEModel, TrainConfig, fit
+from fnode.model import Adam, FNODEModel, TrainConfig, fit
 from fnode.serialize import FORMAT_VERSION, ArchiveError, load_archive, save_archive
 from fnode.syndata import generate_set_a
+
+SAMPLER_ARRAYS = ("weights", "means", "covariances")
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +46,7 @@ def _assert_loads_as(path, m, S):
         assert S2 is None
         return
     assert S2.cov_type == S.cov_type
-    for key in ("weights", "means", "covariances"):
+    for key in SAMPLER_ARRAYS:
         got = getattr(S2, key)
         assert got.shape == getattr(S, key).shape
         assert got.tobytes() == getattr(S, key).tobytes()
@@ -114,7 +116,7 @@ class TestArchive:
         header, payload = archive_file.read_raw(path)
         assert path.read_bytes() == archive_file.MAGIC + archive_file.header_line(header) + b"\n" + payload
         assert header["format_version"] == FORMAT_VERSION == 3
-        entries = [*header["model"]["params"].values(), *(header["gmm"][k] for k in ("weights", "means", "covariances"))]
+        entries = [*header["model"]["params"].values(), *(header["gmm"][k] for k in SAMPLER_ARRAYS)]
         spans = sorted((e["offset"], 8 * int(np.prod(e["shape"]))) for e in entries)
         assert [offset for offset, _ in spans] == [0, *np.cumsum([size for _, size in spans])[:-1]]
         assert sum(size for _, size in spans) == len(payload)
@@ -131,6 +133,37 @@ class TestArchive:
         header, _ = archive_file.read_raw(path)
         assert header["gmm"]["covariances"]["offset"] == 0
         _assert_loads_as(path, m, S)
+
+    def test_loaded_arrays_are_writable_contiguous_aligned_native(self, small_trained, tmp_path):
+        m, S, history, _ = small_trained
+        path = tmp_path / "m.fnode"
+        save_archive(path, m, S, history)
+        m2, S2, _ = load_archive(path)
+        arrays = [t.data for t in m2.params.tensors()] + [getattr(S2, k) for k in SAMPLER_ARRAYS]
+        for arr in arrays:
+            assert arr.dtype == np.float64 and arr.dtype.isnative
+            assert arr.flags.writeable and arr.flags.c_contiguous and arr.flags.aligned
+
+    def test_adam_step_on_loaded_model_moves_only_its_parameter(self, small_trained, tmp_path):
+        m, S, history, _ = small_trained
+        path = tmp_path / "m.fnode"
+        save_archive(path, m, S, history)
+        m2, S2, _ = load_archive(path)
+        names = m2.params.names()
+        for name in names:
+            before = {n: t.data.copy() for n, t in m2.params.items()}
+            sampler = [getattr(S2, k).copy() for k in SAMPLER_ARRAYS]
+            data = m2.params[name].data
+            for n, t in m2.params.items():
+                t.grad = np.ones_like(t.data) if n == name else None
+            Adam(m2.params, lr=0.5).step()
+            assert m2.params[name].data is data, name
+            assert np.all(data != before[name]), name
+            for other in names:
+                if other != name:
+                    assert m2.params[other].data.tobytes() == before[other].tobytes(), (name, other)
+            for key, arr in zip(SAMPLER_ARRAYS, sampler):
+                assert getattr(S2, key).tobytes() == arr.tobytes(), (name, key)
 
 
 def _legacy_document(doc: dict, version: int) -> dict:
@@ -246,7 +279,7 @@ def _entries(header):
     """Every array entry of a format-3 header, in payload order."""
     entries = [*header["model"]["params"].values()]
     if header["gmm"] is not None:
-        entries += [header["gmm"][k] for k in ("weights", "means", "covariances")]
+        entries += [header["gmm"][k] for k in SAMPLER_ARRAYS]
     return sorted(entries, key=lambda e: e["offset"])
 
 
@@ -281,12 +314,18 @@ def _overlap_last_block(header, payload):
     return payload
 
 
-def _trailing_bytes(header, payload):
-    return payload + bytes(8)
+def _trailing_bytes(n):
+    def edit(header, payload):
+        return payload + bytes(n)
+
+    return edit
 
 
-def _truncated(header, payload):
-    return payload[:-8]
+def _truncated(n):
+    def edit(header, payload):
+        return payload[:-n]
+
+    return edit
 
 
 def _header_not_json(doc, path):
@@ -308,8 +347,13 @@ PAYLOAD_DEFECTS = {
     "block past payload end": (_raw(_last_block_past_end), "runs past the end"),
     "gap between blocks": (_raw(_gap_before_last_block), "leave a gap"),
     "overlapping blocks": (_raw(_overlap_last_block), "overlap"),
-    "trailing payload bytes": (_raw(_trailing_bytes), "bytes after its last array block"),
-    "truncated payload": (_raw(_truncated), "runs past the end"),
+    "trailing payload bytes": (_raw(_trailing_bytes(8)), "bytes after its last array block"),
+    **{
+        f"{n} trailing payload bytes": (_raw(_trailing_bytes(n)), "bytes after its last array block")
+        for n in range(1, 8)
+    },
+    "truncated payload": (_raw(_truncated(8)), "runs past the end"),
+    "payload cut by 3 bytes": (_raw(_truncated(3)), "runs past the end"),
     "header not JSON": (_header_not_json, "unreadable archive"),
     "header nested too deeply": (_header_nested_too_deeply, "unreadable archive"),
     "format 2 behind the magic line": (_format3(_set_version(2)), "does not match the file's layout"),

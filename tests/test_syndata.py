@@ -1,7 +1,12 @@
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fnode.syndata import (
     DatasetFormatError,
@@ -183,3 +188,37 @@ class TestPanelDataset:
         t2 = Trajectory([0.0], [[1.0, 2.0]])
         with pytest.raises(ValueError):
             PanelDataset([t1, t2], obs_dim=1)
+
+
+# finite float64 values, with the edges of the range drawn often
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+)
+
+
+@st.composite
+def datasets(draw):
+    """Trajectories of ragged lengths with arbitrary finite times and values, labelled or not."""
+    obs_dim = draw(st.integers(1, 3))
+    trajs = []
+    for _ in range(draw(st.integers(1, 4))):
+        times = np.sort(draw(st.lists(FINITE, min_size=1, max_size=6, unique=True)))
+        values = draw(hnp.arrays(np.float64, (times.size, obs_dim), elements=FINITE))
+        label = draw(st.none() | st.integers(-(2**40), 2**40))
+        trajs.append(Trajectory(times, values, label))
+    return PanelDataset(trajs, obs_dim=obs_dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets())
+def test_save_load_round_trip_property(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        save_dataset(data, path)
+        loaded = load_dataset(path)
+    assert loaded.obs_dim == data.obs_dim
+    assert len(loaded.trajectories) == len(data.trajectories)
+    for ta, tb in zip(data.trajectories, loaded.trajectories):
+        assert tb.times.tobytes() == ta.times.tobytes()
+        assert tb.values.shape == ta.values.shape and tb.values.tobytes() == ta.values.tobytes()
+        assert tb.label == ta.label and type(tb.label) is type(ta.label)
