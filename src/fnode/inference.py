@@ -24,7 +24,7 @@ import numpy as np
 from . import gmm as gmm_mod
 from .model import FNODEModel, decode_path
 from .nets import encode_batch, hypernet_map
-from .tensorgrad import Tensor
+from .tensorgrad import Tensor, no_record
 
 __all__ = [
     "CredibleBand",
@@ -89,7 +89,7 @@ def rollout(m: FNODEModel, Z0: np.ndarray, G: np.ndarray, anchor_t: float | None
     states at ``anchor_t``, or a [B, T] grid of per-row times with
     ``anchor_t`` None, where each row starts at its own first time (see
     :func:`decode_path`).  Rows go through the batched solver
-    ``ROLLOUT_ROWS`` at a time.
+    ``ROLLOUT_ROWS`` at a time, under ``no_record``, which builds no graph.
     """
     times = np.asarray(times, dtype=np.float64)
     Z0 = np.asarray(Z0, dtype=np.float64)
@@ -99,13 +99,13 @@ def rollout(m: FNODEModel, Z0: np.ndarray, G: np.ndarray, anchor_t: float | None
     if times.ndim not in (1, 2) or times.ndim == 2 and times.shape[0] != Z0.shape[0]:
         raise ValueError(f"times {times.shape} must be a [T] grid or a [B, T] grid for B = {Z0.shape[0]}")
     out = np.empty((Z0.shape[0], times.shape[-1], m.obs_dim))
-    for lo in range(0, Z0.shape[0], ROLLOUT_ROWS):
-        hi = min(lo + ROLLOUT_ROWS, Z0.shape[0])
-        # as a leaf, theta lets the hypernetwork's [rows, weight_count] tape go before the solve
-        theta = Tensor(hypernet_map(m.hyper, Tensor(G[lo:hi])).data)
-        grid = times if times.ndim == 1 else times[lo:hi]
-        recon = decode_path(m, Tensor(Z0[lo:hi]), theta, anchor_t, grid)
-        out[lo:hi] = recon.data.reshape(-1, hi - lo, m.obs_dim).transpose(1, 0, 2)
+    with no_record():
+        for lo in range(0, Z0.shape[0], ROLLOUT_ROWS):
+            hi = min(lo + ROLLOUT_ROWS, Z0.shape[0])
+            theta = hypernet_map(m.hyper, Tensor(G[lo:hi]))
+            grid = times if times.ndim == 1 else times[lo:hi]
+            recon = decode_path(m, Tensor(Z0[lo:hi]), theta, anchor_t, grid)
+            out[lo:hi] = recon.data.reshape(-1, hi - lo, m.obs_dim).transpose(1, 0, 2)
     return out
 
 

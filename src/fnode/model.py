@@ -482,5 +482,6 @@ def reconstruct(m: FNODEModel, x, times, use_posterior_mean: bool = True, seed: 
         rng = np.random.default_rng(seed)
         z0 = Tensor(q_z0.draw(rng.standard_normal((1, m.p))))
         gamma = Tensor(q_gamma.draw(rng.standard_normal((1, m.d_gamma))))
-    theta = hypernet_map(m.hyper, gamma)
-    return decode_path(m, z0, theta, float(np.asarray(x.times)[0]), times).data
+    with tg.no_record():
+        theta = hypernet_map(m.hyper, gamma)
+        return decode_path(m, z0, theta, float(np.asarray(x.times)[0]), times).data

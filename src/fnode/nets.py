@@ -204,5 +204,9 @@ def encode_features(enc: MLP, feats: np.ndarray) -> GaussianParams:
 
 
 def encode_batch(enc: MLP, trajs, obs_scale: float = 1.0) -> GaussianParams:
-    """Posterior moments for equal-length trajectories; a single one is a batch of one."""
-    return encode_features(enc, batch_features(trajs, obs_scale))
+    """Posterior moments for equal-length trajectories; a single one is a batch of one.
+
+    For inference: built under ``tg.no_record``, so the moments carry no graph.
+    """
+    with tg.no_record():
+        return encode_features(enc, batch_features(trajs, obs_scale))

@@ -195,7 +195,7 @@ def save_archive(
         "seeds": seeds or {},
     }
     header = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
-    write_bytes_atomic(path, b"".join([MAGIC, header, b"\n", *arrays]))
+    write_bytes_atomic(path, [MAGIC, header, b"\n", *arrays])
 
 
 def _param(raw: dict, name: str, shape: tuple) -> Tensor:

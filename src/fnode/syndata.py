@@ -173,11 +173,12 @@ def _fmt_list(xs: Iterable[float]) -> str:
     return "[" + ", ".join("-0.0" if s == "-0" else s for s in map(fmt_float, xs)) + "]"
 
 
-def write_bytes_atomic(path, data) -> None:
-    """Write bytes via a temp file in the target directory, then rename.
+def write_bytes_atomic(path, chunks) -> None:
+    """Write a sequence of bytes-like blocks via a temp file in the target directory, then rename.
 
-    The temp file is created with mode 0o666 less the umask, as ``open``
-    would create the target, so the rename leaves the usual permissions.
+    No joined copy is made: each block goes from its own buffer.  The temp
+    file is created with mode 0o666 less the umask, as ``open`` would create
+    the target, so the rename leaves the usual permissions.
     """
     path = os.fspath(path)
     d, base = os.path.split(path)
@@ -185,7 +186,7 @@ def write_bytes_atomic(path, data) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -195,7 +196,7 @@ def write_bytes_atomic(path, data) -> None:
 
 def write_text_atomic(path, text: str) -> None:
     """:func:`write_bytes_atomic` of the text's UTF-8 encoding."""
-    write_bytes_atomic(path, text.encode("utf-8"))
+    write_bytes_atomic(path, [text.encode("utf-8")])
 
 
 def save_dataset(data: PanelDataset, path) -> None:

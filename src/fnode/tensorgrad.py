@@ -1,11 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-Every primitive applied to :class:`Tensor` values builds a computation graph;
-:func:`backward` replays it in reverse topological order and accumulates exact
-gradients into the ``grad`` buffers of the participating tensors.  The engine
-is deliberately small: rank <= 2 arrays, a fixed primitive vocabulary, no
-implicit broadcasting beyond the dedicated ``broadcast_add`` op.  All
-arithmetic is float64 so that central-difference checks can be made tight.
+Every primitive applied to :class:`Tensor` values builds a computation graph,
+except under :func:`no_record`; :func:`backward` replays it in reverse
+topological order and accumulates exact gradients into the ``grad`` buffers of
+the participating tensors.  The engine is deliberately small: rank <= 2 arrays,
+a fixed primitive vocabulary, no implicit broadcasting beyond the dedicated
+``broadcast_add`` op.  All arithmetic is float64 so that central-difference
+checks can be made tight.
 
 Trainable tensors are carried in a :class:`ParamSet`, an ordered
 name -> Tensor map.  The model builds its forward pass from these primitives,
@@ -27,6 +28,7 @@ __all__ = [
     "NonFiniteValue",
     "NonScalarOutput",
     "finite_checks",
+    "no_record",
     "add",
     "sub",
     "mul",
@@ -69,18 +71,28 @@ _ids = itertools.count()
 # Per-primitive finiteness checking.  On by default; the training loop turns
 # it off in its hot path and relies on the solver/loss checks instead.
 _CHECK_FINITE = True
+# Graph recording; inference never calls backward and turns it off (no_record).
+_RECORD = True
 
 
 @contextmanager
-def finite_checks(enabled: bool):
-    """Enable/disable per-primitive NaN/Inf checking within a block."""
-    global _CHECK_FINITE
-    prev = _CHECK_FINITE
-    _CHECK_FINITE = enabled
+def _setting(name: str, value: bool):
+    prev = globals()[name]
+    globals()[name] = value
     try:
         yield
     finally:
-        _CHECK_FINITE = prev
+        globals()[name] = prev
+
+
+def finite_checks(enabled: bool):
+    """Enable/disable per-primitive NaN/Inf checking within a block."""
+    return _setting("_CHECK_FINITE", enabled)
+
+
+def no_record():
+    """Build no graph within a block, like ``torch.no_grad``; finiteness checks still run."""
+    return _setting("_RECORD", False)
 
 
 class Tensor:
@@ -107,8 +119,8 @@ class Tensor:
                 )
         self.data = arr
         self.grad = None
-        self._parents = _parents
-        self._bwd = _bwd
+        self._parents = _parents if _RECORD else ()
+        self._bwd = _bwd if _RECORD else None
         self._op = _op
         self._id = node_id
         self._pending = None  # deferred outer-product contributions, see backward()
@@ -466,6 +478,8 @@ def backward(out: Tensor) -> None:
     """
     if out.data.size != 1:
         raise NonScalarOutput(f"backward on tensor of shape {out.shape}")
+    if out._bwd is None and out._op != "leaf":
+        raise ValueError(f"backward on a '{out._op}' result that recorded no graph (built under no_record())")
 
     topo: list[Tensor] = []
     visited: set[int] = set()

@@ -15,6 +15,7 @@ from fnode.tensorgrad import NonScalarOutput, ParamSet, Tensor, backward, finite
 
 
 Program = Callable[..., Tensor]
+EPS = np.finfo(np.float64).eps
 
 
 def evaluate(program: Program, params: ParamSet, inputs: Sequence[Tensor]) -> Tensor:
@@ -54,7 +55,11 @@ def finite_diff_check(
 ) -> float:
     """Max relative error between :func:`gradient` and central differences.
 
-    The relative error uses denominator ``max(|analytic|, |numeric|, 1e-8)``.
+    Each entry's error is ``max(|analytic - numeric| - noise, 0)`` over
+    ``max(|analytic|, |numeric|, 1e-8)``.  ``noise = 8 eps max(|f(x+h)|,
+    |f(x-h)|, 1) / h`` is the rounding error of the difference quotient, so
+    a correct gradient near 1e-7, below what central differences resolve,
+    does not read as a relative error of 1e-4.
     ``entries_per_param`` optionally subsamples coordinates of each parameter
     (without it every entry is perturbed, which is quadratic in model size).
     The program must be a pure function of ``params`` and ``inputs``.
@@ -82,6 +87,7 @@ def finite_diff_check(
             finally:
                 flat[i] = orig
             numeric = (f_hi - f_lo) / (2.0 * h)
+            noise = 8.0 * EPS * max(abs(f_hi), abs(f_lo), 1.0) / h
             denom = max(abs(a_flat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(a_flat[i] - numeric) / denom)
+            worst = max(worst, max(abs(a_flat[i] - numeric) - noise, 0.0) / denom)
     return worst

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import archive_file
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fnode
 from fnode.cli import RunConfig, ValidationError, main
@@ -557,6 +562,84 @@ def test_bad_value_is_one_line_validation_error(case, cli_workspace, tmp_path, c
     assert rc == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1 and word in err, err
     assert not out.exists()
+
+
+# Values that reach parsing and validation without asking for much work:
+# small integers, float specials, numbers out of float range, range and list
+# syntax, and text without digits, so that no large count can appear.
+FUZZ_VALUES = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "-0.0", "0.25", "1e308", "1e400", "1e-400", "1:3", "3:1", "2,1", ""]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4),
+)
+FUZZED_FLAGS = [
+    *(("sample", f) for f in ("--index", "--exemplar", "--delta", "--n", "--max-attempts", "--seed", "--grid-points")),
+    *(("ood", f) for f in ("--quantile", "--n-gamma", "--seed")),
+    *(("eval", f) for f in ("--observe-fraction", "--samples", "--seed")),
+]
+CONTRACT_CASES = st.one_of(
+    st.tuples(
+        st.just("flag"), st.sampled_from(FUZZED_FLAGS), FUZZ_VALUES,
+        st.sampled_from(["gmm", "prior", "transfer", "neighborhood"]),
+    ),
+    st.tuples(
+        st.just("config"),
+        st.one_of(
+            st.builds("{} = {}".format, st.sampled_from(sorted(RunConfig().values)), FUZZ_VALUES),
+            st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8),
+        ),
+    ),
+)
+
+
+def _contract_argv(case, ws, tmp, out):
+    """The argv of a ``CONTRACT_CASES`` draw or a ``("bad", BAD_VALUES key)`` seed."""
+    kind, *rest = case
+    if kind == "bad":
+        return BAD_VALUES[rest[0]][1](ws, tmp, out)
+    if kind == "config":
+        cfg = tmp / "fuzzed.txt"
+        cfg.write_text(ws["config"].read_text() + rest[0] + "\n", encoding="utf-8")
+        return ["train", "--data", ws["data"], "--config", cfg, "--out", out]
+    (command, flag), value, mode = rest
+    # a base argv that keeps every run small: a few draws, a few attempts
+    base = {
+        "sample": _sample(ws, out, "--mode", mode, "--exemplar", 1, "--delta", 1.0, "--n", 3, "--max-attempts", 6),
+        "ood": _ood(ws, out, 2),
+        "eval": ["eval", "--model", ws["model"], "--data", ws["data"], "--out", out],
+    }[command]
+    return [*base, f"{flag}={value}"]
+
+
+def _seeded_with_bad_values(test):
+    for case in sorted(BAD_VALUES):
+        test = example(case=("bad", case))(test)
+    return test
+
+
+@_seeded_with_bad_values
+@settings(max_examples=40, deadline=None)
+@given(case=CONTRACT_CASES)
+def test_exit_code_contract(case, cli_workspace):
+    # 0 ok, 1 runtime error, 2 usage or validation error; a failure writes one
+    # error line and never a traceback, which here would be an exception out
+    # of main()
+    usage_exit = False
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _contract_argv(case, cli_workspace, Path(tmp), Path(tmp) / "out.csv")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                rc = run(argv)
+            except SystemExit as e:
+                rc, usage_exit = e.code, True
+    err = err.getvalue()
+    assert rc in (0, 1, 2), (rc, err)
+    if usage_exit:
+        # argparse prints its usage lines above the one error line
+        assert rc == 2 and [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:], err
+    elif rc != 0:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_module_entry_point_usage_error_exit_code():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from fnode.inference import (
     transfer_trajectory,
 )
 from fnode.model import FNODEModel, TrainConfig, fit, reconstruct
-from fnode.nets import encode_batch
+from fnode.nets import encode_batch, weight_count
 from fnode.syndata import generate_set_a
 
 
@@ -109,6 +110,26 @@ class TestRollout:
         src = data.trajectories[0]
         with pytest.raises(ValueError):
             rollout(m, np.zeros(m.p), np.zeros(m.d_gamma), float(src.times[0]), src.times)
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_peak_memory_stays_near_the_weight_block(self, per_row):
+        # Nothing is recorded: the hypernetwork's intermediates go as they are
+        # used, so the peak is about the [B, weight_count] block twice (theta
+        # and the field's per-layer slices of it), not once per taped op.
+        m = FNODEModel.build(obs_dim=1, n_points=10, seed=0)
+        B = 40
+        rng = np.random.default_rng(0)
+        Z0, G = rng.standard_normal((B, m.p)), rng.standard_normal((B, m.d_gamma))
+        times = np.linspace(0.0, 1.0, 10)
+        args = (None, np.sort(rng.uniform(0.0, 1.0, (B, 10)), axis=1)) if per_row else (0.0, times)
+        block = B * weight_count(m.f_spec) * 8
+        tracemalloc.start()
+        try:
+            rollout(m, Z0, G, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * block, peak / block
 
 
 class TestTransfer:

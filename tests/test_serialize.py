@@ -1,6 +1,7 @@
 import base64
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import archive_file
@@ -164,6 +165,37 @@ class TestArchive:
                     assert m2.params[other].data.tobytes() == before[other].tobytes(), (name, other)
             for key, arr in zip(SAMPLER_ARRAYS, sampler):
                 assert getattr(S2, key).tobytes() == arr.tobytes(), (name, key)
+
+
+class TestStreamedWrite:
+    def test_bytes_match_the_test_writer_in_write_order(self, small_trained, tmp_path):
+        # The test writer lays blocks out in the order its document lists
+        # them: model parameters in registry order, then the sampler.
+        m, S, history, _ = small_trained
+        path, twin = tmp_path / "m.fnode", tmp_path / "twin.fnode"
+        save_archive(path, m, S, history, seeds={"train": 0})
+        doc = archive_file.read(path)
+        model = doc.pop("model")
+        model["params"] = {name: model["params"][name] for name in m.params.names()}
+        gmm = doc.pop("gmm")
+        doc = {"model": model, "gmm": {"cov_type": gmm.pop("cov_type"), **{k: gmm[k] for k in SAMPLER_ARRAYS}}, **doc}
+        archive_file.write(twin, doc)
+        assert path.read_bytes() == twin.read_bytes()
+
+    def test_no_second_copy_of_the_payload(self, tmp_path):
+        # the default architecture: a 12 MB payload, almost all of it the
+        # hypernetwork's output layer
+        m = FNODEModel.build(obs_dim=1, n_points=10, seed=0)
+        payload = 8 * sum(t.data.size for t in m.params.tensors())
+        path = tmp_path / "m.fnode"
+        tracemalloc.start()
+        try:
+            save_archive(path, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * payload, peak / payload
+        _assert_loads_as(path, m, None)
 
 
 def _legacy_document(doc: dict, version: int) -> dict:

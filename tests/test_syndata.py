@@ -16,6 +16,7 @@ from fnode.syndata import (
     generate_set_b,
     load_dataset,
     save_dataset,
+    write_bytes_atomic,
 )
 
 
@@ -126,6 +127,29 @@ class TestRoundTrip:
             save_dataset(generate_set_a(n_per_class=3, n_classes=2, seed=6), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["d.jsonl"]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_block_failing_partway_leaves_no_file(self, tmp_path, existing):
+        path = tmp_path / "d.bin"
+        if existing:
+            path.write_bytes(b"old contents")
+
+        def blocks():
+            yield b"first block"
+            yield np.zeros(4)
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_bytes_atomic(path, blocks())
+        assert [p.name for p in tmp_path.iterdir()] == (["d.bin"] if existing else [])
+        if existing:
+            assert path.read_bytes() == b"old contents"
+
+    def test_blocks_are_written_in_order_as_raw_memory(self, tmp_path):
+        path = tmp_path / "d.bin"
+        arr = np.arange(6.0).reshape(2, 3)
+        write_bytes_atomic(path, [b"head\n", arr, np.asarray(2.5), b""])
+        assert path.read_bytes() == b"head\n" + arr.tobytes() + np.float64(2.5).tobytes()
 
     def test_saved_file_has_the_mode_open_gives(self, tmp_path):
         plain = tmp_path / "plain.txt"

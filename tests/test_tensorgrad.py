@@ -182,6 +182,20 @@ class TestFiniteDiffCheck:
         with pytest.raises(ValueError):
             autodiff.finite_diff_check(prog, make_params(x=[1.0]), [], h=0.0)
 
+    def test_wrong_gradient_still_fails(self):
+        # doubling with a backward that scales by 1.98: a 1% error on a 1e-3 gradient
+        def bad_double(a):
+            def bwd(g):
+                a.grad = 1.98 * g
+
+            return Tensor(2.0 * a.data, (a,), bwd, "bad_double")
+
+        def prog(params):
+            return tg.scale(tg.tensor_sum(bad_double(params["x"])), 5e-4)
+
+        err = autodiff.finite_diff_check(prog, make_params(x=[1.0, -2.0]), [], h=1e-5)
+        assert err == pytest.approx(0.01, rel=1e-3)
+
 
 # Three rows, each with its own weights for a (2 + 1) -> 4 -> 3 -> 2 network.
 T3 = np.array([0.3, -0.5, 1.1])
@@ -278,6 +292,17 @@ def test_primitive_gradients_match_central_differences(name):
         assert err <= 1e-4, f"{name} seed {seed}: {err}"
 
 
+def test_noise_level_gradient_passes_at_unit_scale_weights():
+    # Unit-scale weights saturate tanh units.  At seed 4 one gradient is
+    # 1.3e-7, and its analytic and numeric values agree to 3e-11: rounding
+    # noise of the difference quotient, which a bare relative error reads as
+    # 2.4e-4.
+    ps = primitive_params(4)
+    for i in range(len(MLP_LAYERS)):
+        ps[f"wl{i}"].data[...] *= 2.0
+    assert autodiff.finite_diff_check(PRIMITIVE_PROGRAMS["rowwise_mlp"], ps, [], h=1e-5) <= 1e-4
+
+
 class TestPickRows:
     def test_picks_each_rows_own_step(self):
         path = [Tensor(np.full((3, 2), float(k))) for k in range(4)]
@@ -335,6 +360,71 @@ class TestRowwiseMLP:
         layers = mlp_layers(ps, True)
         with pytest.raises(tg.ShapeMismatch, match="rowwise_mlp"):
             tg.rowwise_mlp(ps["z3"], T3, layers[1:])
+
+
+class TestNoRecord:
+    def _graph(self, ps):
+        return tg.tensor_sum(tg.square(tg.rowwise_mlp(tg.tanh(ps["z3"]), T3, mlp_layers(ps, True))))
+
+    def test_results_keep_no_parents_or_closure(self):
+        ps = primitive_params(0)
+        with tg.no_record():
+            outs = [tg.tanh(ps["z3"]), tg.rowwise_mlp(ps["z3"], T3, mlp_layers(ps, True)), self._graph(ps)]
+        for out in outs:
+            assert out._parents == () and out._bwd is None, out
+        recorded = self._graph(ps)
+        assert recorded._parents and recorded._bwd is not None
+
+    def test_values_match_a_recorded_evaluation(self):
+        ps = primitive_params(1)
+        with tg.no_record():
+            plain = self._graph(ps).data
+        assert plain.tobytes() == self._graph(ps).data.tobytes()
+
+    def test_finiteness_checks_still_run(self):
+        with tg.no_record(), np.errstate(over="ignore"), pytest.raises(tg.NonFiniteValue, match="'exp'"):
+            tg.exp(Tensor([[1000.0]]))
+
+    def test_flag_restored_on_exit_error_and_nesting(self):
+        a = Tensor([[1.0]])
+
+        def records():
+            return tg.neg(a)._bwd is not None
+
+        with tg.no_record():
+            with tg.no_record():
+                assert not records()
+            assert not records()
+        assert records()
+        with pytest.raises(tg.NonFiniteValue), tg.no_record(), np.errstate(over="ignore"):
+            tg.exp(Tensor([[1000.0]]))
+        assert records()
+        with tg.finite_checks(False), tg.no_record():
+            assert not records()
+        assert records()
+
+    def test_backward_on_a_no_record_result_raises(self):
+        ps = primitive_params(2)
+        with tg.no_record():
+            out = self._graph(ps)
+        with pytest.raises(ValueError, match="no_record"):
+            tg.backward(out)
+        assert all(t.grad is None for t in ps.tensors())
+
+    def test_graph_built_outside_the_block_matches_central_differences(self):
+        prog = PRIMITIVE_PROGRAMS["rowwise_mlp_chained"]
+        ps = primitive_params(3)
+        ref = autodiff.gradient(prog, ps, [])
+        ps.zero_grads()
+        out = prog(ps)
+        with tg.no_record():
+            # a no-record evaluation in between leaves the recorded graph whole
+            prog(ps)
+            tg.backward(out)
+        for name, t in ps.items():
+            got = np.zeros_like(t.data) if t.grad is None else t.grad
+            assert got.tobytes() == ref[name].data.tobytes(), name
+        assert autodiff.finite_diff_check(prog, ps, [], h=1e-5) <= 1e-4
 
 
 class TestParamSet:
