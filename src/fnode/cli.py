@@ -8,6 +8,7 @@ atomically, and uses exit codes 0 (success), 1 (runtime failure) and
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from types import SimpleNamespace
 
@@ -273,6 +274,9 @@ def cmd_train(args) -> int:
             max_iter=cfg_file["gmm_max_iter"],
         )
         write_text_atomic(str(args.out) + ".gmm.csv", gmm_mod.selection_table_csv(table))
+        # EM convergence per fit, beside the pinned CSV
+        fits = ({"K": r.K, "cov_type": r.cov_type, "n_iter": r.n_iter, "converged": r.converged} for r in table)
+        write_text_atomic(str(args.out) + ".gmm.jsonl", "".join(json.dumps(f) + "\n" for f in fits))
 
     save_archive(args.out, m, S, history, seeds={"train": tcfg.seed})
     if history:

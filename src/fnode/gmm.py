@@ -7,12 +7,12 @@ the covariance structure chosen by BIC.  The fitted mixture is the sampler
 used for generation and the density used for likelihood-based outlier
 scoring.  This module knows only arrays, not the model.
 
-Components are scored together: each covariance is factored once per EM
-step (one Cholesky, or one batched Cholesky for ``full``) and the
-Mahalanobis distances of all K components come from a few matrix products,
-with no loop over components.  EM carries raw arrays; a :class:`GMMModel`,
-whose constructor checks shapes, weights and floors, is built once per
-restart.
+Components are scored together, component-major: each covariance is factored
+once per EM step, log-densities and responsibilities are [K, n] (numpy
+reduces a short contiguous axis, such as K of [n, K], many times slower),
+and the M-step is one product per moment.  EM carries raw arrays; a
+:class:`GMMModel`, whose constructor checks shapes, weights and floors, is
+built once per restart.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ COV_FLOOR = 1e-6
 # EM runs per fit; the one with the highest final log-likelihood is kept
 N_RESTARTS = 3
 LOG_2PI = np.log(2.0 * np.pi)
+EXP_FLOOR = -700.0
 
 
 @dataclass
@@ -97,44 +98,47 @@ class GMMModel:
 
 
 def _weighted_log_prob(X, weights, means, cov, cov_type: str) -> np.ndarray:
-    """log w_k + log N(x_i | mu_k, Sigma_k) for every (i, k), all components at once.
+    """log w_k + log N(x_i | mu_k, Sigma_k) as a [K, n] array, all components at once.
 
-    Each covariance is factored once and every component's Mahalanobis
-    distances come from a few matrix products, as in scikit-learn's
-    ``GaussianMixture`` (``precisions_cholesky_``).  Rows and means are first
-    shifted by the mean of the means, so the expanded quadratics do not cancel
-    when the data sit far from the origin.  A covariance that is not positive
-    definite raises ``LinAlgError``.
+    Component-major, so the reductions over components that follow (the
+    log-sum-exp, EM's masses) run along the long contiguous axis.  Each
+    covariance is factored once and the Mahalanobis distances come from a few
+    matrix products, as in scikit-learn's ``GaussianMixture``.  Rows and means
+    are first shifted by the mean of the means, so the expanded quadratics do
+    not cancel far from the origin.  A non-positive-definite covariance raises
+    ``LinAlgError``.
     """
-    d, K = X.shape[1], means.shape[0]
+    (n, d), K = X.shape, means.shape[0]
     centre = means.mean(axis=0)
     X, means = X - centre, means - centre
     if cov_type in ("spherical", "diag"):
-        # |x - mu|^2 / var summed over dims = x^2 . p - 2 x . (mu p) + mu^2 . p, with p = 1 / var
+        # |x - mu|^2 / var summed over dims = p . x^2 - 2 (mu p) . x + mu^2 . p, with p = 1 / var
         prec = np.broadcast_to(1.0 / (cov[:, None] if cov_type == "spherical" else cov), (K, d))
-        maha = (X * X) @ prec.T - 2.0 * (X @ (means * prec).T) + np.sum(means * means * prec, axis=1)
+        maha = prec @ (X * X).T - 2.0 * ((means * prec) @ X.T) + np.sum(means * means * prec, axis=1)[:, None]
         half_logdet = -0.5 * np.sum(np.log(prec), axis=1)
     else:
-        # Sigma = L L^T, so Sigma^-1 = P P^T with P = L^-T and the distance is |(x - mu) P|^2
+        # Sigma = L L^T, so the distance is |L^-1 (x - mu)|^2
         L = np.linalg.cholesky(cov)
-        P = np.swapaxes(np.linalg.solve(L, np.broadcast_to(np.eye(d), L.shape)), -1, -2)
+        Linv = np.linalg.solve(L, np.broadcast_to(np.eye(d), L.shape))
         half_logdet = np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
         if cov_type == "tied":
-            Y, Ym = X @ P, means @ P
-            maha = np.sum(Y * Y, axis=1)[:, None] - 2.0 * (Y @ Ym.T) + np.sum(Ym * Ym, axis=1)
+            Y, Ym = Linv @ X.T, means @ Linv.T
+            maha = np.sum(Y * Y, axis=0) - 2.0 * (Ym @ Y) + np.sum(Ym * Ym, axis=1)[:, None]
         else:
-            # one [n, d] @ [d, K*d] product for all factors, then per-component sums of
-            # squares; in place, as each fresh [n, K*d] temporary costs page faults
-            Y = X @ P.transpose(1, 0, 2).reshape(d, K * d)
-            Y -= (means[:, None, :] @ P).reshape(K * d)
+            # one [K*d, d] @ [d, n] product for all factors, then per-component sums of
+            # squares; in place, as each fresh [K*d, n] temporary costs page faults
+            Y = Linv.reshape(K * d, d) @ X.T
+            Y -= (Linv @ means[:, :, None]).reshape(K * d, 1)
             Y *= Y
-            maha = Y @ np.repeat(np.eye(K), d, axis=0)
-    return np.log(weights) - 0.5 * (d * LOG_2PI + maha) - half_logdet
+            maha = Y.reshape(K, d, n).sum(axis=1)
+    return np.log(weights)[:, None] - 0.5 * (d * LOG_2PI + maha) - np.reshape(half_logdet, (-1, 1))
 
 
-def _logsumexp(a: np.ndarray, axis: int = 1) -> np.ndarray:
-    hi = np.max(a, axis=axis, keepdims=True)
-    return (hi + np.log(np.sum(np.exp(a - hi), axis=axis, keepdims=True))).squeeze(axis)
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log of the sum over axis 0 (the components) of exp(a)."""
+    hi = np.max(a, axis=0)
+    # terms below e^-700 cannot move a sum that holds exp(0), and subnormal ones slow exp several-fold
+    return hi + np.log(np.sum(np.exp(np.maximum(a - hi, EXP_FLOOR)), axis=0))
 
 
 def score_rows(model: GMMModel, X: np.ndarray) -> np.ndarray:
@@ -169,59 +173,63 @@ def _init_covariances(X: np.ndarray, K: int, cov_type: str) -> np.ndarray:
     if cov_type == "diag":
         return np.tile(var, (K, 1))
     base = np.cov(X.T).reshape(d, d) + COV_FLOOR * np.eye(d)
-    if cov_type == "tied":
-        return base
-    return np.tile(base, (K, 1, 1))
+    return base if cov_type == "tied" else np.tile(base, (K, 1, 1))
 
 
-def _m_step(X: np.ndarray, resp: np.ndarray, cov_type: str):
-    """Weights, means and floored covariances from the responsibilities."""
+def _m_step(X: np.ndarray, XX: np.ndarray, resp: np.ndarray, mass: np.ndarray, cov_type: str):
+    """Weights, means and floored covariances from [K, n] responsibilities and their [K] masses.
+
+    ``XX`` holds the rows' second moments: flattened outer products for full, squares otherwise.
+    """
     n, d = X.shape
-    nk = resp.sum(axis=0) + 10.0 * np.finfo(np.float64).eps
-    means = (resp.T @ X) / nk[:, None]
+    nk = mass + 10.0 * np.finfo(np.float64).eps
+    means = (resp @ X) / nk[:, None]
     if cov_type == "full":
-        cov = np.empty((nk.shape[0], d, d))
-        for k in range(nk.shape[0]):
-            diff = X - means[k]
-            cov[k] = (resp[:, k] * diff.T) @ diff / nk[k]
+        cov = (resp @ XX / nk[:, None]).reshape(len(nk), d, d) - means[:, :, None] * means[:, None, :]
         cov[:, np.arange(d), np.arange(d)] += COV_FLOOR
     elif cov_type == "tied":
         cov = (X.T @ X - (nk * means.T) @ means) / n
         cov.flat[:: d + 1] += COV_FLOOR
     else:
-        var = resp.T @ (X * X) / nk[:, None] - means * means
+        var = resp @ XX / nk[:, None] - means * means
         cov = np.maximum(var if cov_type == "diag" else var.mean(axis=1), COV_FLOOR)
     return nk / n, means, cov
 
 
-def _em_once(X, K, cov_type, rng, max_iter, tol):
-    # Fit on centred rows, so the M-step's expanded second moments do not cancel.
-    shift = X.mean(axis=0)
-    X = X - shift
+def _em_once(X, XX, K, cov_type, rng, max_iter, tol):
+    """One EM run on centred rows: (weights, means, covariances) and the log-likelihood history."""
     weights, means, cov = np.full(K, 1.0 / K), _kmeanspp_centers(X, K, rng), _init_covariances(X, K, cov_type)
-
     history = []
-    prev = -np.inf
     for _ in range(max_iter):
         weighted = _weighted_log_prob(X, weights, means, cov, cov_type)
         norm = _logsumexp(weighted)
         loglik = float(norm.sum())
         history.append(loglik)
-        resp = np.exp(weighted - norm[:, None])
-
-        empties = np.flatnonzero(resp.sum(axis=0) < 1e-10)
+        # zero responsibilities below e^-700: they cannot move EM's sums, and subnormal ones slow the products
+        resp = weighted - norm
+        np.putmask(resp, resp < EXP_FLOOR, -np.inf)
+        np.exp(resp, out=resp)
+        mass = resp.sum(axis=1)
+        empties = np.flatnonzero(mass < 1e-10)
         if empties.size:
             worst = np.argsort(norm)[: empties.size]
             for k, i in zip(empties, worst):
                 log.info("re-seeding empty component %d from worst-fit row %d", k, i)
-                resp[i] = 0.0
-                resp[i, k] = 1.0
+                resp[:, i] = 0.0
+                resp[k, i] = 1.0
+            mass = resp.sum(axis=1)
 
-        weights, means, cov = _m_step(X, resp, cov_type)
-        if loglik - prev < tol and np.isfinite(prev):
+        weights, means, cov = _m_step(X, XX, resp, mass, cov_type)
+        if len(history) > 1 and loglik - history[-2] < tol:
             break
-        prev = loglik
-    return GMMModel(weights, means + shift, cov, cov_type), history
+    return (weights, means, cov), history
+
+
+def _as_bank(bank) -> np.ndarray:
+    X = np.asarray(bank, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"bank must be [n, d], got shape {list(X.shape)}")
+    return X
 
 
 def em_fit(bank: np.ndarray, K: int, cov_type: str = "diag", seed: int = 0, max_iter: int = 200, tol: float = 1e-6):
@@ -232,18 +240,19 @@ def em_fit(bank: np.ndarray, K: int, cov_type: str = "diag", seed: int = 0, max_
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    X = np.asarray(bank, dtype=np.float64)
+    X = _as_bank(bank)
     if K < 1:
         raise ValueError("K must be >= 1")
     if np.unique(X, axis=0).shape[0] < K:
         raise ValueError(f"need at least K={K} distinct rows, bank has fewer")
+    # Every restart fits the same centred rows, so the M-step's expanded second moments do not cancel.
+    shift = X.mean(axis=0)
+    X = X - shift
+    XX = (X[:, :, None] * X[:, None, :]).reshape(len(X), X.shape[1] ** 2) if cov_type == "full" else X * X
     rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(N_RESTARTS):
-        model, history = _em_once(X, K, cov_type, rng, max_iter, tol)
-        if best is None or history[-1] > best[1][-1]:
-            best = (model, history)
-    return best
+    runs = (_em_once(X, XX, K, cov_type, rng, max_iter, tol) for _ in range(N_RESTARTS))
+    fits = [(GMMModel(weights, means + shift, cov, cov_type), history) for (weights, means, cov), history in runs]
+    return max(fits, key=lambda fit: fit[1][-1])
 
 
 def bic(model: GMMModel, bank: np.ndarray) -> float:
@@ -258,12 +267,7 @@ def _bic(loglik: float, n_params: int, n: int) -> float:
 
 def _n_params(model: GMMModel) -> int:
     K, d = model.n_components, model.d
-    cov_params = {
-        "spherical": K,
-        "diag": K * d,
-        "tied": d * (d + 1) // 2,
-        "full": K * d * (d + 1) // 2,
-    }[model.cov_type]
+    cov_params = {"spherical": K, "diag": K * d, "tied": d * (d + 1) // 2, "full": K * d * (d + 1) // 2}[model.cov_type]
     return K * d + (K - 1) + cov_params
 
 
@@ -282,21 +286,17 @@ class SelectionRow:
 
 
 def select_model(
-    bank: np.ndarray,
-    component_range: Sequence[int],
-    cov_types: Sequence[str] = COV_TYPES,
-    seed: int = 0,
-    max_iter: int = 200,
-    tol: float = 1e-6,
+    bank: np.ndarray, component_range: Sequence[int], cov_types: Sequence[str] = COV_TYPES,
+    seed: int = 0, max_iter: int = 200, tol: float = 1e-6,
 ):
     """Fit every (K, cov_type) pair and keep the lowest-BIC model.
 
-    Ties break toward fewer parameters, then the canonical covariance order
-    (spherical, tied, diag, full).  Returns (best model, selection table).
-    A row is ``converged`` when its kept restart's last EM step gained less
-    than ``tol``.
+    BICs within 1e-9 of the best's magnitude tie; ties break toward fewer
+    parameters, then the canonical covariance order (spherical, tied, diag,
+    full).  Returns (best model, selection table).  A row is ``converged``
+    when its kept restart's last EM step gained less than ``tol``.
     """
-    X = np.asarray(bank, dtype=np.float64)
+    X = _as_bank(bank)
     if len(component_range) == 0 or len(cov_types) == 0:
         raise ValueError("component_range and cov_types must be non-empty")
     if max_iter < 1:
@@ -309,9 +309,8 @@ def select_model(
     failures: list[str] = []
     for K in component_range:
         for ct in cov_types:
-            rank = COV_TYPES.index(ct)
             # Child seed depends only on (seed, K, cov_type), not loop order.
-            child_seed = seed * 1000003 + K * 101 + rank
+            child_seed = seed * 1000003 + K * 101 + COV_TYPES.index(ct)
             try:
                 model, history = em_fit(X, K, ct, seed=child_seed, max_iter=max_iter, tol=tol)
             except (ValueError, np.linalg.LinAlgError) as e:
@@ -325,16 +324,17 @@ def select_model(
     if not table:
         raise RuntimeError("all mixture fits failed: " + "; ".join(failures))
 
-    winner = min(table, key=lambda r: (r.bic, r.params, COV_TYPES.index(r.cov_type)))
+    # BICs within rounding tie: spherical and diag at d = 1, or tied and full at K = 1, are one model.
+    best_bic = min(r.bic for r in table)
+    ties = [r for r in table if r.bic - best_bic <= 1e-9 * abs(best_bic)]
+    winner = min(ties, key=lambda r: (r.params, COV_TYPES.index(r.cov_type)))
     winner.selected = True
     return fits[(winner.K, winner.cov_type)], table
 
 
 def selection_table_csv(table: Sequence[SelectionRow]) -> str:
-    lines = ["K,cov_type,loglik,params,bic,selected"]
-    for r in table:
-        lines.append(f"{r.K},{r.cov_type},{r.loglik!r},{r.params},{r.bic!r},{int(r.selected)}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{r.K},{r.cov_type},{r.loglik!r},{r.params},{r.bic!r},{int(r.selected)}" for r in table)
+    return "\n".join(["K,cov_type,loglik,params,bic,selected", *rows]) + "\n"
 
 
 # -- sampling -----------------------------------------------------------------------

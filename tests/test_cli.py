@@ -126,6 +126,23 @@ class TestTrain:
         for line in lines[1:]:
             float(line.split(",")[col])
 
+    def test_selection_sidecar_reports_em_convergence(self, cli_workspace, tmp_path):
+        model = cli_workspace["model"]
+        table = (model.parent / (model.name + ".gmm.csv")).read_text().strip().split("\n")
+        assert table[0] == "K,cov_type,loglik,params,bic,selected"
+        rows = [json.loads(line) for line in (model.parent / (model.name + ".gmm.jsonl")).read_text().splitlines()]
+        assert [(str(r["K"]), r["cov_type"]) for r in rows] == [tuple(line.split(",")[:2]) for line in table[1:]]
+        for r in rows:
+            assert set(r) == {"K", "cov_type", "n_iter", "converged"}
+            assert 1 <= r["n_iter"] <= 200 and isinstance(r["converged"], bool)
+        # one EM step cannot show a gain below tol, so no fit counts as converged
+        cfg = tmp_path / "one_iter.txt"
+        cfg.write_text(cli_workspace["config"].read_text() + "gmm_max_iter = 1\n")
+        out = tmp_path / "one.json"
+        assert run(["train", "--data", cli_workspace["data"], "--config", cfg, "--out", out]) == 0
+        rows = [json.loads(line) for line in (tmp_path / "one.json.gmm.jsonl").read_text().splitlines()]
+        assert len(rows) == 4 and all(r["n_iter"] == 1 and r["converged"] is False for r in rows)
+
     def test_gmm_max_iter_zero_is_validation_error(self, cli_workspace, tmp_path, capsys):
         cfg = tmp_path / "zero_iter.txt"
         text = cli_workspace["config"].read_text().replace("epochs = 6", "epochs = 0")

@@ -1,5 +1,7 @@
 import ast
+import logging
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +113,42 @@ class TestEMFit:
         with pytest.raises(ValueError):
             em_fit(X, K=5, cov_type="diag", seed=0)
 
+    @pytest.mark.parametrize("cov_type", COV_TYPES)
+    def test_shifted_bank_gives_shifted_fit(self, cov_type, monkeypatch):
+        # EM fits centred rows, so moving the bank far from the origin moves only the means.
+        # One restart: restarts that reach one optimum are ranked by rounding alone.
+        monkeypatch.setattr(gmm_mod, "N_RESTARTS", 1)
+        X = three_clusters(n_per=60, d=3, seed=5)
+        near, near_hist = em_fit(X, K=3, cov_type=cov_type, seed=1)
+        far, far_hist = em_fit(X + 1e4, K=3, cov_type=cov_type, seed=1)
+        assert len(far_hist) == len(near_hist)
+        np.testing.assert_allclose(far.means - 1e4, near.means, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(far.covariances, near.covariances, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(far.weights, near.weights, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("cov_type", ["spherical", "diag", "full"])
+    def test_empty_component_is_reseeded(self, cov_type, caplog, monkeypatch):
+        # Six components on three tight 1-D clusters: one restart at this seed empties a
+        # component, which takes the worst-fit row; keep that restart alone.
+        monkeypatch.setattr(gmm_mod, "N_RESTARTS", 1)
+        X = three_clusters(n_per=20, d=1, seed=2)
+        with caplog.at_level(logging.INFO, logger="fnode.gmm"):
+            model, history = em_fit(X, K=6, cov_type=cov_type, seed=2, max_iter=50)
+        assert any(r.getMessage().startswith("re-seeding empty component") for r in caplog.records)
+        assert model.n_components == 6 and np.all(model.weights > 0)
+        # every mean is a weighted average of rows, so it stays inside the bank's range
+        assert np.all((model.means >= X.min(axis=0) - 1e-9) & (model.means <= X.max(axis=0) + 1e-9))
+        assert np.all(np.isfinite(score_rows(model, X))) and np.all(np.isfinite(history))
+
+    @pytest.mark.parametrize("shape", [(), (12,), (4, 3, 2)])
+    def test_bank_not_rank_two_rejected(self, shape):
+        X = np.arange(float(np.prod(shape))).reshape(shape)
+        want = re.escape(f"bank must be [n, d], got shape {list(shape)}")
+        with pytest.raises(ValueError, match=want):
+            em_fit(X, K=1, cov_type="diag", seed=0)
+        with pytest.raises(ValueError, match=want):
+            select_model(X, [1], ("diag",), seed=0)
+
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_max_iter_below_one_rejected(self, max_iter):
         X = three_clusters(n_per=20, d=2)
@@ -171,6 +209,22 @@ class TestSelectModel:
         best_a, _ = select_model(X, range(1, 6), ("spherical", "diag"), seed=3)
         best_b, _ = select_model(X[perm], range(1, 6), ("spherical", "diag"), seed=3)
         assert (best_a.n_components, best_a.cov_type) == (best_b.n_components, best_b.cov_type)
+
+    def test_d1_spherical_and_diag_tie_goes_to_spherical(self):
+        # At d = 1 the two types are one model with one parameter count; their BICs differ
+        # only by rounding, which the row order moves.
+        X = three_clusters(seed=8)
+        for p in range(12):
+            perm = np.random.default_rng(p).permutation(X.shape[0])
+            best, table = select_model(X[perm], [3], ("diag", "spherical"), seed=3)
+            assert best.cov_type == "spherical", [(r.cov_type, r.bic) for r in table]
+
+    @pytest.mark.parametrize("seed", [7, 10, 21, 29])
+    def test_k1_tied_and_full_tie_goes_to_tied(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((60, 3)) @ rng.standard_normal((3, 3))
+        best, table = select_model(X, [1], ("full", "tied"), seed=seed)
+        assert best.cov_type == "tied", [(r.cov_type, r.bic) for r in table]
 
     def test_each_fit_scored_once(self, monkeypatch):
         X = three_clusters(n_per=40)
@@ -290,6 +344,30 @@ def test_score_rows_commutes_with_row_permutation(cov_type, K, d, seed):
     model, _, X = _random_mixture(cov_type, K, d, seed)
     perm = np.random.default_rng(seed).permutation(X.shape[0])
     np.testing.assert_allclose(score_rows(model, X[perm]), score_rows(model, X)[perm], rtol=1e-13, atol=0)
+
+
+class TestFullMStep:
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_matches_weighted_sample_covariance(self, d, K):
+        # Components up to 10 standard deviations out, on centred rows, as EM fits them. Each
+        # component's responsibilities sit mostly on its own cluster, so the expanded second
+        # moment of the M-step cancels most of its magnitude.
+        rng = np.random.default_rng(100 * d + K)
+        centers = rng.uniform(-10.0, 10.0, (K, d))
+        labels = rng.integers(K, size=200)
+        X = centers[labels] + rng.standard_normal((200, d))
+        X -= X.mean(axis=0)
+        logits = 6.0 * (np.arange(K)[:, None] == labels) + rng.standard_normal((K, 200))
+        resp = np.exp(logits - logits.max(axis=0))
+        resp /= resp.sum(axis=0)
+        XX = np.einsum("ni,nj->nij", X, X).reshape(200, d * d)
+        weights, means, cov = gmm_mod._m_step(X, XX, resp, resp.sum(axis=1), "full")
+        for k in range(K):
+            want = np.cov(X.T, aweights=resp[k], bias=True).reshape(d, d) + gmm_mod.COV_FLOOR * np.eye(d)
+            np.testing.assert_allclose(cov[k], want, rtol=0, atol=1e-10 * np.abs(want).max())
+            np.testing.assert_allclose(means[k], np.average(X, axis=0, weights=resp[k]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(weights, resp.mean(axis=1), rtol=1e-12)
 
 
 class TestSample:
