@@ -17,10 +17,11 @@ from .inference import (
     neighborhood_sample,
     ood_calibrate,
     ood_test,
+    reconstruct,
     sample_trajectories,
     transfer_trajectory,
 )
-from .model import ELBOBreakdown, FNODEModel, TrainConfig, elbo_loss, fit, reconstruct
+from .model import ELBOBreakdown, FNODEModel, TrainConfig, elbo_loss, fit
 from .nets import MLP, GaussianParams, Hypernetwork, MLPSpec
 from .odeint import SolverConfig, integrate
 from .serialize import load_archive, save_archive

@@ -2,7 +2,9 @@
 
 Every command is deterministic given its flags and seeds, writes files
 atomically, and uses exit codes 0 (success), 1 (runtime failure) and
-2 (usage or validation error).
+2 (usage or validation error).  :func:`main` is the one place that maps
+errors to exit codes: any ``ValueError`` (a bad flag, config, dataset or
+archive) exits 2, a runtime or OS error exits 1, each with one line on stderr.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,9 +22,8 @@ from . import inference, svg
 from .model import FNODEModel, TrainConfig, TrainingDiverged, fit
 from .nets import encode_batch
 from .odeint import IntegrationBlowUp
-from .serialize import ArchiveError, load_archive, save_archive
+from .serialize import load_archive, save_archive
 from .syndata import (
-    DatasetFormatError,
     fmt_float,
     generate_set_a,
     generate_set_b,
@@ -125,20 +127,6 @@ class RunConfig:
 # -- small shared helpers -------------------------------------------------------------
 
 
-def _load_model(path):
-    try:
-        return load_archive(path)
-    except ArchiveError as e:
-        raise ValidationError(str(e)) from e
-
-
-def _load_data(path):
-    try:
-        return load_dataset(path)
-    except DatasetFormatError as e:
-        raise ValidationError(str(e)) from e
-
-
 def _traj_by_index(data, index: int):
     if not 0 <= index < len(data.trajectories):
         raise ValidationError(f"trajectory index {index} out of range (N={len(data.trajectories)})")
@@ -199,12 +187,8 @@ def cmd_generate_data(args) -> int:
     return 0
 
 
-def _history_csv_row(epoch: int, bd) -> list:
-    return [epoch, bd.total, bd.recon_loglik, bd.kl_z0, bd.kl_gamma, bd.kl_weight]
-
-
 def cmd_train(args) -> int:
-    data = _load_data(args.data)
+    data = load_dataset(args.data)
     cfg_file = RunConfig.from_file(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg_file.values["seed"] = args.seed  # flag wins over config file
@@ -246,22 +230,15 @@ def cmd_train(args) -> int:
 
     log_path = args.log or (str(args.out) + ".log.csv")
     log_rows: list[list] = []
-
-    def on_epoch(epoch, bd):
-        log_rows.append(_history_csv_row(epoch, bd))
-
-    history = []
+    history, diverged = [], None
     try:
-        _, history = fit(m, data, tcfg, on_epoch=on_epoch)
+        _, history = fit(m, data, tcfg, on_epoch=lambda epoch, bd: log_rows.append([epoch, *astuple(bd)]))
     except TrainingDiverged as e:
-        write_text_atomic(
-            log_path, _csv(log_rows, ["epoch", "elbo", "recon", "kl_z0", "kl_gamma", "kl_weight"])
-        )
-        print(f"error: {e} (partial log at {log_path})", file=sys.stderr)
+        diverged = e
+    write_text_atomic(log_path, _csv(log_rows, ["epoch", "elbo", "recon", "kl_z0", "kl_gamma", "kl_weight"]))
+    if diverged is not None:
+        print(f"error: {diverged} (partial log at {log_path})", file=sys.stderr)
         return 1
-    write_text_atomic(
-        log_path, _csv(log_rows, ["epoch", "elbo", "recon", "kl_z0", "kl_gamma", "kl_weight"])
-    )
 
     S = None
     if tcfg.epochs > 0 or args.gmm_only:
@@ -294,8 +271,8 @@ def cmd_sample(args) -> int:
         raise ValidationError("--n must be >= 1")
     if args.grid_points is not None and args.grid_points < 1:
         raise ValidationError("--grid-points must be >= 1")
-    m, S, _ = _load_model(args.model)
-    data = _load_data(args.data)
+    m, S, _ = load_archive(args.model)
+    data = load_dataset(args.data)
     source = _traj_by_index(data, args.index)
 
     if args.grid_points is not None:
@@ -336,11 +313,11 @@ def cmd_sample(args) -> int:
 def cmd_ood(args) -> int:
     if not 0.0 < args.quantile <= 1.0:
         raise ValidationError("--quantile must lie in (0, 1]")
-    m, S, _ = _load_model(args.model)
+    m, S, _ = load_archive(args.model)
     if S is None:
         raise ValidationError("archive holds no fitted sampler; train with epochs > 0")
-    train_data = _load_data(args.train_data)
-    test_data = _load_data(args.test_data)
+    train_data = load_dataset(args.train_data)
+    test_data = load_dataset(args.test_data)
 
     threshold = inference.ood_calibrate(m, S, train_data, args.n_gamma, args.quantile, args.seed)
     reports = inference.ood_test(m, S, threshold, test_data, args.n_gamma, args.seed)
@@ -380,8 +357,8 @@ def cmd_eval(args) -> int:
         raise ValidationError("--observe-fraction must lie in (0, 1]")
     if args.samples < 1:
         raise ValidationError("--samples must be >= 1")
-    m, _, _ = _load_model(args.model)
-    data = _load_data(args.data)
+    m, _, _ = load_archive(args.model)
+    data = load_dataset(args.data)
 
     header = ["index", "label", "n_observed", "interp_mse"] + [
         f"extrap_{int(100 * h)}" for h in EVAL_HORIZONS
@@ -428,11 +405,14 @@ def cmd_eval(args) -> int:
 
 def _read_csv(path) -> tuple[list[str], list[list[str]]]:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = [(no, ln.split(",")) for no, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
     if len(lines) < 2:
         raise ValidationError(f"{path}: need a header and at least one row")
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
+    header = lines[0][1]
+    for no, row in lines[1:]:
+        if len(row) != len(header):
+            raise ValidationError(f"{path}:{no}: {len(row)} fields, the header has {len(header)}")
+    return header, [row for _, row in lines[1:]]
 
 
 def cmd_plot(args) -> int:
@@ -544,20 +524,10 @@ def main(argv=None) -> int:
         # finite checks and IntegrationBlowUp catch every non-finite value; numpy's warnings repeat them
         with np.errstate(all="ignore"):
             return args.func(args)
-    except ValidationError as e:
+    except ValueError as e:  # ValidationError, ArchiveError and DatasetFormatError among them
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, DatasetFormatError, ArchiveError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (
-        TrainingDiverged,
-        IntegrationBlowUp,
-        NonFiniteValue,
-        inference.ZeroAcceptance,
-        RuntimeError,
-        OSError,
-    ) as e:
+    except (IntegrationBlowUp, NonFiniteValue, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

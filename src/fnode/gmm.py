@@ -28,7 +28,6 @@ __all__ = [
     "SelectionRow",
     "COV_TYPES",
     "em_fit",
-    "bic",
     "select_model",
     "score_rows",
     "sample",
@@ -255,13 +254,8 @@ def em_fit(bank: np.ndarray, K: int, cov_type: str = "diag", seed: int = 0, max_
     return max(fits, key=lambda fit: fit[1][-1])
 
 
-def bic(model: GMMModel, bank: np.ndarray) -> float:
-    """-2 * loglik + n_params * ln(n) for the fitted mixture on the bank."""
-    X = np.asarray(bank, dtype=np.float64)
-    return _bic(float(score_rows(model, X).sum()), _n_params(model), X.shape[0])
-
-
 def _bic(loglik: float, n_params: int, n: int) -> float:
+    """-2 * loglik + n_params * ln(n) for a mixture fitted on n rows."""
     return float(-2.0 * loglik + n_params * np.log(n))
 
 

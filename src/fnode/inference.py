@@ -3,8 +3,9 @@
 Three ways to generate: draw a fresh code from the mixture, borrow the code of
 an exemplar trajectory (transfer), or rejection-sample codes within a ball
 around an exemplar's code.  On top of those sit empirical credible bands and a
-likelihood-threshold outlier test.  Each generator decodes all of its draws in
-one :func:`rollout` call, which runs them through the batched solver.
+likelihood-threshold outlier test.  Every readout that decodes, the generators,
+the bands and :func:`reconstruct` alike, decodes all of its draws in one
+:func:`rollout` call, which runs them through the batched solver.
 
 Posterior draws of (z0, code) all come from ``GaussianParams.draw`` on noise
 the caller drew.  The code bank that ``gmm`` fits the mixture on
@@ -32,6 +33,7 @@ __all__ = [
     "ZeroAcceptance",
     "collect_gamma_samples",
     "rollout",
+    "reconstruct",
     "sample_trajectories",
     "transfer_trajectory",
     "neighborhood_sample",
@@ -107,6 +109,24 @@ def rollout(m: FNODEModel, Z0: np.ndarray, G: np.ndarray, anchor_t: float | None
             recon = decode_path(m, Tensor(Z0[lo:hi]), theta, anchor_t, grid)
             out[lo:hi] = recon.data.reshape(-1, hi - lo, m.obs_dim).transpose(1, 0, 2)
     return out
+
+
+def reconstruct(m: FNODEModel, x, times, use_posterior_mean: bool = True, seed: int = 0) -> np.ndarray:
+    """Decoded trajectory of ``x`` as a [T, obs_dim] array, one row per time of ``times``.
+
+    ``times`` may start before the first observation and extend past the
+    data.  With ``use_posterior_mean`` the encoder means are used directly;
+    otherwise one posterior draw of (z0, gamma) is taken from one
+    (z0 noise | code noise) row of ``default_rng(seed)``.
+    """
+    q_z0 = encode_batch(m.enc_z0, [x], m.obs_scale)
+    q_gamma = encode_batch(m.enc_gamma, [x], m.obs_scale)
+    if use_posterior_mean:
+        Z0, G = q_z0.mean.data, q_gamma.mean.data
+    else:
+        noise = np.random.default_rng(seed).standard_normal((1, m.p + m.d_gamma))
+        Z0, G = q_z0.draw(noise[:, : m.p]), q_gamma.draw(noise[:, m.p :])
+    return rollout(m, Z0, G, float(np.asarray(x.times)[0]), times)[0]
 
 
 def _posterior_draws(m: FNODEModel, trajs, n: int, rngs, joint: bool) -> np.ndarray:

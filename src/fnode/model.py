@@ -6,6 +6,10 @@ hypernetwork to the flat weights of the transition network, which drives a
 fixed-step RK4 rollout over the trajectory's own timestamps; a shared decoder
 maps latent states back to observation space.  Training maximizes the usual
 Gaussian-likelihood evidence lower bound with a linear KL warm-up.
+
+:func:`decode_path` is the one decode from (z0, field weights) to decoder
+output: the training objective calls it on the taped batch, and
+``inference.rollout`` calls it, untaped, for every readout of a trained model.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .nets import (
     Hypernetwork,
     MLPSpec,
     batch_features,
-    encode_batch,
     encode_features,
     hypernet_map,
     init_hypernetwork,
@@ -45,7 +48,6 @@ __all__ = [
     "kl_schedule",
     "elbo_loss",
     "fit",
-    "reconstruct",
     "decode_path",
     "Adam",
 ]
@@ -252,9 +254,7 @@ def _elbo_core(m: FNODEModel, feats, times, targets, kl_weight: float, noises):
         z0_all = reparameterize(q_z0, nz)
         gamma_all = reparameterize(q_gamma, ng)
         theta_all = hypernet_map(m.hyper, gamma_all)
-        fld = make_batch_field(m.f_spec, theta_all)
-        states = integrate_batch(fld, z0_all, times, m.solver)
-        recon = m.dec(tg.concat(states))
+        recon = decode_path(m, z0_all, theta_all, None, times)
         sq = tg.tensor_sum(tg.square(recon - targets_tm))
         recon_draws.append(tg.scale(sq, -1.0 / (2.0 * m.sigma_x**2)) + log_norm)
 
@@ -280,14 +280,6 @@ def _elbo_core(m: FNODEModel, feats, times, targets, kl_weight: float, noises):
     return mean_total, breakdown
 
 
-def _batch_elbo(m: FNODEModel, trajs, kl_weight: float, noises):
-    """Mean-ELBO tensor plus breakdown for a list of equal-length trajectories."""
-    if any(len(t.times) != len(trajs[0].times) for t in trajs):
-        raise ValueError("batch trajectories must share the number of observations")
-    feats, times, targets = _pack_batch(m, trajs)
-    return _elbo_core(m, feats, times, targets, kl_weight, noises)
-
-
 def elbo_loss(m: FNODEModel, x, cfg: TrainConfig, kl_weight: float) -> ELBOBreakdown:
     """Monte-Carlo ELBO estimate for one trajectory (loss to minimize is -total)."""
     if not 0.0 <= kl_weight <= 1.0:
@@ -300,8 +292,7 @@ def elbo_loss(m: FNODEModel, x, cfg: TrainConfig, kl_weight: float) -> ELBOBreak
         )
         for _ in range(cfg.mc_samples)
     ]
-    _, breakdown = _batch_elbo(m, [x], kl_weight, noises)
-    return breakdown
+    return _elbo_core(m, *_pack_batch(m, [x]), kl_weight, noises)[1]
 
 
 # -- optimizer -------------------------------------------------------------------
@@ -420,7 +411,7 @@ def fit(m: FNODEModel, data, cfg: TrainConfig, on_epoch=None):
     return m, history
 
 
-# -- deterministic reconstruction ---------------------------------------------------
+# -- decoding ---------------------------------------------------------------------------
 
 
 def decode_path(m: FNODEModel, z0: Tensor, theta: Tensor, anchor_t: float | None, times) -> Tensor:
@@ -465,23 +456,3 @@ def decode_path(m: FNODEModel, z0: Tensor, theta: Tensor, anchor_t: float | None
         path = integrate_batch(fld, z0, np.broadcast_to(grid, (B, grid.size)), m.solver)
         states += path[offset:]
     return m.dec(tg.concat(states))
-
-
-def reconstruct(m: FNODEModel, x, times, use_posterior_mean: bool = True, seed: int = 0) -> np.ndarray:
-    """Decoded trajectory of ``x`` as a [T, obs_dim] array, one row per time of ``times``.
-
-    ``times`` may start before the first observation and extend past the
-    data.  With ``use_posterior_mean`` the encoder means are used directly;
-    otherwise one posterior draw of (z0, gamma) is taken, z0 noise first.
-    """
-    q_z0 = encode_batch(m.enc_z0, [x], m.obs_scale)
-    q_gamma = encode_batch(m.enc_gamma, [x], m.obs_scale)
-    if use_posterior_mean:
-        z0, gamma = q_z0.mean, q_gamma.mean
-    else:
-        rng = np.random.default_rng(seed)
-        z0 = Tensor(q_z0.draw(rng.standard_normal((1, m.p))))
-        gamma = Tensor(q_gamma.draw(rng.standard_normal((1, m.d_gamma))))
-    with tg.no_record():
-        theta = hypernet_map(m.hyper, gamma)
-        return decode_path(m, z0, theta, float(np.asarray(x.times)[0]), times).data

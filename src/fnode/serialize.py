@@ -38,6 +38,7 @@ import binascii
 import json
 import math
 import os
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +48,7 @@ from .model import ELBOBreakdown, FNODEModel
 from .nets import MLP, Hypernetwork, MLPSpec
 from .odeint import SolverConfig
 from .syndata import fmt_float, write_bytes_atomic
-from .tensorgrad import NonFiniteValue, ParamSet, Tensor
+from .tensorgrad import ParamSet, Tensor
 
 __all__ = [
     "FORMAT_VERSION",
@@ -144,17 +145,7 @@ def _encode_gmm(S: GMMModel | None, block) -> dict | None:
 def _history_summary(history: Sequence[ELBOBreakdown] | None) -> dict | None:
     if not history:
         return None
-
-    def rec(bd: ELBOBreakdown) -> dict:
-        return {
-            "total": bd.total,
-            "recon_loglik": bd.recon_loglik,
-            "kl_z0": bd.kl_z0,
-            "kl_gamma": bd.kl_gamma,
-            "kl_weight": bd.kl_weight,
-        }
-
-    return {"epochs": len(history), "first": rec(history[0]), "last": rec(history[-1])}
+    return {"epochs": len(history), "first": asdict(history[0]), "last": asdict(history[-1])}
 
 
 def save_archive(
@@ -268,7 +259,7 @@ def load_archive(path):
         return _rebuild(doc)
     except KeyError as e:
         raise ArchiveError(f"{path}: archive is missing key {e}") from e
-    except (TypeError, ValueError, AttributeError, NonFiniteValue) as e:
+    except (TypeError, ValueError, AttributeError, ArithmeticError) as e:  # NonFiniteValue, OverflowError
         raise ArchiveError(f"{path}: malformed archive ({e})") from e
 
 

@@ -54,8 +54,8 @@ class Trajectory:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim == 1:
             v = v[:, None]
-        if t.ndim != 1 or t.shape[0] < 1 or v.shape[0] != t.shape[0]:
-            raise ValueError("times/values must be non-empty and aligned")
+        if t.ndim != 1 or v.ndim != 2 or t.shape[0] < 1 or v.shape[0] != t.shape[0]:
+            raise ValueError("times/values must be non-empty and aligned: [T] times, [T] or [T, d] values")
         if t.shape[0] > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("times must be strictly increasing")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
@@ -240,7 +240,10 @@ def load_dataset(path) -> PanelDataset:
     header = parse(1, raw_lines[0])
     if header.get("record") != "header" or "obs_dim" not in header:
         raise DatasetFormatError(f"{path}:1: missing header record")
-    obs_dim = int(header["obs_dim"])
+    try:
+        obs_dim = int(header["obs_dim"])
+    except (TypeError, ValueError, OverflowError) as e:
+        raise DatasetFormatError(f"{path}:1: obs_dim {header['obs_dim']!r} is not an integer") from e
 
     trajs = []
     for line_no, text in enumerate(raw_lines[1:], start=2):
@@ -250,7 +253,7 @@ def load_dataset(path) -> PanelDataset:
             values = np.asarray(rec["values"], dtype=np.float64)
             label = rec.get("label")
             traj = Trajectory(times, values, None if label is None else int(label))
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DatasetFormatError(f"{path}:{line_no}: bad trajectory record ({e})") from e
         if traj.obs_dim != obs_dim:
             raise DatasetFormatError(

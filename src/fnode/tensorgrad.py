@@ -317,6 +317,7 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
 
 def cols(a: Tensor, start: int, stop: int) -> Tensor:
+    """Columns [start, stop) of a [B, n] tensor; its data is a view of ``a``'s."""
     if a.data.ndim != 2 or not (0 <= start <= stop <= a.data.shape[1]):
         raise ShapeMismatch(f"cols: [{start}:{stop}] of shape {a.shape}")
 
@@ -325,7 +326,7 @@ def cols(a: Tensor, start: int, stop: int) -> Tensor:
             a.grad = np.zeros_like(a.data)
         a.grad[:, start:stop] += g
 
-    return Tensor(np.ascontiguousarray(a.data[:, start:stop]), (a,), bwd, "cols")
+    return Tensor(a.data[:, start:stop], (a,), bwd, "cols")
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -540,8 +541,14 @@ def _bad_config(key, value):
     return key, argv
 
 
-# Flag, archive and config values that must be refused: case -> (word the
-# message names, builder of the argv from the workspace, tmp_path and output).
+def _edited_file(draw):
+    """A BAD_VALUES case: the command of a ``FILE_CASES`` draw, one field or row of a file edited."""
+    return lambda ws, tmp, out: _file_argv(draw, ws, tmp, out)
+
+
+# Flag, archive, config and file values that must be refused: case -> (word
+# the message names, builder of the argv from the workspace, tmp_path and
+# output).  An edited file's error names the file, and a dataset's its line.
 BAD_VALUES = {
     "sample_max_attempts_0": ("max_attempts", lambda ws, tmp, out: _neighborhood(ws, out, 0)),
     "sample_max_attempts_negative": ("max_attempts", lambda ws, tmp, out: _neighborhood(ws, out, -1)),
@@ -565,6 +572,19 @@ BAD_VALUES = {
     "config_lambda_init_nan": _bad_config("lambda_init", "nan"),
     "config_lambda_init_inf": _bad_config("lambda_init", "inf"),
     "config_sigma_x_inf": _bad_config("sigma_x", "inf"),
+    "dataset_values_null": ("fuzzed.jsonl:2:", _edited_file(("dataset", 1, "values", None))),
+    "dataset_values_number": ("fuzzed.jsonl:2:", _edited_file(("dataset", 1, "values", 0.25))),
+    "dataset_values_true": ("fuzzed.jsonl:3:", _edited_file(("dataset", 2, "values", True))),
+    "dataset_label_inf": ("fuzzed.jsonl:2:", _edited_file(("dataset", 1, "label", math.inf))),
+    "dataset_obs_dim_null": ("fuzzed.jsonl:1:", _edited_file(("dataset", 0, "obs_dim", None))),
+    "dataset_obs_dim_list": ("fuzzed.jsonl:1:", _edited_file(("dataset", 0, "obs_dim", [1]))),
+    "dataset_obs_dim_object": ("fuzzed.jsonl:1:", _edited_file(("dataset", 0, "obs_dim", {"d": 1}))),
+    "dataset_obs_dim_inf": ("fuzzed.jsonl:1:", _edited_file(("dataset", 0, "obs_dim", math.inf))),
+    "archive_obs_dim_inf": ("fuzzed.fnode", _edited_file(("archive", ("model", "obs_dim"), math.inf))),
+    "archive_spec_width_inf": (
+        "fuzzed.fnode", _edited_file(("archive", ("model", "specs", "f", "widths", 1), math.inf))),
+    "plot_short_traj_row": ("traj.csv:3:", _edited_file(("csv", "traj", 2, "0,0.5"))),
+    "plot_short_band_row": ("band.csv:2:", _edited_file(("csv", "band", 1, "0.0,0.5"))),
 }
 
 
@@ -594,6 +614,54 @@ FUZZED_FLAGS = [
     *(("ood", f) for f in ("--quantile", "--n-gamma", "--seed")),
     *(("eval", f) for f in ("--observe-fraction", "--samples", "--seed")),
 ]
+# JSON values for one field of a dataset record or an archive header, drawn
+# like FUZZ_VALUES: every JSON kind, float specials, and short lists and
+# objects of small scalars, so that no large count can appear.
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.25, 1e308]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4),
+)
+JSON_VALUES = st.one_of(
+    JSON_SCALARS,
+    st.lists(JSON_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=2), JSON_SCALARS, max_size=2),
+)
+DATASET_HEADER_FIELDS = ["record", "obs_dim", "generator", "seed", "n_trajectories", "metadata"]
+DATASET_RECORD_FIELDS = ["id", "label", "times", "values", "meta"]
+ARCHIVE_FIELDS = [
+    ("format_version",),
+    *(("model", key) for key in ("obs_dim", "n_points", "p", "d_gamma", "sigma_x", "obs_scale")),
+    ("model", "solver", "method"),
+    ("model", "solver", "step_size"),
+    ("model", "specs", "f", "widths", 1),
+    ("model", "specs", "dec", "widths", 0),
+    ("model", "specs", "hyper_body", "final_activation"),
+    ("model", "params", "dec.w0", "offset"),
+    ("model", "params", "dec.w0", "shape", 0),
+    ("model", "params", "hyper.lambda", "shape"),
+    ("gmm", "cov_type"),
+    ("gmm", "means", "shape", 1),
+    ("seeds", "train"),
+]
+# plot inputs: a trajectories CSV and a band CSV
+PLOT_CSVS = {
+    "traj": ["sample_id,time,value_1", "0,0.0,1.0", "0,0.5,2.0", "1,0.0,0.5", "1,0.5,1.5"],
+    "band": ["time,lower_1,mean_1,upper_1", "0.0,0.5,1.0,1.5", "0.5,1.5,2.0,2.5"],
+}
+FILE_CASES = st.one_of(
+    st.tuples(st.just("dataset"), st.just(0), st.sampled_from(DATASET_HEADER_FIELDS), JSON_VALUES),
+    st.tuples(st.just("dataset"), st.integers(1, 3), st.sampled_from(DATASET_RECORD_FIELDS), JSON_VALUES),
+    st.tuples(st.just("archive"), st.sampled_from(ARCHIVE_FIELDS), JSON_VALUES),
+    st.tuples(
+        st.just("csv"),
+        st.sampled_from(sorted(PLOT_CSVS)),
+        st.integers(0, 2),
+        st.lists(FUZZ_VALUES, max_size=5).map(",".join),
+    ),
+)
 CONTRACT_CASES = st.one_of(
     st.tuples(
         st.just("flag"), st.sampled_from(FUZZED_FLAGS), FUZZ_VALUES,
@@ -606,7 +674,42 @@ CONTRACT_CASES = st.one_of(
             st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8),
         ),
     ),
+    FILE_CASES,
 )
+
+
+def _file_argv(case, ws, tmp, out):
+    """The argv of a ``FILE_CASES`` draw: a command on a file with one field or row edited."""
+    kind, *rest = case
+    if kind == "dataset":
+        # line 0 is the header, line k >= 1 the k-th trajectory record
+        line, field, value = rest
+        lines = ws["data"].read_text(encoding="utf-8").splitlines()
+        rec = json.loads(lines[line])
+        rec[field] = value
+        lines[line] = json.dumps(rec)
+        data = tmp / "fuzzed.jsonl"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return ["eval", "--model", ws["model"], "--data", data, "--out", out]
+    if kind == "archive":
+        path, value = rest
+        header, payload = archive_file.read_raw(ws["model"])
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        model = tmp / "fuzzed.fnode"
+        archive_file.write_raw(model, header, payload)
+        return _sample(ws, out, "--n", 3, model=model)
+    name, row, text = rest
+    files = {}
+    for key, lines in PLOT_CSVS.items():
+        lines = list(lines)
+        if key == name:
+            lines[row] = text
+        files[key] = tmp / f"{key}.csv"
+        files[key].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ["plot", "--traj", files["traj"], "--band", files["band"], "--out", out]
 
 
 def _contract_argv(case, ws, tmp, out):
@@ -614,6 +717,8 @@ def _contract_argv(case, ws, tmp, out):
     kind, *rest = case
     if kind == "bad":
         return BAD_VALUES[rest[0]][1](ws, tmp, out)
+    if kind in ("dataset", "archive", "csv"):
+        return _file_argv(case, ws, tmp, out)
     if kind == "config":
         cfg = tmp / "fuzzed.txt"
         cfg.write_text(ws["config"].read_text() + rest[0] + "\n", encoding="utf-8")

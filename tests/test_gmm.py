@@ -13,7 +13,6 @@ import fnode.gmm as gmm_mod
 from fnode.gmm import (
     COV_TYPES,
     GMMModel,
-    bic,
     em_fit,
     sample,
     score_rows,
@@ -179,15 +178,14 @@ class TestBIC:
 
     def test_formula_and_doubling_penalty(self):
         X = three_clusters(n_per=50)
-        model, _ = em_fit(X, K=3, cov_type="diag", seed=0)
-        ll = float(score_rows(model, X).sum())
-        n = X.shape[0]
-        assert bic(model, X) == pytest.approx(-2 * ll + _n_params(model) * math.log(n))
-        # doubling n with an identical fit adds params * ln(2) to the penalty
-        X2 = np.concatenate([X, X])
-        penalty_1 = bic(model, X) + 2 * ll
-        penalty_2 = bic(model, X2) + 2 * float(score_rows(model, X2).sum())
-        assert penalty_2 - penalty_1 == pytest.approx(_n_params(model) * math.log(2), abs=1e-9)
+        _, (row,) = select_model(X, [3], ("diag",), seed=0)
+        _, (row2,) = select_model(np.concatenate([X, X]), [3], ("diag",), seed=0)
+        assert row.params == row2.params
+        assert row.bic == pytest.approx(-2 * row.loglik + row.params * math.log(len(X)))
+        # doubling n adds params * ln(2) to the penalty, whatever the two fits
+        penalty_1 = row.bic + 2 * row.loglik
+        penalty_2 = row2.bic + 2 * row2.loglik
+        assert penalty_2 - penalty_1 == pytest.approx(row.params * math.log(2), abs=1e-9)
 
 
 class TestSelectModel:
@@ -236,7 +234,7 @@ class TestSelectModel:
         monkeypatch.undo()
         for r in table:
             if r.selected:
-                assert r.bic == bic(best, X)
+                assert r.bic == -2.0 * r.loglik + r.params * np.log(X.shape[0])
                 assert r.loglik == float(score_rows(best, X).sum())
 
     def test_rows_report_em_convergence(self):

@@ -16,11 +16,12 @@ from fnode.inference import (
     ood_calibrate,
     ood_scores,
     ood_test,
+    reconstruct,
     rollout,
     sample_trajectories,
     transfer_trajectory,
 )
-from fnode.model import FNODEModel, TrainConfig, fit, reconstruct
+from fnode.model import FNODEModel, TrainConfig, fit
 from fnode.nets import encode_batch, weight_count
 from fnode.syndata import generate_set_a
 
@@ -113,9 +114,11 @@ class TestRollout:
 
     @pytest.mark.parametrize("per_row", [False, True])
     def test_peak_memory_stays_near_the_weight_block(self, per_row):
-        # Nothing is recorded: the hypernetwork's intermediates go as they are
-        # used, so the peak is about the [B, weight_count] block twice (theta
-        # and the field's per-layer slices of it), not once per taped op.
+        # Nothing is recorded, so the hypernetwork's intermediates go as they
+        # are used, and the field's per-layer weights are views of theta.  The
+        # peak is one op of the hypernetwork's output layer holding its input
+        # and its result, two [B, weight_count] blocks (2.14 here), not one
+        # block per taped op.
         m = FNODEModel.build(obs_dim=1, n_points=10, seed=0)
         B = 40
         rng = np.random.default_rng(0)
@@ -129,7 +132,7 @@ class TestRollout:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * block, peak / block
+        assert peak < 2.3 * block, peak / block
 
 
 class TestTransfer:

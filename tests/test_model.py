@@ -16,11 +16,11 @@ from fnode.model import (
     kl_gaussian,
     kl_schedule,
     make_batch_field,
-    reconstruct,
     reparameterize,
-    _batch_elbo,
+    _elbo_core,
+    _pack_batch,
 )
-from fnode.inference import rollout
+from fnode.inference import reconstruct, rollout
 from fnode.nets import GaussianParams, MLPSpec, encode_batch, hypernet_map, weight_count
 from fnode.odeint import integrate_batch
 from fnode.syndata import PanelDataset, Trajectory, generate_set_a
@@ -230,7 +230,7 @@ class TestELBOGradients:
         m, trajs, noises = gradient_check_fixture()
 
         def prog(ps):
-            loss_t, _ = _batch_elbo(m, trajs, 1.0, noises)
+            loss_t, _ = _elbo_core(m, *_pack_batch(m, trajs), 1.0, noises)
             return tg.neg(loss_t)
 
         err = autodiff.finite_diff_check(prog, m.params, [], h=1e-5)
@@ -356,6 +356,98 @@ class TestReconstruct:
         z_path = integrate_batch(make_batch_field(m.f_spec, theta), z0, traj.times[None, :], m.solver)
         drift = max(np.max(np.abs(z.data - z0.data)) for z in z_path)
         assert drift == 0.0
+
+
+def numpy_mlp(layers, x):
+    """A tanh MLP in plain numpy: ``layers`` holds (weight [out, in], bias, tanh_out) per layer."""
+    for w, b, tanh_out in layers:
+        x = w @ x + b
+        if tanh_out:
+            x = np.tanh(x)
+    return x
+
+
+def numpy_field(f_spec, theta_row):
+    """f(z, t), the transition net on [z, t], rebuilt from one row of the weight block."""
+    layers, pos = [], 0
+    ws = f_spec.layer_widths
+    for i, (n_in, n_out) in enumerate(zip(ws[:-1], ws[1:])):
+        w = theta_row[pos : pos + n_in * n_out].reshape(n_out, n_in)
+        pos += n_in * n_out
+        layers.append((w, theta_row[pos : pos + n_out], i < len(ws) - 2 or f_spec.final_activation == "tanh"))
+        pos += n_out
+    return lambda z, t: numpy_mlp(layers, np.append(z, t))
+
+
+def numpy_decode(m, z0, theta_row, anchor, times):
+    """Decoded states at ``times`` of dz/dt = f(z, t) with z(anchor) = z0, by plain RK4.
+
+    The solve walks out from the anchor through the grid times on each side,
+    in steps of the solver's step size with a partial step onto each time:
+    forward after the anchor, and with negative steps before it.
+    """
+    f = numpy_field(m.f_spec, theta_row)
+    dec = [(m.dec.params[f"w{i}"].data, m.dec.params[f"b{i}"].data, i < m.dec.spec.n_layers - 1)
+           for i in range(m.dec.spec.n_layers)]
+    states = {}
+    for side in ([t for t in times if t < anchor][::-1], [t for t in times if t >= anchor]):
+        z, t = np.array(z0, dtype=float), anchor
+        for target in side:
+            while abs(target - t) > 1e-12:
+                h = math.copysign(min(m.solver.step_size, abs(target - t)), target - t)
+                k1 = f(z, t)
+                k2 = f(z + h / 2 * k1, t + h / 2)
+                k3 = f(z + h / 2 * k2, t + h / 2)
+                k4 = f(z + h * k3, t + h)
+                z, t = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4), t + h
+            states[target] = numpy_mlp(dec, z)
+    return np.array([states[t] for t in times])
+
+
+# Grids around an anchor at 0.3, with no gap a multiple of the step size.
+ANCHOR = 0.3
+ANCHORED_GRIDS = {
+    "before_at_after": np.array([-0.47, -0.13, 0.3, 0.52, 0.91]),
+    "before_only": np.array([-0.41, 0.05, 0.18]),
+    "starts_after": np.array([0.44, 0.67, 1.13]),
+}
+
+
+class TestAnchoredDecoding:
+    """``rollout`` and ``reconstruct`` against plain-numpy RK4 from the anchor, in both directions."""
+
+    @pytest.mark.parametrize("grid", sorted(ANCHORED_GRIDS))
+    def test_rollout_matches_numpy_rk4(self, grid):
+        m = tiny_model(seed=2)
+        m.hyper.lam.data[...] = 1.0  # a field strong enough to move the state
+        times = ANCHORED_GRIDS[grid]
+        rng = np.random.default_rng(9)
+        Z0, G = rng.standard_normal((3, m.p)), rng.standard_normal((3, m.d_gamma))
+        got = rollout(m, Z0, G, ANCHOR, times)
+        theta = hypernet_map(m.hyper, Tensor(G)).data
+        for b in range(3):
+            want = numpy_decode(m, Z0[b], theta[b], ANCHOR, times)
+            at_anchor = numpy_decode(m, Z0[b], theta[b], ANCHOR, [ANCHOR])
+            assert np.max(np.abs(want - at_anchor)) > 1e-3  # the path moves away from z0
+            np.testing.assert_allclose(got[b], want, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("grid", sorted(ANCHORED_GRIDS))
+    @pytest.mark.parametrize("use_posterior_mean", [True, False])
+    def test_reconstruct_matches_numpy_rk4(self, grid, use_posterior_mean):
+        m = tiny_model(n_points=3, seed=3)
+        m.hyper.lam.data[...] = 1.0
+        x = Trajectory(ANCHOR + np.array([0.0, 0.2, 0.45]), np.array([[0.5], [-0.3], [0.8]]))
+        times = ANCHORED_GRIDS[grid]
+        got = reconstruct(m, x, times, use_posterior_mean=use_posterior_mean, seed=4)
+        q_z, q_g = encode_batch(m.enc_z0, [x], m.obs_scale), encode_batch(m.enc_gamma, [x], m.obs_scale)
+        z0, gamma = q_z.mean.data[0], q_g.mean.data[0]
+        if not use_posterior_mean:
+            # one (z0 noise | code noise) row of default_rng(seed)
+            noise = np.random.default_rng(4).standard_normal(m.p + m.d_gamma)
+            z0 = z0 + np.exp(q_z.log_var.data[0] / 2) * noise[: m.p]
+            gamma = gamma + np.exp(q_g.log_var.data[0] / 2) * noise[m.p :]
+        theta = hypernet_map(m.hyper, Tensor(gamma[None])).data[0]
+        np.testing.assert_allclose(got, numpy_decode(m, z0, theta, ANCHOR, times), rtol=1e-10, atol=1e-12)
 
 
 class TestAdam:
