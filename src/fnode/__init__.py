@@ -23,7 +23,7 @@ from .inference import (
 )
 from .model import ELBOBreakdown, FNODEModel, TrainConfig, elbo_loss, fit
 from .nets import MLP, GaussianParams, Hypernetwork, MLPSpec
-from .odeint import SolverConfig, integrate
+from .odeint import SolverConfig
 from .serialize import load_archive, save_archive
 from .syndata import (
     PanelDataset,

@@ -193,12 +193,11 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg_file.values["seed"] = args.seed  # flag wins over config file
 
-    values = np.concatenate([t.values.reshape(-1) for t in data.trajectories])
-    obs_scale = (
-        float(np.sqrt(np.mean(values**2))) if cfg_file["obs_scale"] == "auto" else cfg_file["obs_scale"]
-    )
-    if obs_scale <= 0:
-        obs_scale = 1.0
+    obs_scale = cfg_file["obs_scale"]
+    if obs_scale == "auto":
+        values = np.concatenate([t.values.reshape(-1) for t in data.trajectories])
+        # all-zero values have no scale of their own
+        obs_scale = float(np.sqrt(np.mean(values**2))) or 1.0
 
     n_points = len(data.trajectories[0])
     if any(len(t) != n_points for t in data.trajectories):

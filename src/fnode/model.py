@@ -33,10 +33,12 @@ from .nets import (
     weight_count,
 )
 
-# ``integrate`` is unused here but stays importable as ``model.integrate``: the
-# benchmark's solver probe rebinds that name.
-from .odeint import IntegrationBlowUp, SolverConfig, integrate, integrate_batch  # noqa: F401
+from .odeint import IntegrationBlowUp, SolverConfig, integrate_batch
 from .tensorgrad import ParamSet, Tensor
+
+# The benchmark's solver probe rebinds ``model.integrate`` as well as
+# ``model.integrate_batch``, so the old name stays bound to the one solver.
+integrate = integrate_batch
 
 __all__ = [
     "FNODEModel",
@@ -97,10 +99,14 @@ class ELBOBreakdown:
 class FNODEModel:
     """All trainable pieces plus solver and likelihood configuration.
 
-    ``params`` is derived from the components: every trainable tensor under a
-    component prefix (``enc_z0.``, ``enc_gamma.``, ``hyper.``, ``dec.``), in
-    that order.  The components share those tensors, so in-place optimizer
-    updates are visible everywhere.
+    The sizes are derived from the components' specs: ``p`` is the field's
+    output width, ``d_gamma`` the hypernetwork's input width, ``obs_dim`` the
+    decoder's output width and ``n_points`` the encoders' input width over
+    ``1 + obs_dim``; ``__post_init__`` checks that the specs agree on them.
+    ``params`` is derived as well: every trainable tensor under a component
+    prefix (``enc_z0.``, ``enc_gamma.``, ``hyper.``, ``dec.``), in that order.
+    The components share those tensors, so in-place optimizer updates are
+    visible everywhere.
     """
 
     enc_z0: MLP
@@ -110,18 +116,43 @@ class FNODEModel:
     dec: MLP
     solver: SolverConfig
     sigma_x: float
-    p: int
-    d_gamma: int
-    obs_dim: int
-    n_points: int
     obs_scale: float
     params: ParamSet = field(init=False)
+
+    @property
+    def p(self) -> int:
+        return self.f_spec.out_width
+
+    @property
+    def d_gamma(self) -> int:
+        return self.hyper.body.in_width
+
+    @property
+    def obs_dim(self) -> int:
+        return self.dec.spec.out_width
+
+    @property
+    def n_points(self) -> int:
+        return self.enc_z0.spec.in_width // (1 + self.obs_dim)
 
     def __post_init__(self):
         if self.hyper.body.out_width != weight_count(self.f_spec):
             raise ValueError("hypernetwork output width != transition weight count")
-        if self.f_spec.in_width != self.p + 1 or self.f_spec.out_width != self.p:
+        if self.f_spec.in_width != self.p + 1:
             raise ValueError("transition net must map [p+1] -> [p]")
+        widths = {
+            "enc_z0 output": (self.enc_z0.spec.out_width, 2 * self.p),
+            "enc_gamma output": (self.enc_gamma.spec.out_width, 2 * self.d_gamma),
+            "decoder input": (self.dec.spec.in_width, self.p),
+            "enc_gamma input": (self.enc_gamma.spec.in_width, self.enc_z0.spec.in_width),
+        }
+        for what, (got, want) in widths.items():
+            if got != want:
+                raise ValueError(f"{what} width is {got}, the other specs need {want}")
+        if self.enc_z0.spec.in_width % (1 + self.obs_dim):
+            raise ValueError(
+                f"encoder input width {self.enc_z0.spec.in_width} is not a multiple of 1 + obs_dim = {1 + self.obs_dim}"
+            )
         if not (math.isfinite(self.sigma_x) and self.sigma_x > 0):
             raise ValueError(f"sigma_x must be finite and positive, got {self.sigma_x!r}")
         if not (math.isfinite(self.obs_scale) and self.obs_scale > 0):
@@ -163,10 +194,6 @@ class FNODEModel:
             dec=dec,
             solver=SolverConfig(step_size=step_size),
             sigma_x=sigma_x,
-            p=p,
-            d_gamma=d_gamma,
-            obs_dim=obs_dim,
-            n_points=n_points,
             obs_scale=obs_scale,
         )
 

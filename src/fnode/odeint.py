@@ -11,14 +11,12 @@ The vector field is any callable built from taped primitives, so the
 returned states stay differentiable with respect to the initial state and
 whatever parameters the field closes over (gradients come from
 backpropagating through the solver steps, not an adjoint solve).
-:func:`integrate` runs a single rank-1 state through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,60 +26,28 @@ from .tensorgrad import NonFiniteValue, Tensor
 __all__ = [
     "SolverConfig",
     "IntegrationBlowUp",
-    "integrate",
     "integrate_batch",
 ]
 
-VectorField = Callable[[Tensor, float], Tensor]
-
 
 class IntegrationBlowUp(ArithmeticError):
-    """State became non-finite during integration; carries the time of blow-up.
+    """State became non-finite during integration; carries the time of blow-up and the first row that blew up."""
 
-    The batched solver also names the first batch row that blew up.
-    """
-
-    def __init__(self, t: float, row: int | None = None):
-        where = "" if row is None else f" in batch row {row}"
-        super().__init__(f"non-finite state at t={t!r}{where}")
+    def __init__(self, t: float, row: int):
+        super().__init__(f"non-finite state at t={t!r} in batch row {row}")
         self.t = t
         self.row = row
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-step solver settings.  Only RK4 is supported."""
+    """Settings of the one solver, fixed-step RK4."""
 
-    method: str = "rk4"
     step_size: float = 0.1
 
     def __post_init__(self):
-        if self.method != "rk4":
-            raise ValueError(f"unsupported method {self.method!r}")
         if not (math.isfinite(self.step_size) and self.step_size > 0):
             raise ValueError(f"step_size must be finite and positive, got {self.step_size!r}")
-
-
-def integrate(field: VectorField, z0: Tensor, grid: Sequence[float], cfg: SolverConfig) -> list[Tensor]:
-    """States of ``dz/dt = field(z, t)`` at every time of ``grid``, for one rank-1 state.
-
-    ``grid`` is a strictly increasing sequence of times, and ``grid[0]`` is
-    the time of ``z0``.  This is :func:`integrate_batch` on a batch of one:
-    ``field`` sees the [p] state and a float time, and each returned state is
-    a [p] tensor.
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1:
-        raise ValueError(f"grid must be a sequence of times, got shape {grid.shape}")
-    if z0.data.ndim != 1:
-        raise ValueError(f"z0 must be rank 1, got shape {z0.shape}")
-    p = z0.data.shape[0]
-
-    def row_field(Z: Tensor, t_row: np.ndarray) -> Tensor:
-        return tg.reshape(field(tg.reshape(Z, (p,)), float(t_row[0])), (1, p))
-
-    states = integrate_batch(row_field, tg.reshape(z0, (1, p)), grid[None, :], cfg)
-    return [z0] + [tg.reshape(z, (p,)) for z in states[1:]]
 
 
 def integrate_batch(field, z0: Tensor, times: np.ndarray, cfg: SolverConfig) -> list[Tensor]:

@@ -1,6 +1,7 @@
 """Versioned model archives: one JSON header line and a raw float64 payload.
 
-A format-3 archive, the one :func:`save_archive` writes, is three parts::
+Format 3 is the one format: :func:`save_archive` writes it and
+:func:`load_archive` reads nothing else.  An archive is three parts::
 
     fnode-archive\n        the magic line
     {...}\n                the header: the archive document as one line of
@@ -17,24 +18,18 @@ of ``8 * prod(shape)`` bytes starts ``offset`` bytes into the payload.
 straight into one float64 buffer.  Every array is a reshaped view of its own
 block: writable, C-contiguous, aligned and in native byte order, and, as the
 blocks tile the payload, sharing no entry with another array.  It checks the
-header's schema, each parameter's shape against its spec, and the
-sampler's width and values.  The payload must hold shape entries that are
-non-negative integers and offsets that are non-negative multiples of 8, no
-block may run past the payload's end, and the blocks must tile the payload
-exactly: no gap, no overlap, no trailing byte.  An archive that fails any
-check, or whose header line is not JSON, raises :class:`ArchiveError`.
-
-A file without the magic line is read as one JSON document, the layout of
-formats 1 and 2, which still load bit-identically.  Format 2 stores each
-array as ``{"shape", "f8": <base64 of its bytes>}``, format 1 as
-``{"shape", "data": <space-separated decimals>}``.  A format_version gate
-refuses any other version, and a version that does not match the layout.
+header's schema and version, each parameter's shape against its spec, the
+header's sizes (``p``, ``d_gamma``, ``obs_dim``, ``n_points``) against the
+ones the specs give, and the sampler's width and values.  The payload must
+hold shape entries that are non-negative integers and offsets that are
+non-negative multiples of 8, no block may run past the payload's end, and
+the blocks must tile the payload exactly: no gap, no overlap, no trailing
+byte.  A file without the magic line, an archive that fails any check, or
+one whose header line is not JSON, raises :class:`ArchiveError`.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
 import math
 import os
@@ -58,8 +53,8 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 3
-READABLE_VERSIONS = (1, 2, 3)
 MAGIC = b"fnode-archive\n"
+SOLVER_METHOD = "rk4"  # the header names the one solver
 
 
 class ArchiveError(ValueError):
@@ -108,23 +103,6 @@ class _Payload:
             raise ArchiveError(f"payload holds {self.nbytes - end} bytes after its last array block")
 
 
-def _decode_document_array(obj: dict, version: int) -> np.ndarray:
-    """An array of a format-1 or format-2 document."""
-    shape = _shape(obj)
-    if version == 1:
-        flat = np.array([float(tok) for tok in obj["data"].split()], dtype=np.float64)
-        return flat.reshape(shape)
-    try:
-        raw = base64.b64decode(obj["f8"], validate=True)
-    except binascii.Error as e:
-        raise ArchiveError(f"array payload is not valid base64 ({e})") from e
-    n_bytes = 8 * math.prod(shape)
-    if len(raw) != n_bytes:
-        raise ArchiveError(f"array payload holds {len(raw)} bytes, shape {list(shape)} needs {n_bytes}")
-    # astype copies, so the array is writable and in native byte order
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-
-
 def _encode_spec(spec: MLPSpec) -> dict:
     return {"widths": list(spec.layer_widths), "final_activation": spec.final_activation}
 
@@ -171,7 +149,7 @@ def save_archive(
             "d_gamma": m.d_gamma,
             "sigma_x": fmt_float(m.sigma_x),
             "obs_scale": fmt_float(m.obs_scale),
-            "solver": {"method": m.solver.method, "step_size": fmt_float(m.solver.step_size)},
+            "solver": {"method": SOLVER_METHOD, "step_size": fmt_float(m.solver.step_size)},
             "specs": {
                 "enc_z0": _encode_spec(m.enc_z0.spec),
                 "enc_gamma": _encode_spec(m.enc_gamma.spec),
@@ -206,34 +184,22 @@ def _mlp_params_from(spec: MLPSpec, raw: dict, prefix: str) -> ParamSet:
     return ps
 
 
-def _read_document(fh) -> tuple[object, _Payload | None]:
-    """The archive document and, for format 3, its payload."""
-    first = fh.readline()
-    if first != MAGIC:
-        return json.loads(first + fh.read()), None
+def _read_document(fh) -> tuple[object, _Payload]:
+    """The archive header and its payload."""
+    if fh.readline() != MAGIC:
+        raise ValueError("not a format-3 archive: the file does not start with the magic line")
     header = fh.readline()
     if not header.endswith(b"\n"):
         raise ValueError("the header line has no end")
     return json.loads(header), _Payload(fh)
 
 
-def _decode_arrays(doc: dict, decode) -> None:
-    """Replace every array entry of the document with the array it stores."""
-    params = doc["model"]["params"]
-    for name, obj in params.items():
-        params[name] = decode(obj)
-    gmm = doc.get("gmm")
-    if gmm is not None:
-        for key in _GMM_ARRAYS:
-            gmm[key] = decode(gmm[key])
-
-
 def load_archive(path):
     """Rebuild (model, gmm_or_None, seeds) from a saved archive.
 
     Any archive this cannot rebuild, including one with missing keys, bad
-    payloads or parameter shapes that disagree with the specs, raises
-    :class:`ArchiveError`.
+    payloads, parameter shapes that disagree with the specs or sizes that
+    disagree with the ones the specs give, raises :class:`ArchiveError`.
     """
     try:
         with open(path, "rb") as fh:
@@ -241,21 +207,17 @@ def load_archive(path):
     except (OSError, ValueError, RecursionError) as e:
         raise ArchiveError(f"{path}: unreadable archive ({e})") from e
     version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version not in READABLE_VERSIONS:
-        raise ArchiveError(
-            f"{path}: format_version {version!r} is not supported (expected one of {READABLE_VERSIONS})"
-        )
-    if (version == FORMAT_VERSION) != (payload is not None):
-        raise ArchiveError(
-            f"{path}: format_version {version} does not match the file's layout (format 3 starts with "
-            f"the magic line, formats 1 and 2 are one JSON document)"
-        )
+    if version != FORMAT_VERSION:
+        raise ArchiveError(f"{path}: format_version {version!r} is not supported (expected {FORMAT_VERSION})")
     try:
-        if payload is None:
-            _decode_arrays(doc, lambda obj: _decode_document_array(obj, version))
-        else:
-            _decode_arrays(doc, payload.array)
-            payload.check_tiled()
+        params = doc["model"]["params"]
+        for name, obj in params.items():
+            params[name] = payload.array(obj)
+        gmm = doc.get("gmm")
+        if gmm is not None:
+            for key in _GMM_ARRAYS:
+                gmm[key] = payload.array(gmm[key])
+        payload.check_tiled()
         return _rebuild(doc)
     except KeyError as e:
         raise ArchiveError(f"{path}: archive is missing key {e}") from e
@@ -286,16 +248,16 @@ def _rebuild(doc: dict):
         hyper=hyper,
         f_spec=_decode_spec(specs["f"]),
         dec=dec,
-        solver=SolverConfig(
-            method=md["solver"]["method"], step_size=float(md["solver"]["step_size"])
-        ),
+        solver=SolverConfig(step_size=float(md["solver"]["step_size"])),
         sigma_x=float(md["sigma_x"]),
-        p=int(md["p"]),
-        d_gamma=int(md["d_gamma"]),
-        obs_dim=int(md["obs_dim"]),
-        n_points=int(md["n_points"]),
         obs_scale=float(md["obs_scale"]),
     )
+    # the header repeats what the code and the specs fix; a value that differs was edited
+    if md["solver"]["method"] != SOLVER_METHOD:
+        raise ArchiveError(f"model.solver.method is {md['solver']['method']!r}, the one solver is {SOLVER_METHOD!r}")
+    for key in ("p", "d_gamma", "obs_dim", "n_points"):
+        if md[key] != getattr(m, key):
+            raise ArchiveError(f"model.{key} is {md[key]!r}, the specs give {getattr(m, key)}")
     gmm = doc.get("gmm")
     S = None if gmm is None else GMMModel(**{key: gmm[key] for key in _GMM_ARRAYS}, cov_type=gmm["cov_type"])
     if S is not None and S.d not in (m.d_gamma, m.p + m.d_gamma):

@@ -28,12 +28,10 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
             step = mult * mag
             break
     first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-9 * step:
-        ticks.append(0.0 if abs(t) < 1e-12 else t)
-        t += step
-    return ticks
+    # a count fixed in advance: where step is below the values' resolution, adding it moves nothing
+    count = math.floor((hi - first) / step + 1e-9) + 1
+    ticks = (first + i * step for i in range(count))
+    return [0.0 if abs(t) < 1e-12 else t for t in ticks]
 
 
 def _fmt(x: float) -> str:

@@ -44,7 +44,6 @@ __all__ = [
     "tensor_sum",
     "concat",
     "cols",
-    "reshape",
     "transpose",
     "rowwise_mlp",
     "add_scaled_rows",
@@ -327,15 +326,6 @@ def cols(a: Tensor, start: int, stop: int) -> Tensor:
         a.grad[:, start:stop] += g
 
     return Tensor(a.data[:, start:stop], (a,), bwd, "cols")
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-
-    def bwd(g):
-        _acc(a, g.reshape(a.data.shape))
-
-    return Tensor(a.data.reshape(shape), (a,), bwd, "reshape")
 
 
 def transpose(a: Tensor) -> Tensor:

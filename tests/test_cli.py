@@ -449,6 +449,20 @@ class TestPlot:
         assert run(["plot", "--traj", csv, "--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_times_finer_than_their_resolution_plot(self, tmp_path):
+        # ticks step by 0.5, below the spacing of float64 values near 1e16
+        csv = tmp_path / "t.csv"
+        self.make_traj_csv(csv, ["0,1e16,1.0", "0,10000000000000002,2.0"])
+        out = tmp_path / "p.svg"
+        src = str(Path(fnode.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "fnode", "plot", "--traj", str(csv), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "polyline" in out.read_text()
+
     def test_band_with_lower_above_upper_rejected(self, tmp_path):
         csv = tmp_path / "t.csv"
         self.make_traj_csv(csv, ["0,0.0,1.0", "0,1.0,3.0"])
@@ -546,6 +560,12 @@ def _edited_file(draw):
     return lambda ws, tmp, out: _file_argv(draw, ws, tmp, out)
 
 
+def _archive_without_magic(ws, tmp, out):
+    """A BAD_VALUES case: ``sample`` from the workspace archive's header alone, as plain JSON."""
+    header, _ = archive_file.read_raw(ws["model"])
+    return _file_argv(("bytes", "archive", json.dumps(header).encode()), ws, tmp, out)
+
+
 # Flag, archive, config and file values that must be refused: case -> (word
 # the message names, builder of the argv from the workspace, tmp_path and
 # output).  An edited file's error names the file, and a dataset's its line.
@@ -563,6 +583,8 @@ BAD_VALUES = {
     "archive_obs_scale_inf": ("obs_scale", _edited_sample(_set_obs_scale("inf"))),
     "archive_gmm_means_nan": ("means", _edited_sample(_set_sampler_entry("means", (0, 0), np.nan))),
     "archive_gmm_covariances_inf": ("covariances", _edited_sample(_set_sampler_entry("covariances", (0, 0), np.inf))),
+    "config_obs_scale_0": _bad_config("obs_scale", "0"),
+    "config_obs_scale_negative": _bad_config("obs_scale", "-2"),
     "config_obs_scale_nan": _bad_config("obs_scale", "nan"),
     "config_obs_scale_inf": _bad_config("obs_scale", "inf"),
     "config_step_size_inf": _bad_config("step_size", "inf"),
@@ -581,6 +603,12 @@ BAD_VALUES = {
     "dataset_obs_dim_object": ("fuzzed.jsonl:1:", _edited_file(("dataset", 0, "obs_dim", {"d": 1}))),
     "dataset_obs_dim_inf": ("fuzzed.jsonl:1:", _edited_file(("dataset", 0, "obs_dim", math.inf))),
     "archive_obs_dim_inf": ("fuzzed.fnode", _edited_file(("archive", ("model", "obs_dim"), math.inf))),
+    # the workspace model has p 3, d_gamma 4, obs_dim 1 and n_points 5
+    "archive_p_edited": ("fuzzed.fnode", _edited_file(("archive", ("model", "p"), 2))),
+    "archive_d_gamma_edited": ("fuzzed.fnode", _edited_file(("archive", ("model", "d_gamma"), 1))),
+    "archive_obs_dim_edited": ("fuzzed.fnode", _edited_file(("archive", ("model", "obs_dim"), 2))),
+    "archive_n_points_edited": ("fuzzed.fnode", _edited_file(("archive", ("model", "n_points"), 4))),
+    "archive_without_magic": ("not a format-3 archive", _archive_without_magic),
     "archive_spec_width_inf": (
         "fuzzed.fnode", _edited_file(("archive", ("model", "specs", "f", "widths", 1), math.inf))),
     "plot_short_traj_row": ("traj.csv:3:", _edited_file(("csv", "traj", 2, "0,0.5"))),
@@ -661,6 +689,12 @@ FILE_CASES = st.one_of(
         st.integers(0, 2),
         st.lists(FUZZ_VALUES, max_size=5).map(",".join),
     ),
+    # a whole file replaced by random bytes, some behind an archive's magic line
+    st.tuples(
+        st.just("bytes"),
+        st.sampled_from(["archive", "dataset", *sorted(PLOT_CSVS)]),
+        st.binary(max_size=64) | st.binary(max_size=64).map(archive_file.MAGIC.__add__),
+    ),
 )
 CONTRACT_CASES = st.one_of(
     st.tuples(
@@ -679,8 +713,23 @@ CONTRACT_CASES = st.one_of(
 
 
 def _file_argv(case, ws, tmp, out):
-    """The argv of a ``FILE_CASES`` draw: a command on a file with one field or row edited."""
+    """The argv of a ``FILE_CASES`` draw: a command on a file with one field or
+    row edited, or with the whole file replaced by bytes."""
     kind, *rest = case
+    if kind == "bytes":
+        target, raw = rest
+        if target == "archive":
+            model = tmp / "fuzzed.fnode"
+            model.write_bytes(raw)
+            return _sample(ws, out, "--n", 3, model=model)
+        if target == "dataset":
+            data = tmp / "fuzzed.jsonl"
+            data.write_bytes(raw)
+            return ["eval", "--model", ws["model"], "--data", data, "--out", out]
+        # both plot CSVs as they are (row 0 set to itself), then the target replaced
+        argv = _file_argv(("csv", target, 0, PLOT_CSVS[target][0]), ws, tmp, out)
+        (tmp / f"{target}.csv").write_bytes(raw)
+        return argv
     if kind == "dataset":
         # line 0 is the header, line k >= 1 the k-th trajectory record
         line, field, value = rest
@@ -717,7 +766,7 @@ def _contract_argv(case, ws, tmp, out):
     kind, *rest = case
     if kind == "bad":
         return BAD_VALUES[rest[0]][1](ws, tmp, out)
-    if kind in ("dataset", "archive", "csv"):
+    if kind in ("dataset", "archive", "csv", "bytes"):
         return _file_argv(case, ws, tmp, out)
     if kind == "config":
         cfg = tmp / "fuzzed.txt"

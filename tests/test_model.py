@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from fnode.model import (
     _pack_batch,
 )
 from fnode.inference import reconstruct, rollout
-from fnode.nets import GaussianParams, MLPSpec, encode_batch, hypernet_map, weight_count
+from fnode.nets import MLP, GaussianParams, MLPSpec, encode_batch, hypernet_map, weight_count
 from fnode.odeint import integrate_batch
 from fnode.syndata import PanelDataset, Trajectory, generate_set_a
 from fnode.tensorgrad import ParamSet, Tensor
@@ -549,3 +550,23 @@ class TestModelRegistry:
     def test_obs_scale_must_be_finite_and_positive(self, obs_scale):
         with pytest.raises(ValueError, match="obs_scale"):
             tiny_model(obs_scale=obs_scale)
+
+    def test_sizes_come_from_the_specs(self):
+        m = tiny_model(n_points=5, obs_dim=2)
+        assert (m.p, m.d_gamma, m.obs_dim, m.n_points) == (3, 4, 2, 5)
+
+    # tiny_model's encoders read 6 points of (time, value), 12 wide; p is 3 and d_gamma 4
+    MISMATCHED = {
+        "enc_z0 output": {"enc_z0": (12, 16, 7)},
+        "enc_gamma output": {"enc_gamma": (12, 16, 9)},
+        "decoder input": {"dec": (4, 8, 1)},
+        "enc_gamma input": {"enc_gamma": (10, 16, 8)},
+        "multiple of": {"enc_z0": (13, 16, 6), "enc_gamma": (13, 16, 8)},
+    }
+
+    @pytest.mark.parametrize("check", sorted(MISMATCHED))
+    def test_components_must_agree_on_sizes(self, check):
+        rng = np.random.default_rng(0)
+        parts = {name: MLP.init(widths, rng) for name, widths in self.MISMATCHED[check].items()}
+        with pytest.raises(ValueError, match=check):
+            dataclasses.replace(tiny_model(), **parts)

@@ -1,4 +1,3 @@
-import base64
 import json
 import tempfile
 import tracemalloc
@@ -198,36 +197,6 @@ class TestStreamedWrite:
         _assert_loads_as(path, m, None)
 
 
-def _legacy_document(doc: dict, version: int) -> dict:
-    """The version-1 or version-2 twin of a decoded document, its payloads written here."""
-
-    def encode(node):
-        if isinstance(node, np.ndarray):
-            flat = np.asarray(node, dtype="<f8").reshape(-1)
-            if version == 1:
-                return {"shape": list(node.shape), "data": " ".join(repr(float(x)) for x in flat)}
-            return {"shape": list(node.shape), "f8": base64.b64encode(flat.tobytes()).decode("ascii")}
-        if isinstance(node, dict):
-            return {key: encode(value) for key, value in node.items()}
-        return node
-
-    return {**encode(doc), "format_version": version}
-
-
-class TestArchiveFormats:
-    def test_v1_document_loads_bit_identically_to_v2(self, small_trained, tmp_path):
-        m, S, history, _ = small_trained
-        v3 = tmp_path / "v3.fnode"
-        save_archive(v3, m, S, history, seeds={"train": 0})
-        doc = archive_file.read(v3)
-        for version in (1, 2):
-            path = tmp_path / f"v{version}.json"
-            path.write_text(json.dumps(_legacy_document(doc, version), indent=1, sort_keys=True) + "\n")
-            _assert_loads_as(path, m, S)
-            assert load_archive(path)[2] == {"train": 0}
-        _assert_loads_as(v3, m, S)
-
-
 def _format3(edit):
     """A defect made on the decoded document, written as format 3 by the test writer."""
 
@@ -238,15 +207,11 @@ def _format3(edit):
     return make
 
 
-def _format2(edit):
-    """A defect made on the document's format-2 twin, written as JSON text."""
-
-    def make(doc, path):
-        twin = _legacy_document(doc, 2)
-        edit(twin)
-        path.write_text(json.dumps(twin))
-
-    return make
+def _plain_json(doc, path):
+    """The document's format-3 header alone, as a JSON file without the magic line."""
+    archive_file.write(path, doc)
+    header, _ = archive_file.read_raw(path)
+    path.write_text(json.dumps(header))
 
 
 def _raw(edit):
@@ -266,13 +231,6 @@ def _drop(*keys):
         for k in keys[:-1]:
             node = node[k]
         del node[keys[-1]]
-
-    return edit
-
-
-def _set_param(name, **entry):
-    def edit(doc):
-        doc["model"]["params"][name].update(entry)
 
     return edit
 
@@ -388,8 +346,8 @@ PAYLOAD_DEFECTS = {
     "payload cut by 3 bytes": (_raw(_truncated(3)), "runs past the end"),
     "header not JSON": (_header_not_json, "unreadable archive"),
     "header nested too deeply": (_header_nested_too_deeply, "unreadable archive"),
-    "format 2 behind the magic line": (_format3(_set_version(2)), "does not match the file's layout"),
-    "format 3 without the magic line": (_format2(_set_version(3)), "does not match the file's layout"),
+    "format 2 behind the magic line": (_format3(_set_version(2)), "format_version 2 is not supported"),
+    "format 3 without the magic line": (_plain_json, "not a format-3 archive"),
 }
 
 SCHEMA_DEFECTS = {
@@ -397,8 +355,6 @@ SCHEMA_DEFECTS = {
     "no specs": _format3(_drop("model", "specs")),
     "no params": _format3(_drop("model", "params")),
     "no parameter": _format3(_drop("model", "params", "dec.w0")),
-    "invalid base64": _format2(_set_param("dec.b0", f8="@@not base64@@")),
-    "short payload": _format2(_set_param("dec.b0", f8=base64.b64encode(bytes(8)).decode("ascii"))),
     "shape against spec": _format3(_transpose_dec_w0),
     "scalar lambda as vector": _format3(_reshape_param("hyper.lambda", (1,))),
     "sampler covariances against means": _format3(_flat_sampler_covariances),

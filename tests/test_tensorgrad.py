@@ -223,7 +223,6 @@ PRIMITIVE_PROGRAMS = {
     # blocks of 3, 2 and 3 rows, with m1 twice so its two gradient slices add
     "concat": lambda ps: tg.tensor_sum(tg.square(tg.concat([ps["m1"], tg.transpose(ps["m2"]), ps["m1"]]))),
     "cols": lambda ps: tg.tensor_sum(tg.square(tg.cols(ps["m1"], 1, 3))),
-    "reshape": lambda ps: tg.tensor_sum(tg.square(tg.reshape(ps["m1"], (4, 3)))),
     "transpose": lambda ps: tg.tensor_sum(tg.square(tg.matmul(tg.transpose(ps["m1"]), ps["m1"]))),
     "scale": lambda ps: tg.tensor_sum(tg.scale(ps["a"], 1.7)),
     "shift": lambda ps: tg.tensor_sum(tg.square(tg.shift(ps["a"], 0.3))),
