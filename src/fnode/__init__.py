@@ -33,6 +33,6 @@ from .syndata import (
     load_dataset,
     save_dataset,
 )
-from .tensorgrad import ParamSet, Tensor
+from .tensorgrad import Tensor
 
 __version__ = "0.1.0"

@@ -476,7 +476,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sample", help="generate trajectories from a trained archive")
     s.add_argument("--model", required=True)
     s.add_argument("--data", required=True)
-    s.add_argument("--index", type=int, default=0, help="trajectory supplying the initial state")
+    s.add_argument("--index", type=int, default=0,
+                   help="trajectory supplying the time grid and, except in neighborhood mode, the initial state")
     s.add_argument("--mode", choices=("gmm", "prior", "transfer", "neighborhood"), default="gmm")
     s.add_argument("--exemplar", type=int, default=None)
     s.add_argument("--delta", type=float, default=None)

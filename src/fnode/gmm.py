@@ -295,6 +295,8 @@ def select_model(
         raise ValueError("component_range and cov_types must be non-empty")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if min(component_range) < 1:
+        raise ValueError(f"every K must be >= 1, got {min(component_range)}")
     if max(component_range) > X.shape[0]:
         raise ValueError("every K must be <= number of bank rows")
 

@@ -34,7 +34,7 @@ from .nets import (
 )
 
 from .odeint import IntegrationBlowUp, SolverConfig, integrate_batch
-from .tensorgrad import ParamSet, Tensor
+from .tensorgrad import Tensor
 
 # The benchmark's solver probe rebinds ``model.integrate`` as well as
 # ``model.integrate_batch``, so the old name stays bound to the one solver.
@@ -117,7 +117,7 @@ class FNODEModel:
     solver: SolverConfig
     sigma_x: float
     obs_scale: float
-    params: ParamSet = field(init=False)
+    params: dict[str, Tensor] = field(init=False)
 
     @property
     def p(self) -> int:
@@ -158,7 +158,7 @@ class FNODEModel:
         if not (math.isfinite(self.obs_scale) and self.obs_scale > 0):
             raise ValueError(f"obs_scale must be finite and positive, got {self.obs_scale!r}")
         parts = (("enc_z0.", self.enc_z0), ("enc_gamma.", self.enc_gamma), ("hyper.", self.hyper), ("dec.", self.dec))
-        self.params = ParamSet((prefix + name, t) for prefix, part in parts for name, t in part.params.items())
+        self.params = {prefix + name: t for prefix, part in parts for name, t in part.params.items()}
 
     @classmethod
     def build(
@@ -336,8 +336,8 @@ class Adam:
 
     BLOCK = 32768
 
-    def __init__(self, params: ParamSet, lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
-        if not all(t.data.flags.c_contiguous for t in params.tensors()):
+    def __init__(self, params: dict[str, Tensor], lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
+        if not all(t.data.flags.c_contiguous for t in params.values()):
             raise ValueError("Adam updates parameters through flat views and needs C-contiguous arrays")
         self.params = params
         self.lr = lr
@@ -421,7 +421,7 @@ def fit(m: FNODEModel, data, cfg: TrainConfig, on_epoch=None):
                     raise TrainingDiverged(epoch, bi, str(e)) from e
                 if not math.isfinite(bd.total):
                     raise TrainingDiverged(epoch, bi)
-                m.params.zero_grads()
+                tg.zero_grads(m.params.values())
                 tg.backward(tg.neg(loss_t))
                 # one reduction per parameter: a NaN or Inf anywhere makes the sum non-finite
                 for name, t in m.params.items():
@@ -475,7 +475,10 @@ def decode_path(m: FNODEModel, z0: Tensor, theta: Tensor, anchor_t: float | None
             return tg.neg(fld(Z, anchor_t - tau_row))
 
         tau_grid = np.concatenate([[0.0], anchor_t - before[::-1]])
-        path = integrate_batch(fld_rev, z0, np.broadcast_to(tau_grid, (B, tau_grid.size)), m.solver)
+        try:
+            path = integrate_batch(fld_rev, z0, np.broadcast_to(tau_grid, (B, tau_grid.size)), m.solver)
+        except IntegrationBlowUp as e:
+            raise IntegrationBlowUp(anchor_t - e.t, e.row) from None  # report t, not tau
         states = path[:0:-1]
     if after.size:
         offset = 0 if abs(after[0] - anchor_t) <= eps else 1

@@ -1,7 +1,7 @@
 """Network building blocks.
 
 Every network runs on a batch: inputs are [batch, in_width] matrices and
-weights come from a named parameter set (:func:`mlp_forward`).  The
+weights come from a dict of named tensors (:func:`mlp_forward`).  The
 hypernetwork's output is the flat weight vector of the transition network, one
 row per code; ``model.make_batch_field`` slices those rows into per-row layers,
 so the transition network's weights are data that gradients flow through.
@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tensorgrad as tg
-from .tensorgrad import ParamSet, Tensor
+from .tensorgrad import Tensor
 
 __all__ = [
     "MLPSpec",
@@ -73,18 +73,18 @@ def weight_count(spec: MLPSpec) -> int:
     return sum(i * o + o for i, o in zip(ws[:-1], ws[1:]))
 
 
-def init_mlp_params(spec: MLPSpec, rng: np.random.Generator) -> ParamSet:
+def init_mlp_params(spec: MLPSpec, rng: np.random.Generator) -> dict[str, Tensor]:
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer."""
-    params = ParamSet()
+    params = {}
     ws = spec.layer_widths
     for layer, (n_in, n_out) in enumerate(zip(ws[:-1], ws[1:])):
         bound = 1.0 / np.sqrt(n_in)
-        params.add(f"w{layer}", Tensor(rng.uniform(-bound, bound, size=(n_out, n_in))))
-        params.add(f"b{layer}", Tensor(rng.uniform(-bound, bound, size=n_out)))
+        params[f"w{layer}"] = Tensor(rng.uniform(-bound, bound, size=(n_out, n_in)))
+        params[f"b{layer}"] = Tensor(rng.uniform(-bound, bound, size=n_out))
     return params
 
 
-def mlp_forward(spec: MLPSpec, params: ParamSet, x: Tensor) -> Tensor:
+def mlp_forward(spec: MLPSpec, params: dict[str, Tensor], x: Tensor) -> Tensor:
     """Forward pass of a [batch, in_width] input with named parameters w0, b0, w1, b1, ..."""
     if x.data.ndim != 2 or x.data.shape[1] != spec.in_width:
         raise tg.ShapeMismatch(f"input shape {x.shape} is not [batch, {spec.in_width}]")
@@ -102,7 +102,7 @@ class MLP:
     """An architecture together with its (trainable) parameters."""
 
     spec: MLPSpec
-    params: ParamSet
+    params: dict[str, Tensor]
 
     @classmethod
     def init(cls, widths: Sequence[int], rng: np.random.Generator, final_activation="none") -> "MLP":
@@ -119,10 +119,6 @@ class GaussianParams:
 
     mean: Tensor
     log_var: Tensor
-
-    @property
-    def dim(self) -> int:
-        return self.mean.data.shape[-1]
 
     def draw(self, noise: np.ndarray) -> np.ndarray:
         """Untaped draws ``mean + exp(log_var / 2) * noise`` for noise the caller drew.
@@ -143,7 +139,7 @@ class Hypernetwork:
     """
 
     body: MLPSpec
-    params: ParamSet  # body weights plus the scalar "lambda"
+    params: dict[str, Tensor]  # body weights plus the scalar "lambda"
 
     @property
     def lam(self) -> Tensor:
@@ -160,7 +156,7 @@ def init_hypernetwork(
     body = MLPSpec((code_dim, *hidden, weight_count(target)), final_activation="tanh")
     params = init_mlp_params(body, rng)
     # Small initial scale keeps early ODE solves well inside the stable regime.
-    params.add("lambda", Tensor(np.float64(lambda_init)))
+    params["lambda"] = Tensor(np.float64(lambda_init))
     return Hypernetwork(body, params)
 
 

@@ -43,7 +43,7 @@ from .model import ELBOBreakdown, FNODEModel
 from .nets import MLP, Hypernetwork, MLPSpec
 from .odeint import SolverConfig
 from .syndata import fmt_float, write_bytes_atomic
-from .tensorgrad import ParamSet, Tensor
+from .tensorgrad import Tensor
 
 __all__ = [
     "FORMAT_VERSION",
@@ -174,13 +174,13 @@ def _param(raw: dict, name: str, shape: tuple) -> Tensor:
     return Tensor(arr)
 
 
-def _mlp_params_from(spec: MLPSpec, raw: dict, prefix: str) -> ParamSet:
+def _mlp_params_from(spec: MLPSpec, raw: dict, prefix: str) -> dict[str, Tensor]:
     # rebuild in canonical layer order; files store keys sorted alphabetically
-    ps = ParamSet()
+    ps = {}
     ws = spec.layer_widths
     for i, (n_in, n_out) in enumerate(zip(ws[:-1], ws[1:])):
-        ps.add(f"w{i}", _param(raw, prefix + f"w{i}", (n_out, n_in)))
-        ps.add(f"b{i}", _param(raw, prefix + f"b{i}", (n_out,)))
+        ps[f"w{i}"] = _param(raw, prefix + f"w{i}", (n_out, n_in))
+        ps[f"b{i}"] = _param(raw, prefix + f"b{i}", (n_out,))
     return ps
 
 
@@ -238,7 +238,7 @@ def _rebuild(doc: dict):
     enc_z0 = MLP(enc_z0_spec, _mlp_params_from(enc_z0_spec, raw_params, "enc_z0."))
     enc_gamma = MLP(enc_gamma_spec, _mlp_params_from(enc_gamma_spec, raw_params, "enc_gamma."))
     hyper_params = _mlp_params_from(hyper_spec, raw_params, "hyper.")
-    hyper_params.add("lambda", _param(raw_params, "hyper.lambda", ()))
+    hyper_params["lambda"] = _param(raw_params, "hyper.lambda", ())
     hyper = Hypernetwork(hyper_spec, hyper_params)
     dec = MLP(dec_spec, _mlp_params_from(dec_spec, raw_params, "dec."))
 

@@ -19,8 +19,6 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#1
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -32,6 +30,12 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     count = math.floor((hi - first) / step + 1e-9) + 1
     ticks = (first + i * step for i in range(count))
     return [0.0 if abs(t) < 1e-12 else t for t in ticks]
+
+
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """A range of one value widened by a margin that does not round away at its magnitude."""
+    w = 0.0 if hi - lo >= 1e-12 else max(0.5, 1e-6 * abs(lo))
+    return lo - w, hi + w
 
 
 def _fmt(x: float) -> str:
@@ -62,12 +66,8 @@ def render_line_plot(
         ys.extend([bl, bu])
     if not xs:
         raise ValueError("nothing to plot")
-    x_lo, x_hi = min(a.min() for a in xs), max(a.max() for a in xs)
-    y_lo, y_hi = min(a.min() for a in ys), max(a.max() for a in ys)
-    if x_hi - x_lo < 1e-12:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi - y_lo < 1e-12:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _widened(min(a.min() for a in xs), max(a.max() for a in xs))
+    y_lo, y_hi = _widened(min(a.min() for a in ys), max(a.max() for a in ys))
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):

@@ -8,22 +8,23 @@ a fixed primitive vocabulary, no implicit broadcasting beyond the dedicated
 ``broadcast_add`` op.  All arithmetic is float64 so that central-difference
 checks can be made tight.
 
-Trainable tensors are carried in a :class:`ParamSet`, an ordered
-name -> Tensor map.  The model builds its forward pass from these primitives,
-calls :func:`backward` on the scalar loss and reads each parameter's ``grad``.
+Trainable tensors are carried in a plain ``dict`` of name -> Tensor, whose
+insertion order fixes the order of optimizer updates and of archive blocks.
+The model builds its forward pass from these primitives, calls
+:func:`zero_grads` and then :func:`backward` on the scalar loss, and reads each
+parameter's ``grad``.
 """
 
 from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "Tensor",
-    "ParamSet",
     "ShapeMismatch",
     "NonFiniteValue",
     "NonScalarOutput",
@@ -50,6 +51,7 @@ __all__ = [
     "rk4_combine",
     "pick_rows",
     "backward",
+    "zero_grads",
 ]
 
 
@@ -465,7 +467,7 @@ def backward(out: Tensor) -> None:
     """Accumulate d(out)/d(node) into ``grad`` for every ancestor of ``out``.
 
     ``out`` must be a scalar (size 1).  Gradients add into whatever is already
-    in ``grad``; callers reset leaf gradients between passes.
+    in ``grad``; callers reset leaf gradients between passes (:func:`zero_grads`).
     """
     if out.data.size != 1:
         raise NonScalarOutput(f"backward on tensor of shape {out.shape}")
@@ -496,53 +498,8 @@ def backward(out: Tensor) -> None:
             node._bwd(node.grad)
 
 
-# -- parameter collections ------------------------------------------------------
-
-
-class ParamSet:
-    """Ordered collection of uniquely named parameter tensors.
-
-    Iteration order is the insertion order, which is what makes optimizer
-    updates and serialization reproducible run to run.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: Iterable[tuple[str, Tensor]] | dict | None = None):
-        self._entries: dict[str, Tensor] = {}
-        if entries is not None:
-            items = entries.items() if isinstance(entries, dict) else entries
-            for name, t in items:
-                self.add(name, t)
-
-    def add(self, name: str, tensor: Tensor) -> None:
-        if name in self._entries:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        self._entries[name] = tensor
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._entries[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
-
-    def names(self) -> list[str]:
-        return list(self._entries)
-
-    def items(self):
-        return self._entries.items()
-
-    def tensors(self):
-        return self._entries.values()
-
-    def zero_grads(self) -> None:
-        for t in self._entries.values():
-            t.grad = None
-            t._pending = None
-
+def zero_grads(tensors: Iterable[Tensor]) -> None:
+    """Clear the gradients, and any deferred weight contributions, of ``tensors``."""
+    for t in tensors:
+        t.grad = None
+        t._pending = None

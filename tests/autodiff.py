@@ -11,25 +11,25 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from fnode.tensorgrad import NonScalarOutput, ParamSet, Tensor, backward, finite_checks
+from fnode.tensorgrad import NonScalarOutput, Tensor, backward, finite_checks, zero_grads
 
 
 Program = Callable[..., Tensor]
 EPS = np.finfo(np.float64).eps
 
 
-def evaluate(program: Program, params: ParamSet, inputs: Sequence[Tensor]) -> Tensor:
+def evaluate(program: Program, params: dict[str, Tensor], inputs: Sequence[Tensor]) -> Tensor:
     """Run ``program(params, *inputs)`` with per-primitive finiteness checks."""
     with finite_checks(True):
         return program(params, *inputs)
 
 
-def gradient(program: Program, params: ParamSet, inputs: Sequence[Tensor]) -> ParamSet:
+def gradient(program: Program, params: dict[str, Tensor], inputs: Sequence[Tensor]) -> dict[str, Tensor]:
     """Exact gradients of a scalar-valued program wrt every parameter.
 
     Unused parameters yield zero tensors of matching shape.
     """
-    params.zero_grads()
+    zero_grads(params.values())
     for t in inputs:
         t.grad = None
     with finite_checks(True):
@@ -37,16 +37,12 @@ def gradient(program: Program, params: ParamSet, inputs: Sequence[Tensor]) -> Pa
     if out.data.size != 1:
         raise NonScalarOutput(f"program output has shape {out.shape}")
     backward(out)
-    grads = ParamSet()
-    for name, t in params.items():
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        grads.add(name, Tensor(g))
-    return grads
+    return {name: Tensor(np.zeros_like(t.data) if t.grad is None else t.grad) for name, t in params.items()}
 
 
 def finite_diff_check(
     program: Program,
-    params: ParamSet,
+    params: dict[str, Tensor],
     inputs: Sequence[Tensor],
     h: float,
     *,

@@ -463,6 +463,19 @@ class TestPlot:
         assert proc.returncode == 0, proc.stderr
         assert "polyline" in out.read_text()
 
+    @pytest.mark.parametrize(
+        "rows",
+        [["0,1e16,1.0"], ["0,1e16,1.0", "1,1e16,2.0"], ["0,0.0,1e16", "0,1.0,1e16"]],
+        ids=["one_row", "two_samples_one_time", "constant_values"],
+    )
+    def test_one_large_value_plots(self, tmp_path, rows):
+        # a range of one value is widened by more than the values' resolution
+        csv = tmp_path / "t.csv"
+        self.make_traj_csv(csv, rows)
+        out = tmp_path / "p.svg"
+        assert run(["plot", "--traj", csv, "--out", out]) == 0
+        assert "polyline" in out.read_text()
+
     def test_band_with_lower_above_upper_rejected(self, tmp_path):
         csv = tmp_path / "t.csv"
         self.make_traj_csv(csv, ["0,0.0,1.0", "0,1.0,3.0"])
@@ -594,6 +607,9 @@ BAD_VALUES = {
     "config_lambda_init_nan": _bad_config("lambda_init", "nan"),
     "config_lambda_init_inf": _bad_config("lambda_init", "inf"),
     "config_sigma_x_inf": _bad_config("sigma_x", "inf"),
+    # select_model refuses the count before any fit; a zero among good counts is not left out
+    "config_gmm_components_0": ("K must be >= 1", _bad_config("gmm_components", "0")[1]),
+    "config_gmm_components_0_1": ("K must be >= 1", _bad_config("gmm_components", "0,1")[1]),
     "dataset_values_null": ("fuzzed.jsonl:2:", _edited_file(("dataset", 1, "values", None))),
     "dataset_values_number": ("fuzzed.jsonl:2:", _edited_file(("dataset", 1, "values", 0.25))),
     "dataset_values_true": ("fuzzed.jsonl:3:", _edited_file(("dataset", 2, "values", True))),

@@ -156,6 +156,12 @@ class TestEMFit:
         with pytest.raises(ValueError, match="max_iter"):
             select_model(X, [1, 2], ("diag",), seed=0, max_iter=max_iter)
 
+    @pytest.mark.parametrize("components", [[0], [0, 1], range(-1, 2)])
+    def test_component_count_below_one_rejected(self, components):
+        X = three_clusters(n_per=20, d=2)
+        with pytest.raises(ValueError, match="every K must be >= 1"):
+            select_model(X, components, ("diag",), seed=0)
+
 
 class TestBIC:
     def test_param_counts(self):

@@ -23,9 +23,9 @@ from fnode.model import (
 )
 from fnode.inference import reconstruct, rollout
 from fnode.nets import MLP, GaussianParams, MLPSpec, encode_batch, hypernet_map, weight_count
-from fnode.odeint import integrate_batch
+from fnode.odeint import IntegrationBlowUp, integrate_batch
 from fnode.syndata import PanelDataset, Trajectory, generate_set_a
-from fnode.tensorgrad import ParamSet, Tensor
+from fnode.tensorgrad import Tensor
 
 
 def tiny_model(n_points=6, seed=0, obs_dim=1, **kw):
@@ -450,17 +450,28 @@ class TestAnchoredDecoding:
         theta = hypernet_map(m.hyper, Tensor(gamma[None])).data[0]
         np.testing.assert_allclose(got, numpy_decode(m, z0, theta, ANCHOR, times), rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("anchor, times", [(0.0, [-100.0, 0.0]), (5.0, [-100.0, -50.0]), (0.0, [0.0, 100.0])])
+    def test_blow_up_reports_a_time_between_the_anchor_and_the_grid(self, anchor, times):
+        # a linear field with weights up to 50 drives the state past float range
+        m = tiny_model(f_hidden=(), lambda_init=50.0)
+        rng = np.random.default_rng(0)
+        Z0, G = rng.standard_normal((2, m.p)), rng.standard_normal((2, m.d_gamma))
+        with pytest.raises(IntegrationBlowUp) as info, np.errstate(all="ignore"):
+            rollout(m, Z0, G, anchor, np.array(times))
+        t = info.value.t
+        assert (times[0] <= t < anchor) if times[0] < anchor else (anchor < t <= times[-1]), t
+
 
 class TestAdam:
     def test_moves_towards_minimum_of_quadratic(self):
-        params = ParamSet([("x", Tensor([4.0]))])
+        params = {"x": Tensor([4.0])}
         opt = Adam(params, lr=0.1)
         for _ in range(200):
 
             def prog(ps):
                 return tg.tensor_sum(tg.square(ps["x"]))
 
-            params.zero_grads()
+            tg.zero_grads(params.values())
             out = prog(params)
             tg.backward(out)
             opt.step()
@@ -497,13 +508,13 @@ class TestBlockedAdam:
         n = Adam.BLOCK + 1001
         rng = np.random.default_rng(8)
         w0, c0 = rng.standard_normal(n), np.float64(rng.standard_normal())
-        params = ParamSet([("w", Tensor(w0.copy())), ("c", Tensor(c0)), ("unused", Tensor(np.ones(3)))])
+        params = {"w": Tensor(w0.copy()), "c": Tensor(c0), "unused": Tensor(np.ones(3))}
         w_grads = [rng.standard_normal(n) for _ in range(3)]
         c_grads = [np.float64(g) for g in rng.standard_normal(3)]
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
         opt = Adam(params, lr, betas=(b1, b2), eps=eps)
         for gw, gc in zip(w_grads, c_grads):
-            params.zero_grads()
+            tg.zero_grads(params.values())
             params["w"].grad, params["c"].grad = gw.copy(), gc.copy()
             opt.step()
 
@@ -521,7 +532,7 @@ class TestBlockedAdam:
             assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(np.abs(start), np.abs(want)))
 
     def test_non_contiguous_parameter_rejected(self):
-        params = ParamSet([("w", Tensor(np.ones((3, 4)).T))])
+        params = {"w": Tensor(np.ones((3, 4)).T)}
         with pytest.raises(ValueError, match="contiguous"):
             Adam(params, 1e-3)
 
@@ -542,7 +553,7 @@ class TestModelRegistry:
         layers = ["w0", "b0", "w1", "b1"]
         want = [f"{part}.{name}" for part in ("enc_z0", "enc_gamma") for name in layers]
         want += [f"hyper.{name}" for name in layers + ["lambda"]] + [f"dec.{name}" for name in layers]
-        assert m.params.names() == want
+        assert list(m.params) == want
         assert m.params["hyper.lambda"] is m.hyper.lam
         assert m.params["enc_gamma.b1"] is m.enc_gamma.params["b1"]
 

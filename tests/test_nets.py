@@ -17,7 +17,7 @@ from fnode.nets import (
     weight_count,
 )
 from fnode.syndata import Trajectory
-from fnode.tensorgrad import ParamSet, Tensor
+from fnode.tensorgrad import Tensor
 
 
 class TestMLPSpec:
@@ -37,16 +37,16 @@ class TestMLPSpec:
 class TestMLPForward:
     def test_zero_params_give_zero_output(self):
         spec = MLPSpec((3, 5, 2))
-        params = ParamSet()
+        params = {}
         for i, (n_in, n_out) in enumerate([(3, 5), (5, 2)]):
-            params.add(f"w{i}", Tensor(np.zeros((n_out, n_in))))
-            params.add(f"b{i}", Tensor(np.zeros(n_out)))
+            params[f"w{i}"] = Tensor(np.zeros((n_out, n_in)))
+            params[f"b{i}"] = Tensor(np.zeros(n_out))
         out = mlp_forward(spec, params, Tensor([[1.0, -2.0, 3.0]]))
         np.testing.assert_array_equal(out.data, np.zeros((1, 2)))
 
     def test_identity_single_layer(self):
         spec = MLPSpec((3, 3))
-        params = ParamSet([("w0", Tensor(np.eye(3))), ("b0", Tensor(np.zeros(3)))])
+        params = {"w0": Tensor(np.eye(3)), "b0": Tensor(np.zeros(3))}
         x = np.array([[0.3, -1.2, 2.0]])
         out = mlp_forward(spec, params, Tensor(x))
         np.testing.assert_array_equal(out.data, x)
@@ -58,9 +58,7 @@ class TestMLPForward:
         b0 = np.array([0.1, -0.2])
         w1 = np.array([[2.0, -1.0]])
         b1 = np.array([0.05])
-        params = ParamSet(
-            [("w0", Tensor(w0)), ("b0", Tensor(b0)), ("w1", Tensor(w1)), ("b1", Tensor(b1))]
-        )
+        params = {"w0": Tensor(w0), "b0": Tensor(b0), "w1": Tensor(w1), "b1": Tensor(b1)}
         x = np.array([0.4, -0.6])
         h = np.tanh(w0 @ x + b0)
         expected = w1 @ h + b1
@@ -128,7 +126,7 @@ class TestFunctionalForward:
     def test_gradient_wrt_theta(self):
         rng = np.random.default_rng(7)
         spec = MLPSpec((3, 6, 2))
-        params = ParamSet([("theta", Tensor(rng.standard_normal((2, weight_count(spec))) * 0.4))])
+        params = {"theta": Tensor(rng.standard_normal((2, weight_count(spec))) * 0.4)}
         z, t_row = Tensor(rng.standard_normal((2, 2))), rng.standard_normal(2)
 
         def prog(ps, zin):
@@ -156,10 +154,11 @@ class TestHypernetwork:
     def test_saturation_approaches_lambda(self):
         # a body that passes its (scaled) input straight through tanh
         body = MLPSpec((1, 2), final_activation="tanh")
-        params = ParamSet(
-            [("w0", Tensor(np.array([[0.0], [30.0]]))), ("b0", Tensor(np.zeros(2)))]
-        )
-        params.add("lambda", Tensor(np.float64(2.0)))
+        params = {
+            "w0": Tensor(np.array([[0.0], [30.0]])),
+            "b0": Tensor(np.zeros(2)),
+            "lambda": Tensor(np.float64(2.0)),
+        }
         h = Hypernetwork(body, params)
         theta = hypernet_map(h, Tensor([[1.0]]))
         np.testing.assert_allclose(theta.data, [[0.0, 2.0]], atol=1e-8)
@@ -180,10 +179,10 @@ class TestEncoders:
     def test_zero_encoder_gives_standard_posterior(self):
         traj = make_traj()
         spec = MLPSpec((12, 4, 6))
-        params = ParamSet()
+        params = {}
         for i, (n_in, n_out) in enumerate([(12, 4), (4, 6)]):
-            params.add(f"w{i}", Tensor(np.zeros((n_out, n_in))))
-            params.add(f"b{i}", Tensor(np.zeros(n_out)))
+            params[f"w{i}"] = Tensor(np.zeros((n_out, n_in)))
+            params[f"b{i}"] = Tensor(np.zeros(n_out))
         q = encode_batch(MLP(spec, params), [traj])
         np.testing.assert_array_equal(q.mean.data, np.zeros((1, 3)))
         np.testing.assert_array_equal(q.log_var.data, np.zeros((1, 3)))
@@ -227,10 +226,8 @@ class TestEndToEndGradients:
         hyper = init_hypernetwork(d_gamma, f_spec, (6,), rng, lambda_init=0.5)
         dec = MLP.init((p, 5, obs), rng)
 
-        params = ParamSet()
-        for prefix, ps in (("g.", enc_g.params), ("h.", hyper.params), ("d.", dec.params)):
-            for name, t in ps.items():
-                params.add(prefix + name, t)
+        parts = (("g.", enc_g.params), ("h.", hyper.params), ("d.", dec.params))
+        params = {prefix + name: t for prefix, ps in parts for name, t in ps.items()}
 
         feats = Tensor(trajectory_features(traj.times, traj.values)[None, :])
         z = Tensor(rng.standard_normal((1, p)))
@@ -239,7 +236,7 @@ class TestEndToEndGradients:
         def prog(ps, feats_in, zin):
             # each component reads its entries of the perturbed set under their own names
             def part(prefix, own):
-                return ParamSet((name, ps[prefix + name]) for name in own)
+                return {name: ps[prefix + name] for name in own}
 
             enc = MLP(enc_g.spec, part("g.", enc_g.params))
             hy = Hypernetwork(hyper.body, part("h.", hyper.params))

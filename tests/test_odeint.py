@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import autodiff
 import fnode.tensorgrad as tg
 from fnode.odeint import IntegrationBlowUp, SolverConfig, integrate_batch
-from fnode.tensorgrad import ParamSet, Tensor
+from fnode.tensorgrad import Tensor
 
 
 def const_field(c):
@@ -82,7 +82,7 @@ class TestIntegrate:
             out = solve(lambda z, t: tg.scale(z, a), params["z0"], [0.0, T])
             return tg.tensor_sum(out[-1])
 
-        params = ParamSet([("z0", Tensor([[1.3]]))])
+        params = {"z0": Tensor([[1.3]])}
         g = autodiff.gradient(prog, params, [])
         assert g["z0"].item() == pytest.approx(math.exp(a * T), rel=1e-5)
 
@@ -92,7 +92,7 @@ class TestIntegrate:
             out = solve(lambda z, t: tg.scalar_mul(z, params["a"]), Tensor([[1.0]]), [0.0, 1.0])
             return tg.tensor_sum(out[-1])
 
-        params = ParamSet([("a", Tensor(0.5))])
+        params = {"a": Tensor(0.5)}
         assert autodiff.finite_diff_check(prog, params, [], h=1e-5) <= 1e-6
 
 

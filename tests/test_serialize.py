@@ -35,7 +35,7 @@ def small_trained(tmp_path_factory):
 def _assert_loads_as(path, m, S):
     """The archive at ``path`` holds ``m``'s parameters and ``S``, byte for byte."""
     m2, S2, _ = load_archive(path)
-    assert m2.params.names() == m.params.names()
+    assert list(m2.params) == list(m.params)
     for name, t in m.params.items():
         got = m2.params[name].data
         assert got.shape == t.data.shape
@@ -139,7 +139,7 @@ class TestArchive:
         path = tmp_path / "m.fnode"
         save_archive(path, m, S, history)
         m2, S2, _ = load_archive(path)
-        arrays = [t.data for t in m2.params.tensors()] + [getattr(S2, k) for k in SAMPLER_ARRAYS]
+        arrays = [t.data for t in m2.params.values()] + [getattr(S2, k) for k in SAMPLER_ARRAYS]
         for arr in arrays:
             assert arr.dtype == np.float64 and arr.dtype.isnative
             assert arr.flags.writeable and arr.flags.c_contiguous and arr.flags.aligned
@@ -149,7 +149,7 @@ class TestArchive:
         path = tmp_path / "m.fnode"
         save_archive(path, m, S, history)
         m2, S2, _ = load_archive(path)
-        names = m2.params.names()
+        names = list(m2.params)
         for name in names:
             before = {n: t.data.copy() for n, t in m2.params.items()}
             sampler = [getattr(S2, k).copy() for k in SAMPLER_ARRAYS]
@@ -175,7 +175,7 @@ class TestStreamedWrite:
         save_archive(path, m, S, history, seeds={"train": 0})
         doc = archive_file.read(path)
         model = doc.pop("model")
-        model["params"] = {name: model["params"][name] for name in m.params.names()}
+        model["params"] = {name: model["params"][name] for name in m.params}
         gmm = doc.pop("gmm")
         doc = {"model": model, "gmm": {"cov_type": gmm.pop("cov_type"), **{k: gmm[k] for k in SAMPLER_ARRAYS}}, **doc}
         archive_file.write(twin, doc)
@@ -185,7 +185,7 @@ class TestStreamedWrite:
         # the default architecture: a 12 MB payload, almost all of it the
         # hypernetwork's output layer
         m = FNODEModel.build(obs_dim=1, n_points=10, seed=0)
-        payload = 8 * sum(t.data.size for t in m.params.tensors())
+        payload = 8 * sum(t.data.size for t in m.params.values())
         path = tmp_path / "m.fnode"
         tracemalloc.start()
         try:

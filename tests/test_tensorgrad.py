@@ -3,14 +3,11 @@ import pytest
 
 import autodiff
 import fnode.tensorgrad as tg
-from fnode.tensorgrad import ParamSet, Tensor
+from fnode.tensorgrad import Tensor
 
 
 def make_params(**arrays):
-    ps = ParamSet()
-    for name, arr in arrays.items():
-        ps.add(name, Tensor(np.asarray(arr, dtype=np.float64)))
-    return ps
+    return {name: Tensor(np.asarray(arr, dtype=np.float64)) for name, arr in arrays.items()}
 
 
 class TestEvaluate:
@@ -75,7 +72,7 @@ class TestEvaluate:
         assert a == b
         ga = autodiff.gradient(prog, params, [x])
         gb = autodiff.gradient(prog, params, [x])
-        for name in params.names():
+        for name in params:
             np.testing.assert_array_equal(ga[name].data, gb[name].data)
 
 
@@ -408,13 +405,13 @@ class TestNoRecord:
             out = self._graph(ps)
         with pytest.raises(ValueError, match="no_record"):
             tg.backward(out)
-        assert all(t.grad is None for t in ps.tensors())
+        assert all(t.grad is None for t in ps.values())
 
     def test_graph_built_outside_the_block_matches_central_differences(self):
         prog = PRIMITIVE_PROGRAMS["rowwise_mlp_chained"]
         ps = primitive_params(3)
         ref = autodiff.gradient(prog, ps, [])
-        ps.zero_grads()
+        tg.zero_grads(ps.values())
         out = prog(ps)
         with tg.no_record():
             # a no-record evaluation in between leaves the recorded graph whole
@@ -426,15 +423,22 @@ class TestNoRecord:
         assert autodiff.finite_diff_check(prog, ps, [], h=1e-5) <= 1e-4
 
 
-class TestParamSet:
-    def test_duplicate_name_rejected(self):
-        ps = ParamSet()
-        ps.add("a", Tensor(1.0))
-        with pytest.raises(ValueError):
-            ps.add("a", Tensor(2.0))
-
-    def test_iteration_order_is_insertion_order(self):
-        ps = ParamSet()
-        for name in ("z", "a", "m"):
-            ps.add(name, Tensor(0.0))
-        assert ps.names() == ["z", "a", "m"]
+class TestZeroGrads:
+    def test_clears_gradients_and_deferred_weight_contributions(self):
+        ps = primitive_params(2)
+        out = tg.rowwise_mlp(ps["z3"], T3, mlp_layers(ps, True))
+        # a backward step that never reaches the weight nodes leaves their stash unflushed
+        out._bwd(np.ones_like(out.data))
+        assert all(ps[f"wl{i}"]._pending is not None for i in range(len(MLP_LAYERS)))
+        assert ps["z3"].grad is not None and ps["bl0"].grad is not None
+        tg.zero_grads(ps.values())
+        assert all(t.grad is None and t._pending is None for t in ps.values())
+        # the next pass sees nothing of the cleared one
+        prog = PRIMITIVE_PROGRAMS["rowwise_mlp"]
+        tg.backward(prog(ps))
+        ref = primitive_params(2)
+        tg.backward(prog(ref))
+        for name, t in ps.items():
+            assert (t.grad is None) == (ref[name].grad is None), name
+            if t.grad is not None:
+                assert t.grad.tobytes() == ref[name].grad.tobytes(), name
