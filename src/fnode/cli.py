@@ -20,7 +20,6 @@ import numpy as np
 from . import gmm as gmm_mod
 from . import inference, svg
 from .model import FNODEModel, TrainConfig, TrainingDiverged, fit
-from .nets import encode_batch
 from .odeint import IntegrationBlowUp
 from .serialize import load_archive, save_archive
 from .syndata import (
@@ -187,6 +186,20 @@ def cmd_generate_data(args) -> int:
     return 0
 
 
+def _check_selection(cfg: RunConfig, n_trajectories: int) -> None:
+    """Refuse mixture-selection settings before training spends a fit on them."""
+    ks, n_rows = cfg["gmm_components"], n_trajectories * cfg["n_gamma"]
+    for key, bad, need in [
+        ("n_gamma", cfg["n_gamma"] < 1, "must be >= 1"),
+        ("gmm_max_iter", cfg["gmm_max_iter"] < 1, "must be >= 1"),
+        ("gmm_cov_types", not cfg["gmm_cov_types"], "must name at least one covariance type"),
+        ("gmm_components", min(ks, default=0) < 1, "every K must be >= 1"),
+        ("gmm_components", max(ks, default=0) > n_rows, f"every K must be <= the {n_rows} rows of the code bank"),
+    ]:
+        if bad:
+            raise ValidationError(f"config key {key!r}: {need}, got {cfg[key]}")
+
+
 def cmd_train(args) -> int:
     data = load_dataset(args.data)
     cfg_file = RunConfig.from_file(args.config) if args.config else RunConfig()
@@ -202,6 +215,9 @@ def cmd_train(args) -> int:
     n_points = len(data.trajectories[0])
     if any(len(t) != n_points for t in data.trajectories):
         raise ValidationError("all trajectories must have the same number of points")
+    select = cfg_file["epochs"] > 0 or args.gmm_only
+    if select:
+        _check_selection(cfg_file, len(data.trajectories))
 
     m = FNODEModel.build(
         obs_dim=data.obs_dim,
@@ -240,7 +256,7 @@ def cmd_train(args) -> int:
         return 1
 
     S = None
-    if tcfg.epochs > 0 or args.gmm_only:
+    if select:
         bank = inference.collect_gamma_samples(m, data, cfg_file["n_gamma"], seed=cfg_file["seed"] + 1)
         S, table = gmm_mod.select_model(
             bank,
@@ -284,9 +300,8 @@ def cmd_sample(args) -> int:
             raise ValidationError("archive holds no fitted sampler; train with epochs > 0")
         paths = inference.sample_trajectories(m, S, source, times, args.n, seed=args.seed)
     elif args.mode == "prior":
-        G = np.random.default_rng(args.seed).standard_normal((args.n, m.d_gamma))
-        Z0 = np.tile(encode_batch(m.enc_z0, [source], m.obs_scale).mean.data, (args.n, 1))
-        paths = inference.rollout(m, Z0, G, float(source.times[0]), times)
+        codes = np.random.default_rng(args.seed).standard_normal((args.n, m.d_gamma))
+        paths = inference.rollout(m, inference.with_z0(m, source, codes), float(source.times[0]), times)
     elif args.mode == "transfer":
         if args.exemplar is None:
             raise ValidationError("--mode transfer needs --exemplar")
@@ -366,15 +381,12 @@ def cmd_eval(args) -> int:
     cuts = [t.times[0] + args.observe_fraction * (t.times[-1] - t.times[0]) for t in trajs]
     masks = [t.times <= cut + 1e-12 for t, cut in zip(trajs, cuts)]
     prefixes = [_observed_prefix(m, t, mask) for t, mask in zip(trajs, masks)]
-    q_z0 = encode_batch(m.enc_z0, prefixes, m.obs_scale)
-    q_gamma = encode_batch(m.enc_gamma, prefixes, m.obs_scale)
-
-    Z0s, Gs = q_z0.mean.data[None], q_gamma.mean.data[None]
+    mean, std = inference.posterior(m, prefixes)
+    latents = mean[None]
     if args.samples > 1:
         # trajectory j's sample k takes its z0 noise, then its code noise, from default_rng(seed ^ j)
         rngs = [np.random.default_rng(args.seed ^ j) for j in range(len(prefixes))]
-        noise = np.stack([rng.standard_normal((args.samples, m.p + m.d_gamma)) for rng in rngs], axis=1)
-        Z0s, Gs = q_z0.draw(noise[..., : m.p]), q_gamma.draw(noise[..., m.p :])
+        latents = mean + std * np.stack([rng.standard_normal((args.samples, mean.shape[1])) for rng in rngs], axis=1)
 
     # One rollout per trajectory length: row (k, i) is sample k of trajectory js[i] over its own
     # times.  cut >= t0, so every mask holds the first time, where each row's rollout starts.
@@ -382,8 +394,8 @@ def cmd_eval(args) -> int:
     for n in dict.fromkeys(len(t) for t in trajs):
         js = [j for j, t in enumerate(trajs) if len(t) == n]
         grid = np.tile(np.stack([trajs[j].times for j in js]), (args.samples, 1))
-        Z0, G = Z0s[:, js].reshape(-1, m.p), Gs[:, js].reshape(-1, m.d_gamma)
-        recon = inference.rollout(m, Z0, G, None, grid).reshape(args.samples, len(js), n, m.obs_dim)
+        recon = inference.rollout(m, latents[:, js].reshape(-1, mean.shape[1]), None, grid)
+        recon = recon.reshape(args.samples, len(js), n, m.obs_dim)
         group_sq = ((recon - np.stack([trajs[j].values for j in js])) ** 2).sum(axis=0) / args.samples
         for j, row_sq in zip(js, group_sq):
             sqs[j] = row_sq

@@ -3,15 +3,16 @@
 Three ways to generate: draw a fresh code from the mixture, borrow the code of
 an exemplar trajectory (transfer), or rejection-sample codes within a ball
 around an exemplar's code.  On top of those sit empirical credible bands and a
-likelihood-threshold outlier test.  Every readout that decodes, the generators,
-the bands and :func:`reconstruct` alike, decodes all of its draws in one
-:func:`rollout` call, which runs them through the batched solver.
+likelihood-threshold outlier test.
 
-Posterior draws of (z0, code) all come from ``GaussianParams.draw`` on noise
-the caller drew.  The code bank that ``gmm`` fits the mixture on
-(:func:`collect_gamma_samples`) and the draws the outlier score averages over
-(:func:`ood_scores`) share one per-trajectory routine, and differ only in
-their generators.
+A trajectory's latent point is one row (z0 | code).  :func:`posterior` is the
+one untaped encoder, and a posterior draw is ``mean + std * noise`` on noise
+the caller drew.  Every readout that decodes, the generators, the bands and
+:func:`reconstruct` alike, decodes all of its rows in one :func:`rollout` call,
+which runs them through the batched solver.  The code bank that ``gmm`` fits
+the mixture on (:func:`collect_gamma_samples`) and the draws the outlier score
+averages over (:func:`ood_scores`) share one per-trajectory routine, and differ
+only in their generators.
 """
 
 from __future__ import annotations
@@ -24,13 +25,15 @@ import numpy as np
 
 from . import gmm as gmm_mod
 from .model import FNODEModel, decode_path
-from .nets import encode_batch, hypernet_map
+from .nets import batch_features, encode_features, hypernet_map
 from .tensorgrad import Tensor, no_record
 
 __all__ = [
     "CredibleBand",
     "OODReport",
     "ZeroAcceptance",
+    "posterior",
+    "with_z0",
     "collect_gamma_samples",
     "rollout",
     "reconstruct",
@@ -83,30 +86,51 @@ class OODReport:
 ROLLOUT_ROWS = 256
 
 
-def rollout(m: FNODEModel, Z0: np.ndarray, G: np.ndarray, anchor_t: float | None, times) -> np.ndarray:
-    """Decode (z0, code) pairs over ``times``; returns a [B, T, obs_dim] array.
+def posterior(m: FNODEModel, trajs) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior (mean, std) of the latent rows of equal-length trajectories.
 
-    ``Z0`` is [B, p] and ``G`` is [B, d_gamma]; a single draw is a batch of
-    one.  ``times`` is a [T] grid that every row shares, with the initial
-    states at ``anchor_t``, or a [B, T] grid of per-row times with
-    ``anchor_t`` None, where each row starts at its own first time (see
-    :func:`decode_path`).  Rows go through the batched solver
-    ``ROLLOUT_ROWS`` at a time, under ``no_record``, which builds no graph.
+    Both are [B, p + d_gamma] arrays whose columns are (z0 | code); a single
+    trajectory is a batch of one.  Both encoders run untaped on features built
+    once; ``std`` is ``exp(log_var / 2)``.
+    """
+    feats = batch_features(trajs, m.obs_scale)
+    with no_record():
+        q_z0, q_gamma = encode_features(m.enc_z0, feats), encode_features(m.enc_gamma, feats)
+    mean = np.concatenate([q_z0.mean.data, q_gamma.mean.data], axis=1)
+    std = np.exp(0.5 * np.concatenate([q_z0.log_var.data, q_gamma.log_var.data], axis=1))
+    return mean, std
+
+
+def with_z0(m: FNODEModel, z0_source, codes: np.ndarray) -> np.ndarray:
+    """Latent rows that pair the posterior-mean z0 of ``z0_source`` with each row of ``codes``."""
+    z0 = posterior(m, [z0_source])[0][:, : m.p]
+    return np.concatenate([np.repeat(z0, len(codes), axis=0), codes], axis=1)
+
+
+def rollout(m: FNODEModel, latents: np.ndarray, anchor_t: float | None, times) -> np.ndarray:
+    """Decode latent rows (z0 | code) over ``times``; returns a [B, T, obs_dim] array.
+
+    ``latents`` is [B, p + d_gamma]; a single draw is a batch of one.
+    ``times`` is a [T] grid that every row shares, with the initial states at
+    ``anchor_t``, or a [B, T] grid of per-row times with ``anchor_t`` None,
+    where each row starts at its own first time (see :func:`decode_path`).
+    Rows go through the batched solver ``ROLLOUT_ROWS`` at a time, under
+    ``no_record``, which builds no graph.
     """
     times = np.asarray(times, dtype=np.float64)
-    Z0 = np.asarray(Z0, dtype=np.float64)
-    G = np.asarray(G, dtype=np.float64)
-    if Z0.ndim != 2 or G.ndim != 2 or Z0.shape[0] != G.shape[0]:
-        raise ValueError(f"Z0 {Z0.shape} and G {G.shape} must be [B, p] and [B, d_gamma]")
-    if times.ndim not in (1, 2) or times.ndim == 2 and times.shape[0] != Z0.shape[0]:
-        raise ValueError(f"times {times.shape} must be a [T] grid or a [B, T] grid for B = {Z0.shape[0]}")
-    out = np.empty((Z0.shape[0], times.shape[-1], m.obs_dim))
+    latents = np.asarray(latents, dtype=np.float64)
+    if latents.ndim != 2 or latents.shape[1] != m.p + m.d_gamma:
+        raise ValueError(f"latents {latents.shape} must be [B, p + d_gamma] = [B, {m.p + m.d_gamma}]")
+    B = latents.shape[0]
+    if times.ndim not in (1, 2) or times.ndim == 2 and times.shape[0] != B:
+        raise ValueError(f"times {times.shape} must be a [T] grid or a [B, T] grid for B = {B}")
+    out = np.empty((B, times.shape[-1], m.obs_dim))
     with no_record():
-        for lo in range(0, Z0.shape[0], ROLLOUT_ROWS):
-            hi = min(lo + ROLLOUT_ROWS, Z0.shape[0])
-            theta = hypernet_map(m.hyper, Tensor(G[lo:hi]))
+        for lo in range(0, B, ROLLOUT_ROWS):
+            hi = min(lo + ROLLOUT_ROWS, B)
+            theta = hypernet_map(m.hyper, Tensor(latents[lo:hi, m.p :]))
             grid = times if times.ndim == 1 else times[lo:hi]
-            recon = decode_path(m, Tensor(Z0[lo:hi]), theta, anchor_t, grid)
+            recon = decode_path(m, Tensor(latents[lo:hi, : m.p]), theta, anchor_t, grid)
             out[lo:hi] = recon.data.reshape(-1, hi - lo, m.obs_dim).transpose(1, 0, 2)
     return out
 
@@ -116,36 +140,29 @@ def reconstruct(m: FNODEModel, x, times, use_posterior_mean: bool = True, seed: 
 
     ``times`` may start before the first observation and extend past the
     data.  With ``use_posterior_mean`` the encoder means are used directly;
-    otherwise one posterior draw of (z0, gamma) is taken from one
-    (z0 noise | code noise) row of ``default_rng(seed)``.
+    otherwise one posterior draw of (z0 | code) is taken on one noise row of
+    ``default_rng(seed)``.
     """
-    q_z0 = encode_batch(m.enc_z0, [x], m.obs_scale)
-    q_gamma = encode_batch(m.enc_gamma, [x], m.obs_scale)
-    if use_posterior_mean:
-        Z0, G = q_z0.mean.data, q_gamma.mean.data
-    else:
-        noise = np.random.default_rng(seed).standard_normal((1, m.p + m.d_gamma))
-        Z0, G = q_z0.draw(noise[:, : m.p]), q_gamma.draw(noise[:, m.p :])
-    return rollout(m, Z0, G, float(np.asarray(x.times)[0]), times)[0]
+    mean, std = posterior(m, [x])
+    latents = mean if use_posterior_mean else mean + std * np.random.default_rng(seed).standard_normal(mean.shape)
+    return rollout(m, latents, float(np.asarray(x.times)[0]), times)[0]
 
 
 def _posterior_draws(m: FNODEModel, trajs, n: int, rngs, joint: bool) -> np.ndarray:
-    """``n`` posterior draws of the code, or of (z0, code) when ``joint``, per trajectory.
+    """``n`` posterior draws of the code, or of (z0 | code) when ``joint``, per trajectory.
 
     Returns [N, n, width].  Trajectory j takes its code noise, then (joint
-    only) its z0 noise, from ``rngs[j]``; a joint row is (z0 draw | code draw).
+    only) its z0 noise, from ``rngs[j]``.
     """
-    noise_g, noise_z = [], []
-    for rng in rngs:
-        noise_g.append(rng.standard_normal((n, m.d_gamma)))
+    mean, std = posterior(m, trajs)
+    if not joint:
+        mean, std = mean[:, m.p :], std[:, m.p :]
+    noise = np.empty((len(trajs), n, mean.shape[1]))
+    for j, rng in enumerate(rngs):
+        noise[j, :, -m.d_gamma :] = rng.standard_normal((n, m.d_gamma))
         if joint:
-            noise_z.append(rng.standard_normal((n, m.p)))
-    # [n, N, d] noise broadcasts against the [N, d] moments
-    draws = encode_batch(m.enc_gamma, trajs, m.obs_scale).draw(np.stack(noise_g, axis=1))
-    if joint:
-        z0 = encode_batch(m.enc_z0, trajs, m.obs_scale).draw(np.stack(noise_z, axis=1))
-        draws = np.concatenate([z0, draws], axis=2)
-    return np.ascontiguousarray(draws.transpose(1, 0, 2))
+            noise[j, :, : m.p] = rng.standard_normal((n, m.p))
+    return mean[:, None] + std[:, None] * noise
 
 
 def collect_gamma_samples(m: FNODEModel, data, n_gamma: int, seed: int = 0, include_z0: bool = False) -> np.ndarray:
@@ -153,7 +170,7 @@ def collect_gamma_samples(m: FNODEModel, data, n_gamma: int, seed: int = 0, incl
 
     Returns the [N * n_gamma, d] bank in data order: trajectory j's draws are
     ``bank[j * n_gamma : (j + 1) * n_gamma]``, all from one generator.  With
-    ``include_z0`` each row is the concatenation (z0 draw, gamma draw), for
+    ``include_z0`` each row is a latent row (z0 draw | code draw), for
     fitting a joint sampler used in fully unconditional generation.
     """
     if n_gamma < 1:
@@ -161,11 +178,6 @@ def collect_gamma_samples(m: FNODEModel, data, n_gamma: int, seed: int = 0, incl
     trajs = data.trajectories
     draws = _posterior_draws(m, trajs, n_gamma, [np.random.default_rng(seed)] * len(trajs), include_z0)
     return draws.reshape(-1, draws.shape[2])
-
-
-def _mean_z0(m: FNODEModel, traj) -> tuple[np.ndarray, float]:
-    q = encode_batch(m.enc_z0, [traj], m.obs_scale)
-    return q.mean.data[0], float(np.asarray(traj.times)[0])
 
 
 def sample_trajectories(
@@ -178,30 +190,20 @@ def sample_trajectories(
 ) -> list[np.ndarray]:
     """Decode ``n`` mixture draws from the initial state encoded off one trajectory.
 
-    If ``S`` was fit jointly over (z0, code), each draw also supplies the
-    initial state and ``z0_source`` only sets the anchor time.
+    If ``S`` was fit jointly over (z0 | code), each draw is a whole latent
+    row and ``z0_source`` only sets the anchor time.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    times = np.asarray(times, dtype=np.float64)
-    z0_np, anchor = _mean_z0(m, z0_source)
-    joint = S.d == m.p + m.d_gamma
-    if not joint and S.d != m.d_gamma:
-        raise ValueError(f"sampler dimension {S.d} matches neither the code nor (z0, code)")
     draws = gmm_mod.sample(S, n, seed=seed)
-    if joint:
-        Z0, G = draws[:, : m.p], draws[:, m.p :]
-    else:
-        Z0, G = np.tile(z0_np, (n, 1)), draws
-    return list(rollout(m, Z0, G, anchor, times))
+    latents = draws if S.d == m.p + m.d_gamma else with_z0(m, z0_source, draws)
+    return list(rollout(m, latents, float(np.asarray(z0_source.times)[0]), times))
 
 
 def transfer_trajectory(m: FNODEModel, z0_source, exemplar, times) -> np.ndarray:
     """Exemplar dynamics applied to the donor's initial state (deterministic)."""
-    times = np.asarray(times, dtype=np.float64)
-    z0_np, anchor = _mean_z0(m, z0_source)
-    gamma = encode_batch(m.enc_gamma, [exemplar], m.obs_scale).mean.data
-    return rollout(m, z0_np[None], gamma, anchor, times)[0]
+    code = posterior(m, [exemplar])[0][:, m.p :]
+    return rollout(m, with_z0(m, z0_source, code), float(np.asarray(z0_source.times)[0]), times)[0]
 
 
 def neighborhood_sample(
@@ -225,7 +227,7 @@ def neighborhood_sample(
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     if S.d != m.d_gamma:
         raise ValueError("neighborhood sampling needs a code-space sampler")
-    gamma_j = encode_batch(m.enc_gamma, [exemplar], m.obs_scale).mean.data[0]
+    gamma_j = posterior(m, [exemplar])[0][0, m.p :]
     rng_seq = seed
     accepted = []
     attempts = 0
@@ -243,13 +245,8 @@ def neighborhood_sample(
             f"(acceptance rate < {1.0 / attempts:.2e})"
         )
     codes = np.stack(accepted)
-    if times is None:
-        times = np.asarray(exemplar.times, dtype=np.float64)
-    else:
-        times = np.asarray(times, dtype=np.float64)
-    z0_np, anchor = _mean_z0(m, exemplar)
-    paths = rollout(m, np.tile(z0_np, (len(codes), 1)), codes, anchor, times)
-    return codes, list(paths)
+    times = exemplar.times if times is None else times
+    return codes, list(rollout(m, with_z0(m, exemplar, codes), float(np.asarray(exemplar.times)[0]), times))
 
 
 def credible_band(
@@ -264,8 +261,9 @@ def credible_band(
 ) -> CredibleBand:
     """Pointwise empirical band over decoded draws for one trajectory.
 
-    ``source="posterior"`` draws (z0, gamma) from the per-trajectory encoder
-    posteriors; ``"gmm"`` keeps posterior z0 draws but takes codes from ``S``.
+    ``source="posterior"`` draws latent rows (z0 | code) from the trajectory's
+    posterior.  ``"gmm"`` takes codes from ``S`` and posterior z0 draws; a
+    sampler fit jointly over (z0 | code) supplies whole rows instead.
     """
     if n_draws < 20:
         raise ValueError("n_draws must be >= 20")
@@ -277,19 +275,17 @@ def credible_band(
         raise ValueError("gmm source needs a fitted sampler")
     times = np.asarray(times, dtype=np.float64)
     rng = np.random.default_rng(seed)
+    mean, std = posterior(m, [x])
 
-    q_z0 = encode_batch(m.enc_z0, [x], m.obs_scale)
-    anchor = float(np.asarray(x.times)[0])
-
-    if source == "gmm":
-        gammas = gmm_mod.sample(S, n_draws, seed=seed + 1)
-        Z0 = q_z0.draw(rng.standard_normal((n_draws, m.p)))
-    else:
+    if source == "posterior":
         # draw k takes its z0 noise, then its code noise, from the one stream
-        noise = rng.standard_normal((n_draws, m.p + m.d_gamma))
-        Z0 = q_z0.draw(noise[:, : m.p])
-        gammas = encode_batch(m.enc_gamma, [x], m.obs_scale).draw(noise[:, m.p :])
-    draws = rollout(m, Z0, gammas, anchor, times)
+        latents = mean + std * rng.standard_normal((n_draws, m.p + m.d_gamma))
+    else:
+        latents = gmm_mod.sample(S, n_draws, seed=seed + 1)
+        if S.d != m.p + m.d_gamma:  # codes only: pair them with posterior z0 draws
+            z0 = mean[:, : m.p] + std[:, : m.p] * rng.standard_normal((n_draws, m.p))
+            latents = np.concatenate([z0, latents], axis=1)
+    draws = rollout(m, latents, float(np.asarray(x.times)[0]), times)
 
     lo_q, hi_q = (1.0 - level) / 2.0, (1.0 + level) / 2.0
     return CredibleBand(

@@ -5,6 +5,8 @@ weights come from a dict of named tensors (:func:`mlp_forward`).  The
 hypernetwork's output is the flat weight vector of the transition network, one
 row per code; ``model.make_batch_field`` slices those rows into per-row layers,
 so the transition network's weights are data that gradients flow through.
+Training tapes :func:`encode_features`; ``inference.posterior`` is the one
+untaped encoder, which gives the posterior of a latent row (z0 | code).
 """
 
 from __future__ import annotations
@@ -28,10 +30,8 @@ __all__ = [
     "init_hypernetwork",
     "hypernet_map",
     "trajectory_features",
-    "split_gaussian",
     "batch_features",
     "encode_features",
-    "encode_batch",
 ]
 
 
@@ -120,14 +120,6 @@ class GaussianParams:
     mean: Tensor
     log_var: Tensor
 
-    def draw(self, noise: np.ndarray) -> np.ndarray:
-        """Untaped draws ``mean + exp(log_var / 2) * noise`` for noise the caller drew.
-
-        ``noise`` broadcasts against the [B, d] moments: [n, d] for a batch of
-        one, or [n, B, d] for n draws of every row.
-        """
-        return self.mean.data + np.exp(0.5 * self.log_var.data) * noise
-
 
 @dataclass
 class Hypernetwork:
@@ -181,10 +173,6 @@ def trajectory_features(times: np.ndarray, values: np.ndarray, obs_scale: float 
     return blocks.reshape(-1)
 
 
-def split_gaussian(out: Tensor, d: int) -> GaussianParams:
-    return GaussianParams(tg.cols(out, 0, d), tg.cols(out, d, 2 * d))
-
-
 def batch_features(trajs, obs_scale: float = 1.0) -> np.ndarray:
     """[B, n_points * (1 + obs_dim)] encoder input, one row per equal-length trajectory."""
     return np.stack([trajectory_features(t.times, t.values, obs_scale) for t in trajs])
@@ -194,15 +182,9 @@ def encode_features(enc: MLP, feats: np.ndarray) -> GaussianParams:
     """Posterior moments from a [B, F] block of encoder features, one row per trajectory.
 
     The one encoder of the package, for the initial state and the dynamics code
-    alike; training calls it on feature rows it stacked once.
+    alike; training and ``inference.posterior`` call it on feature rows they
+    stacked once.
     """
-    return split_gaussian(enc(Tensor(feats)), enc.spec.out_width // 2)
+    out, d = enc(Tensor(feats)), enc.spec.out_width // 2
+    return GaussianParams(tg.cols(out, 0, d), tg.cols(out, d, 2 * d))
 
-
-def encode_batch(enc: MLP, trajs, obs_scale: float = 1.0) -> GaussianParams:
-    """Posterior moments for equal-length trajectories; a single one is a batch of one.
-
-    For inference: built under ``tg.no_record``, so the moments carry no graph.
-    """
-    with tg.no_record():
-        return encode_features(enc, batch_features(trajs, obs_scale))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorgrad as tg
-from .tensorgrad import NonFiniteValue, Tensor
+from .tensorgrad import Tensor
 
 __all__ = [
     "SolverConfig",
@@ -110,41 +110,19 @@ def integrate_batch(field, z0: Tensor, times: np.ndarray, cfg: SolverConfig) -> 
     return [z0] + [tg.pick_rows(path, ends[:, j]) for j in range(T - 1)]
 
 
-def _rk4_batch(field, z: Tensor, t_row: np.ndarray, h_row: np.ndarray) -> Tensor:
-    hcol = h_row[:, None]
-    k1 = field(z, t_row)
-    k2 = field(tg.add_scaled_rows(z, k1, hcol * 0.5), t_row + h_row * 0.5)
-    k3 = field(tg.add_scaled_rows(z, k2, hcol * 0.5), t_row + h_row * 0.5)
-    k4 = field(tg.add_scaled_rows(z, k3, hcol), t_row + h_row)
-    return tg.rk4_combine(z, k1, k2, k3, k4, hcol)
-
-
 def _batch_step(field, z: Tensor, t_row: np.ndarray, h_row: np.ndarray) -> Tensor:
-    try:
-        z_next = _rk4_batch(field, z, t_row, h_row)
-    except NonFiniteValue as e:
-        raise _blow_up(field, z, t_row, h_row) from e
-    if not np.all(np.isfinite(z_next.data)):
-        raise _blow_up(field, z, t_row, h_row)
-    return z_next
-
-
-def _blow_up(field, z: Tensor, t_row: np.ndarray, h_row: np.ndarray) -> IntegrationBlowUp:
-    """The error for a failed step: its first non-finite row and that row's own time.
-
-    Only the error path pays for this.  The step is replayed without
-    per-primitive checks while every stage's input and output is kept; the
-    reported row is the first one holding a non-finite entry in any of them,
-    and its time is the end of its own step.
-    """
-    seen = []
-
-    def recorded(Z: Tensor, t: np.ndarray) -> Tensor:
-        out = field(Z, t)
-        seen.extend((Z.data, out.data))
-        return out
-
+    # Stages act row by row and rk4_combine adds each into its own row, so one
+    # check of the result finds the first row with a non-finite stage (a
+    # finished row's zero-length step turns inf into NaN).
+    hcol = h_row[:, None]
     with tg.finite_checks(False), np.errstate(all="ignore"):
-        seen.append(_rk4_batch(recorded, z, t_row, h_row).data)
-    row = int(np.argmin(np.all(np.isfinite(np.concatenate(seen, axis=1)), axis=1)))
-    return IntegrationBlowUp(float(t_row[row] + h_row[row]), row=row)
+        k1 = field(z, t_row)
+        k2 = field(tg.add_scaled_rows(z, k1, hcol * 0.5), t_row + h_row * 0.5)
+        k3 = field(tg.add_scaled_rows(z, k2, hcol * 0.5), t_row + h_row * 0.5)
+        k4 = field(tg.add_scaled_rows(z, k3, hcol), t_row + h_row)
+        z_next = tg.rk4_combine(z, k1, k2, k3, k4, hcol)
+    bad = ~np.all(np.isfinite(z_next.data), axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise IntegrationBlowUp(float(t_row[row] + h_row[row]), row=row)
+    return z_next

@@ -610,6 +610,13 @@ BAD_VALUES = {
     # select_model refuses the count before any fit; a zero among good counts is not left out
     "config_gmm_components_0": ("K must be >= 1", _bad_config("gmm_components", "0")[1]),
     "config_gmm_components_0_1": ("K must be >= 1", _bad_config("gmm_components", "0,1")[1]),
+    # selection settings are refused before training, so no log is left behind either;
+    # the workspace has 12 trajectories, so n_gamma = 1 gives a 12-row code bank
+    "config_gmm_components_empty": _bad_config("gmm_components", "3:1"),
+    "config_gmm_components_over_bank": _bad_config("gmm_components", "20\nn_gamma = 1"),
+    "config_gmm_cov_types_empty": _bad_config("gmm_cov_types", ""),
+    "config_gmm_max_iter_0": _bad_config("gmm_max_iter", "0"),
+    "config_n_gamma_0": _bad_config("n_gamma", "0"),
     "dataset_values_null": ("fuzzed.jsonl:2:", _edited_file(("dataset", 1, "values", None))),
     "dataset_values_number": ("fuzzed.jsonl:2:", _edited_file(("dataset", 1, "values", 0.25))),
     "dataset_values_true": ("fuzzed.jsonl:3:", _edited_file(("dataset", 2, "values", True))),
@@ -643,6 +650,7 @@ def test_bad_value_is_one_line_validation_error(case, cli_workspace, tmp_path, c
     assert rc == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1 and word in err, err
     assert not out.exists()
+    assert not tmp_path.joinpath("out.csv.log.csv").exists()
 
 
 # Values that reach parsing and validation without asking for much work:

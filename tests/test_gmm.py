@@ -20,7 +20,7 @@ from fnode.gmm import (
     selection_table_csv,
     _n_params,
 )
-from fnode.inference import collect_gamma_samples
+from fnode.inference import collect_gamma_samples, posterior
 from fnode.model import FNODEModel
 from fnode.syndata import generate_set_a
 
@@ -425,10 +425,8 @@ class TestCollect:
         assert bank.shape == (12, 3)
         # rows 4j..4j+3 are trajectory j's draws: standardised by its own
         # posterior, the bank gives back the seed's noise stream in data order
-        from fnode.nets import encode_batch
-
-        q = encode_batch(m.enc_gamma, data.trajectories, m.obs_scale)
-        mu, sd = np.repeat(q.mean.data, 4, axis=0), np.repeat(np.exp(0.5 * q.log_var.data), 4, axis=0)
+        mean, std = posterior(m, data.trajectories)
+        mu, sd = np.repeat(mean[:, m.p :], 4, axis=0), np.repeat(std[:, m.p :], 4, axis=0)
         np.testing.assert_allclose((bank - mu) / sd, np.random.default_rng(0).standard_normal((12, 3)), atol=1e-12)
 
     def test_degenerate_posterior_returns_means(self):
@@ -437,18 +435,14 @@ class TestCollect:
         last = m.enc_gamma.spec.n_layers - 1
         m.enc_gamma.params[f"b{last}"].data[m.d_gamma :] = -80.0
         bank = collect_gamma_samples(m, data, n_gamma=2, seed=0)
-        from fnode.nets import encode_batch
-
-        mu = encode_batch(m.enc_gamma, data.trajectories, m.obs_scale).mean.data
+        mu = posterior(m, data.trajectories)[0][:, m.p :]
         np.testing.assert_allclose(bank, np.repeat(mu, 2, axis=0), atol=1e-12)
 
     def test_sample_mean_approaches_posterior_mean(self):
         m, data = self.make_model_and_data()
         bank = collect_gamma_samples(m, data, n_gamma=1000, seed=1)
-        from fnode.nets import encode_batch
-
-        q = encode_batch(m.enc_gamma, data.trajectories, m.obs_scale)
-        mu, sd = q.mean.data, np.exp(0.5 * q.log_var.data)
+        mean, std = posterior(m, data.trajectories)
+        mu, sd = mean[:, m.p :], std[:, m.p :]
         for j in range(3):
             rows = bank[1000 * j : 1000 * (j + 1)]
             bound = 3 * sd[j] / math.sqrt(1000)

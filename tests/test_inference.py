@@ -16,13 +16,14 @@ from fnode.inference import (
     ood_calibrate,
     ood_scores,
     ood_test,
+    posterior,
     reconstruct,
     rollout,
     sample_trajectories,
     transfer_trajectory,
 )
 from fnode.model import FNODEModel, TrainConfig, fit
-from fnode.nets import encode_batch, weight_count
+from fnode.nets import batch_features, weight_count
 from fnode.syndata import generate_set_a
 
 
@@ -39,17 +40,62 @@ def trained():
     return m, data, S
 
 
+def numpy_posterior(m, trajs):
+    """(mean, std) of the latent rows (z0 | code), from a plain-numpy forward of both encoders."""
+    halves = []
+    for enc in (m.enc_z0, m.enc_gamma):
+        h = batch_features(trajs, m.obs_scale)
+        for i in range(enc.spec.n_layers):
+            h = h @ enc.params[f"w{i}"].data.T + enc.params[f"b{i}"].data
+            if i < enc.spec.n_layers - 1:
+                h = np.tanh(h)
+        halves.append(np.split(h, 2, axis=1))
+    mean = np.concatenate([mu for mu, _ in halves], axis=1)
+    std = np.exp(np.concatenate([lv for _, lv in halves], axis=1) / 2)
+    return mean, std
+
+
+class TestPosterior:
+    @pytest.mark.parametrize("rows", [[5], [0, 9, 17]])
+    def test_matches_numpy_encoders(self, trained, rows):
+        m, data, _ = trained
+        trajs = [data.trajectories[j] for j in rows]
+        mean, std = posterior(m, trajs)
+        want_mean, want_std = numpy_posterior(m, trajs)
+        assert mean.shape == std.shape == (len(rows), m.p + m.d_gamma)
+        np.testing.assert_allclose(mean, want_mean, rtol=1e-12)
+        np.testing.assert_allclose(std, want_std, rtol=1e-12)
+
+    def test_columns_are_z0_then_code(self, trained):
+        # an encoder whose output layer is zero gives N(0, 1) in its own columns and leaves the others
+        import copy
+
+        m, data, _ = trained
+        trajs = data.trajectories[:3]
+        mean, std = posterior(m, trajs)
+        for name, own in (("enc_z0", np.arange(m.p)), ("enc_gamma", np.arange(m.p, m.p + m.d_gamma))):
+            m2 = copy.deepcopy(m)
+            enc = getattr(m2, name)
+            for key in (f"w{enc.spec.n_layers - 1}", f"b{enc.spec.n_layers - 1}"):
+                enc.params[key].data[...] = 0.0
+            other = np.setdiff1d(np.arange(m.p + m.d_gamma), own)
+            mean2, std2 = posterior(m2, trajs)
+            np.testing.assert_array_equal(mean2[:, own], 0.0)
+            np.testing.assert_array_equal(std2[:, own], 1.0)
+            np.testing.assert_array_equal(mean2[:, other], mean[:, other])
+            np.testing.assert_array_equal(std2[:, other], std[:, other])
+
+
 class TestSampleTrajectories:
     def test_degenerate_sampler_matches_forced_code(self, trained):
         m, data, _ = trained
         src = data.trajectories[0]
-        gamma_star = encode_batch(m.enc_gamma, [src], m.obs_scale).mean.data[0]
+        mean = posterior(m, [src])[0]
         S = GMMModel(
-            np.array([1.0]), gamma_star[None, :], np.array([1e-6]), "spherical"
+            np.array([1.0]), mean[:, m.p :], np.array([1e-6]), "spherical"
         )
         out = sample_trajectories(m, S, src, src.times, n=1, seed=0)[0]
-        z0 = encode_batch(m.enc_z0, [src], m.obs_scale).mean.data[0]
-        forced = rollout(m, z0[None], gamma_star[None], float(src.times[0]), src.times)[0]
+        forced = rollout(m, mean, float(src.times[0]), src.times)[0]
         np.testing.assert_allclose(out, forced, atol=1e-2)
 
     def test_fixed_seed_identical_batches(self, trained):
@@ -71,14 +117,14 @@ class TestRollout:
         m, data, _ = trained
         src = data.trajectories[3]
         rng = np.random.default_rng(4)
-        Z0, G = rng.standard_normal((5, m.p)), rng.standard_normal((5, m.d_gamma))
-        whole = rollout(m, Z0, G, float(src.times[0]), src.times)
+        latents = np.hstack([rng.standard_normal((5, m.p)), rng.standard_normal((5, m.d_gamma))])
+        whole = rollout(m, latents, float(src.times[0]), src.times)
         monkeypatch.setattr("fnode.inference.ROLLOUT_ROWS", 2)
-        chunked = rollout(m, Z0, G, float(src.times[0]), src.times)
+        chunked = rollout(m, latents, float(src.times[0]), src.times)
         assert chunked.shape == (5, len(src.times), m.obs_dim)
         np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=1e-15)
         for b in range(5):
-            alone = rollout(m, Z0[b : b + 1], G[b : b + 1], float(src.times[0]), src.times)[0]
+            alone = rollout(m, latents[b : b + 1], float(src.times[0]), src.times)[0]
             np.testing.assert_allclose(whole[b], alone, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("chunk", [256, 2])
@@ -86,31 +132,32 @@ class TestRollout:
         m, data, _ = trained
         monkeypatch.setattr("fnode.inference.ROLLOUT_ROWS", chunk)
         rng = np.random.default_rng(5)
-        Z0, G = rng.standard_normal((5, m.p)), rng.standard_normal((5, m.d_gamma))
+        latents = np.hstack([rng.standard_normal((5, m.p)), rng.standard_normal((5, m.d_gamma))])
         grid = np.stack([data.trajectories[j].times for j in (0, 7, 12, 7, 20)])
-        rows = rollout(m, Z0, G, None, grid)
+        rows = rollout(m, latents, None, grid)
         assert rows.shape == (5, grid.shape[1], m.obs_dim)
         for b in range(5):
-            alone = rollout(m, Z0[b : b + 1], G[b : b + 1], float(grid[b, 0]), grid[b])[0]
+            alone = rollout(m, latents[b : b + 1], float(grid[b, 0]), grid[b])[0]
             np.testing.assert_allclose(rows[b], alone, rtol=1e-12, atol=1e-15)
 
     def test_anchor_time_goes_with_a_shared_grid_only(self, trained):
         m, data, _ = trained
         times = data.trajectories[0].times
-        Z0, G = np.zeros((2, m.p)), np.zeros((2, m.d_gamma))
+        latents = np.zeros((2, m.p + m.d_gamma))
         with pytest.raises(ValueError, match="anchor"):
-            rollout(m, Z0, G, float(times[0]), np.stack([times, times]))
+            rollout(m, latents, float(times[0]), np.stack([times, times]))
         with pytest.raises(ValueError, match="anchor"):
-            rollout(m, Z0, G, None, times)
+            rollout(m, latents, None, times)
         for bad in (np.zeros((2, 2, 2)), np.stack([times] * 3)):
             with pytest.raises(ValueError, match="grid"):
-                rollout(m, Z0, G, None, bad)
+                rollout(m, latents, None, bad)
 
     def test_rejects_unbatched_draws(self, trained):
         m, data, _ = trained
         src = data.trajectories[0]
-        with pytest.raises(ValueError):
-            rollout(m, np.zeros(m.p), np.zeros(m.d_gamma), float(src.times[0]), src.times)
+        for bad in (np.zeros(m.p + m.d_gamma), np.zeros((1, m.d_gamma)), np.zeros((1, m.p + m.d_gamma + 1))):
+            with pytest.raises(ValueError, match="p \\+ d_gamma"):
+                rollout(m, bad, float(src.times[0]), src.times)
 
     @pytest.mark.parametrize("per_row", [False, True])
     def test_peak_memory_stays_near_the_weight_block(self, per_row):
@@ -122,13 +169,13 @@ class TestRollout:
         m = FNODEModel.build(obs_dim=1, n_points=10, seed=0)
         B = 40
         rng = np.random.default_rng(0)
-        Z0, G = rng.standard_normal((B, m.p)), rng.standard_normal((B, m.d_gamma))
+        latents = np.hstack([rng.standard_normal((B, m.p)), rng.standard_normal((B, m.d_gamma))])
         times = np.linspace(0.0, 1.0, 10)
         args = (None, np.sort(rng.uniform(0.0, 1.0, (B, 10)), axis=1)) if per_row else (0.0, times)
         block = B * weight_count(m.f_spec) * 8
         tracemalloc.start()
         try:
-            rollout(m, Z0, G, *args)
+            rollout(m, latents, *args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -180,7 +227,7 @@ class TestNeighborhood:
         exemplar = data.trajectories[5]
         delta = 2.0
         codes, _ = neighborhood_sample(m, S, exemplar, delta=delta, n=8, seed=1)
-        gamma_j = encode_batch(m.enc_gamma, [exemplar], m.obs_scale).mean.data[0]
+        gamma_j = numpy_posterior(m, [exemplar])[0][0, m.p :]
         assert np.all(np.linalg.norm(codes - gamma_j, axis=1) <= delta)
 
     def test_acceptance_grows_with_delta(self, trained):
@@ -231,10 +278,10 @@ class TestCredibleBand:
         x = data.trajectories[0]
         band = credible_band(m, None, x, x.times, n_draws=1000, level=0.95, seed=2)
 
-        q = encode_batch(m.enc_z0, [x], m.obs_scale)
+        mean, std = numpy_posterior(m, [x])
         w = m.dec.params["w0"].data[0]
-        mu = float(w @ q.mean.data[0] + m.dec.params["b0"].data[0])
-        sigma = math.sqrt(float((w**2) @ np.exp(q.log_var.data[0])))
+        mu = float(w @ mean[0, : m.p] + m.dec.params["b0"].data[0])
+        sigma = math.sqrt(float((w**2) @ std[0, : m.p] ** 2))
         half_width = 1.96 * sigma
         for i in range(len(x.times)):
             np.testing.assert_allclose(band.upper[i, 0] - mu, half_width, rtol=0.05)
@@ -254,14 +301,13 @@ class TestCredibleBand:
         m, data, S = trained
         x = data.trajectories[4]
         band = credible_band(m, S, x, x.times, n_draws=20, level=0.9, seed=7)
-        q_z0 = encode_batch(m.enc_z0, [x], m.obs_scale)
-        q_g = encode_batch(m.enc_gamma, [x], m.obs_scale)
+        mean, std = numpy_posterior(m, [x])
         rng = np.random.default_rng(7)
         paths = []
         for _ in range(20):
-            z0 = q_z0.mean.data + np.exp(0.5 * q_z0.log_var.data) * rng.standard_normal(m.p)
-            g = q_g.mean.data + np.exp(0.5 * q_g.log_var.data) * rng.standard_normal(m.d_gamma)
-            paths.append(rollout(m, z0, g, float(x.times[0]), x.times)[0])
+            z0 = mean[:, : m.p] + std[:, : m.p] * rng.standard_normal(m.p)
+            g = mean[:, m.p :] + std[:, m.p :] * rng.standard_normal(m.d_gamma)
+            paths.append(rollout(m, np.concatenate([z0, g], axis=1), float(x.times[0]), x.times)[0])
         np.testing.assert_allclose(band.mean, np.mean(paths, axis=0), rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(band.lower, np.quantile(paths, 0.05, axis=0), rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(band.upper, np.quantile(paths, 0.95, axis=0), rtol=1e-12, atol=1e-15)
@@ -271,6 +317,17 @@ class TestCredibleBand:
         x = data.trajectories[0]
         band = credible_band(m, S, x, x.times, n_draws=50, seed=0, source="gmm")
         assert band.n_draws == 50
+
+    def test_joint_gmm_source_draws_whole_latent_rows(self, trained):
+        # a sampler over (z0 | code) supplies each draw's initial state as well as its code
+        m, data, _ = trained
+        x = data.trajectories[4]
+        S, _ = em_fit(collect_gamma_samples(m, data, n_gamma=3, seed=2, include_z0=True), K=2, seed=0)
+        band = credible_band(m, S, x, x.times, n_draws=30, level=0.9, seed=6, source="gmm")
+        paths = rollout(m, gmm.sample(S, 30, seed=7), float(x.times[0]), x.times)
+        np.testing.assert_array_equal(band.mean, paths.mean(axis=0))
+        np.testing.assert_array_equal(band.lower, np.quantile(paths, 0.05, axis=0))
+        np.testing.assert_array_equal(band.upper, np.quantile(paths, 0.95, axis=0))
 
     def test_validates_level_and_draws(self, trained):
         m, data, _ = trained
@@ -343,11 +400,6 @@ class TestOOD:
         assert all(0.0 <= v <= 1.0 for v in props.values())
 
 
-def oracle_draws(q, j, noise):
-    # row j's mean + exp(log_var / 2) * noise, written out apart from the package
-    return q.mean.data[j] + np.exp(q.log_var.data[j] / 2) * noise
-
-
 def diag_mixture(d, seed):
     rng = np.random.default_rng(seed)
     return GMMModel(np.array([0.3, 0.7]), rng.standard_normal((2, d)), rng.uniform(0.5, 2.0, (2, d)), "diag")
@@ -372,13 +424,14 @@ class TestPosteriorDraws:
         n = 3
         bank = collect_gamma_samples(m, data, n, seed=5, include_z0=joint)
         trajs = data.trajectories
-        q_g, q_z = encode_batch(m.enc_gamma, trajs, m.obs_scale), encode_batch(m.enc_z0, trajs, m.obs_scale)
+        mean, std = numpy_posterior(m, trajs)
         rng = np.random.default_rng(5)
         assert bank.shape == (len(trajs) * n, m.d_gamma + joint * m.p)
         for j in range(len(trajs)):
-            rows = oracle_draws(q_g, j, rng.standard_normal((n, m.d_gamma)))
+            rows = mean[j, m.p :] + std[j, m.p :] * rng.standard_normal((n, m.d_gamma))
             if joint:
-                rows = np.concatenate([oracle_draws(q_z, j, rng.standard_normal((n, m.p))), rows], axis=1)
+                z0 = mean[j, : m.p] + std[j, : m.p] * rng.standard_normal((n, m.p))
+                rows = np.concatenate([z0, rows], axis=1)
             np.testing.assert_allclose(bank[j * n : (j + 1) * n], rows, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("joint", [False, True])
@@ -389,12 +442,13 @@ class TestPosteriorDraws:
         S = diag_mixture(m.d_gamma + joint * m.p, seed=1)
         scores = ood_scores(m, S, data, n_gamma=n, seed=seed)
         trajs = data.trajectories
-        q_g, q_z = encode_batch(m.enc_gamma, trajs, m.obs_scale), encode_batch(m.enc_z0, trajs, m.obs_scale)
+        mean, std = numpy_posterior(m, trajs)
         for j in range(len(trajs)):
             rng = np.random.default_rng(seed ^ j)
-            draws = oracle_draws(q_g, j, rng.standard_normal((n, m.d_gamma)))
+            draws = mean[j, m.p :] + std[j, m.p :] * rng.standard_normal((n, m.d_gamma))
             if joint:
-                draws = np.concatenate([oracle_draws(q_z, j, rng.standard_normal((n, m.p))), draws], axis=1)
+                z0 = mean[j, : m.p] + std[j, : m.p] * rng.standard_normal((n, m.p))
+                draws = np.concatenate([z0, draws], axis=1)
             assert scores[j] == pytest.approx(-diag_mixture_logpdf(S, draws).mean(), rel=1e-12)
 
     def test_joint_sample_takes_z0_from_the_first_columns(self):
@@ -412,7 +466,7 @@ class TestPosteriorDraws:
         m = linear_decoder_model()
         x = generate_set_a(n_per_class=1, n_classes=1, n_points=4, seed=0).trajectories[0]
         got = reconstruct(m, x, x.times, use_posterior_mean=False, seed=8)
-        q_z = encode_batch(m.enc_z0, [x], m.obs_scale)
-        z0 = oracle_draws(q_z, 0, np.random.default_rng(8).standard_normal((1, m.p)))
+        mean, std = numpy_posterior(m, [x])
+        z0 = mean[:, : m.p] + std[:, : m.p] * np.random.default_rng(8).standard_normal((1, m.p))
         expected = z0 @ m.dec.params["w0"].data.T + m.dec.params["b0"].data
         np.testing.assert_allclose(got, np.repeat(expected, len(x.times), axis=0), rtol=1e-12, atol=1e-14)

@@ -21,8 +21,8 @@ from fnode.model import (
     _elbo_core,
     _pack_batch,
 )
-from fnode.inference import reconstruct, rollout
-from fnode.nets import MLP, GaussianParams, MLPSpec, encode_batch, hypernet_map, weight_count
+from fnode.inference import posterior, reconstruct, rollout
+from fnode.nets import MLP, GaussianParams, MLPSpec, hypernet_map, weight_count
 from fnode.odeint import IntegrationBlowUp, integrate_batch
 from fnode.syndata import PanelDataset, Trajectory, generate_set_a
 from fnode.tensorgrad import Tensor
@@ -109,20 +109,19 @@ class TestForward:
         m = tiny_model()
         m.hyper.lam.data *= 0.0
         traj = tiny_data(n=4).trajectories[0]
-        rng = np.random.default_rng(0)
-        z0, gamma = rng.standard_normal((1, m.p)), rng.standard_normal((1, m.d_gamma))
-        recon = rollout(m, z0, gamma, float(traj.times[0]), traj.times)[0]
+        latents = np.random.default_rng(0).standard_normal((1, m.p + m.d_gamma))
+        recon = rollout(m, latents, float(traj.times[0]), traj.times)[0]
         # the latent path is exactly constant (test_frozen_lambda_keeps_latent_constant);
         # the decoder maps all T states in one product, whose rounding may differ by row
-        expected = m.dec(Tensor(z0)).data[0]
+        expected = m.dec(Tensor(latents[:, : m.p])).data[0]
         for r in recon:
             np.testing.assert_allclose(r, expected, rtol=1e-12)
 
     def test_single_point_trajectory(self):
         m = tiny_model(n_points=1)
         traj = Trajectory(np.array([0.4]), np.array([[1.2]]))
-        q = encode_batch(m.enc_z0, [traj], m.obs_scale)
-        assert q.mean.data.shape == (1, m.p)
+        mean, std = posterior(m, [traj])
+        assert mean.shape == std.shape == (1, m.p + m.d_gamma)
         z0 = Tensor(np.random.default_rng(1).standard_normal((1, m.p)))
         theta = hypernet_map(m.hyper, Tensor(np.random.default_rng(2).standard_normal((1, m.d_gamma))))
         recon = decode_path(m, z0, theta, 0.4, traj.times)
@@ -134,8 +133,9 @@ class TestForward:
         traj = tiny_data(n=4).trajectories[1]
         z0 = np.random.default_rng(3).standard_normal((2, m.p))
         gamma = np.random.default_rng(4).standard_normal((2, m.d_gamma))
-        a = rollout(m, z0, gamma, float(traj.times[0]), traj.times)
-        b = rollout(m, z0, gamma, float(traj.times[0]), traj.times)
+        latents = np.hstack([z0, gamma])
+        a = rollout(m, latents, float(traj.times[0]), traj.times)
+        b = rollout(m, latents, float(traj.times[0]), traj.times)
         np.testing.assert_array_equal(a, b)
 
 
@@ -163,15 +163,16 @@ class TestELBO:
         assert bd.total == pytest.approx(bd.recon_loglik, rel=1e-12)
         assert bd.kl_weight == 0.0
 
-    def test_kl_terms_match_kl_gaussian(self):
+    def test_kl_terms_match_closed_form(self):
         m = tiny_model()
         traj = tiny_data(n=4).trajectories[2]
         cfg = TrainConfig(epochs=1, kl_anneal_epochs=1, seed=5)
         bd = elbo_loss(m, traj, cfg, 1.0)
-        assert bd.kl_z0 == pytest.approx(kl_gaussian(encode_batch(m.enc_z0, [traj], m.obs_scale)), rel=1e-10)
-        assert bd.kl_gamma == pytest.approx(
-            kl_gaussian(encode_batch(m.enc_gamma, [traj], m.obs_scale)), rel=1e-10
-        )
+        # KL(N(mean, std^2) || N(0, 1)) per entry, summed over each block of the (z0 | code) columns
+        mean, std = posterior(m, [traj])
+        kl = 0.5 * (std**2 + mean**2 - 2 * np.log(std) - 1)
+        assert bd.kl_z0 == pytest.approx(kl[:, : m.p].sum(), rel=1e-10)
+        assert bd.kl_gamma == pytest.approx(kl[:, m.p :].sum(), rel=1e-10)
         assert bd.total == pytest.approx(bd.recon_loglik - bd.kl_z0 - bd.kl_gamma, rel=1e-10)
 
     def test_rejects_bad_kl_weight(self):
@@ -424,7 +425,7 @@ class TestAnchoredDecoding:
         times = ANCHORED_GRIDS[grid]
         rng = np.random.default_rng(9)
         Z0, G = rng.standard_normal((3, m.p)), rng.standard_normal((3, m.d_gamma))
-        got = rollout(m, Z0, G, ANCHOR, times)
+        got = rollout(m, np.hstack([Z0, G]), ANCHOR, times)
         theta = hypernet_map(m.hyper, Tensor(G)).data
         for b in range(3):
             want = numpy_decode(m, Z0[b], theta[b], ANCHOR, times)
@@ -440,13 +441,12 @@ class TestAnchoredDecoding:
         x = Trajectory(ANCHOR + np.array([0.0, 0.2, 0.45]), np.array([[0.5], [-0.3], [0.8]]))
         times = ANCHORED_GRIDS[grid]
         got = reconstruct(m, x, times, use_posterior_mean=use_posterior_mean, seed=4)
-        q_z, q_g = encode_batch(m.enc_z0, [x], m.obs_scale), encode_batch(m.enc_gamma, [x], m.obs_scale)
-        z0, gamma = q_z.mean.data[0], q_g.mean.data[0]
+        mean, std = posterior(m, [x])
+        row = mean[0]
         if not use_posterior_mean:
             # one (z0 noise | code noise) row of default_rng(seed)
-            noise = np.random.default_rng(4).standard_normal(m.p + m.d_gamma)
-            z0 = z0 + np.exp(q_z.log_var.data[0] / 2) * noise[: m.p]
-            gamma = gamma + np.exp(q_g.log_var.data[0] / 2) * noise[m.p :]
+            row = row + std[0] * np.random.default_rng(4).standard_normal(m.p + m.d_gamma)
+        z0, gamma = row[: m.p], row[m.p :]
         theta = hypernet_map(m.hyper, Tensor(gamma[None])).data[0]
         np.testing.assert_allclose(got, numpy_decode(m, z0, theta, ANCHOR, times), rtol=1e-10, atol=1e-12)
 
@@ -455,9 +455,9 @@ class TestAnchoredDecoding:
         # a linear field with weights up to 50 drives the state past float range
         m = tiny_model(f_hidden=(), lambda_init=50.0)
         rng = np.random.default_rng(0)
-        Z0, G = rng.standard_normal((2, m.p)), rng.standard_normal((2, m.d_gamma))
+        latents = np.hstack([rng.standard_normal((2, m.p)), rng.standard_normal((2, m.d_gamma))])
         with pytest.raises(IntegrationBlowUp) as info, np.errstate(all="ignore"):
-            rollout(m, Z0, G, anchor, np.array(times))
+            rollout(m, latents, anchor, np.array(times))
         t = info.value.t
         assert (times[0] <= t < anchor) if times[0] < anchor else (anchor < t <= times[-1]), t
 

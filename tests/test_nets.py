@@ -8,7 +8,8 @@ from fnode.nets import (
     MLP,
     Hypernetwork,
     MLPSpec,
-    encode_batch,
+    batch_features,
+    encode_features,
     hypernet_map,
     init_hypernetwork,
     init_mlp_params,
@@ -183,7 +184,7 @@ class TestEncoders:
         for i, (n_in, n_out) in enumerate([(12, 4), (4, 6)]):
             params[f"w{i}"] = Tensor(np.zeros((n_out, n_in)))
             params[f"b{i}"] = Tensor(np.zeros(n_out))
-        q = encode_batch(MLP(spec, params), [traj])
+        q = encode_features(MLP(spec, params), batch_features([traj]))
         np.testing.assert_array_equal(q.mean.data, np.zeros((1, 3)))
         np.testing.assert_array_equal(q.log_var.data, np.zeros((1, 3)))
 
@@ -191,8 +192,8 @@ class TestEncoders:
         rng = np.random.default_rng(0)
         enc = MLP.init((12, 8, 6), rng)
         traj = make_traj()
-        a = encode_batch(enc, [traj])
-        b = encode_batch(enc, [traj])
+        a = encode_features(enc, batch_features([traj]))
+        b = encode_features(enc, batch_features([traj]))
         assert (a.mean.data == b.mean.data).all()
         assert (a.log_var.data == b.log_var.data).all()
 
@@ -200,7 +201,7 @@ class TestEncoders:
         rng = np.random.default_rng(3)
         enc = MLP.init((12, 8, 6), rng)
         trajs = [make_traj(seed=s) for s in range(4)]
-        q_batch = encode_batch(enc, trajs)
+        q_batch = encode_features(enc, batch_features(trajs))
         # reference: the plain-numpy encoder applied to one trajectory at a time
         w0, b0, w1, b1 = (enc.params[k].data for k in ("w0", "b0", "w1", "b1"))
         for i, t in enumerate(trajs):
