@@ -26,7 +26,7 @@ import numpy as np
 from . import gmm as gmm_mod
 from .model import FNODEModel, decode_path
 from .nets import batch_features, encode_features, hypernet_map
-from .tensorgrad import Tensor, no_record
+from .tensorgrad import NonFiniteValue, Tensor, no_record
 
 __all__ = [
     "CredibleBand",
@@ -107,6 +107,11 @@ def with_z0(m: FNODEModel, z0_source, codes: np.ndarray) -> np.ndarray:
     return np.concatenate([np.repeat(z0, len(codes), axis=0), codes], axis=1)
 
 
+def _check_latents(m: FNODEModel, shape: tuple) -> None:
+    if len(shape) != 2 or shape[1] != m.p + m.d_gamma:
+        raise ValueError(f"latents {shape} must be [B, p + d_gamma] = [B, {m.p + m.d_gamma}]")
+
+
 def rollout(m: FNODEModel, latents: np.ndarray, anchor_t: float | None, times) -> np.ndarray:
     """Decode latent rows (z0 | code) over ``times``; returns a [B, T, obs_dim] array.
 
@@ -119,8 +124,7 @@ def rollout(m: FNODEModel, latents: np.ndarray, anchor_t: float | None, times) -
     """
     times = np.asarray(times, dtype=np.float64)
     latents = np.asarray(latents, dtype=np.float64)
-    if latents.ndim != 2 or latents.shape[1] != m.p + m.d_gamma:
-        raise ValueError(f"latents {latents.shape} must be [B, p + d_gamma] = [B, {m.p + m.d_gamma}]")
+    _check_latents(m, latents.shape)
     B = latents.shape[0]
     if times.ndim not in (1, 2) or times.ndim == 2 and times.shape[0] != B:
         raise ValueError(f"times {times.shape} must be a [T] grid or a [B, T] grid for B = {B}")
@@ -305,14 +309,23 @@ def ood_scores(m: FNODEModel, S: gmm_mod.GMMModel, data, n_gamma: int = 16, seed
     """Per-trajectory score: mean negative log-likelihood of posterior code draws.
 
     Per-trajectory generators are seeded as seed XOR index, so scoring is
-    order-independent and parallelizable.
+    order-independent and parallelizable.  A non-finite score raises
+    :class:`NonFiniteValue`, since no threshold can be compared with it.
     """
     if n_gamma < 1:
         raise ValueError(f"n_gamma must be >= 1, got {n_gamma}")
+    joint = S.d == m.p + m.d_gamma
+    # the latent rows a code-only sampler's draws would make, checked as rollout checks them
+    _check_latents(m, (n_gamma, S.d if joint else m.p + S.d))
     trajs = data.trajectories
     rngs = [np.random.default_rng(seed ^ j) for j in range(len(trajs))]
-    draws = _posterior_draws(m, trajs, n_gamma, rngs, joint=S.d == m.p + m.d_gamma)
-    return np.array([-gmm_mod.score_rows(S, block).mean() for block in draws])
+    draws = _posterior_draws(m, trajs, n_gamma, rngs, joint)
+    scores = np.array([-gmm_mod.score_rows(S, block).mean() for block in draws])
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        j = bad[0]
+        raise NonFiniteValue(f"non-finite OOD score {scores[j]} for trajectory {j}: its draws overflow the density")
+    return scores
 
 
 def ood_calibrate(

@@ -153,8 +153,9 @@ class FNODEModel:
             raise ValueError(
                 f"encoder input width {self.enc_z0.spec.in_width} is not a multiple of 1 + obs_dim = {1 + self.obs_dim}"
             )
-        if not (math.isfinite(self.sigma_x) and self.sigma_x > 0):
-            raise ValueError(f"sigma_x must be finite and positive, got {self.sigma_x!r}")
+        # the likelihood divides by 2 sigma_x^2, which must neither overflow nor round to zero
+        if not (math.isfinite(self.sigma_x) and 1e-150 <= self.sigma_x <= 1e150):
+            raise ValueError(f"sigma_x must lie in [1e-150, 1e150], got {self.sigma_x!r}")
         if not (math.isfinite(self.obs_scale) and self.obs_scale > 0):
             raise ValueError(f"obs_scale must be finite and positive, got {self.obs_scale!r}")
         parts = (("enc_z0.", self.enc_z0), ("enc_gamma.", self.enc_gamma), ("hyper.", self.hyper), ("dec.", self.dec))
@@ -386,7 +387,9 @@ def fit(m: FNODEModel, data, cfg: TrainConfig, on_epoch=None):
     called as ``on_epoch(epoch, breakdown)`` after each epoch, letting callers
     keep a partial log if training aborts.  A non-finite loss or gradient
     raises :class:`TrainingDiverged` before the optimizer touches the
-    parameters.
+    parameters.  One batch's graph is alive at a time: the parameter gradients
+    are cleared before each batch's forward pass, and ``backward`` frees the
+    graph as it walks it.
     """
     trajs = data.trajectories
     if not trajs:
@@ -415,13 +418,13 @@ def fit(m: FNODEModel, data, cfg: TrainConfig, on_epoch=None):
                     )
                     for _ in range(cfg.mc_samples)
                 ]
+                tg.zero_grads(m.params.values())
                 try:
                     loss_t, bd = _elbo_core(m, feats[idx], times[idx], targets[idx], w, noises)
                 except IntegrationBlowUp as e:
                     raise TrainingDiverged(epoch, bi, str(e)) from e
                 if not math.isfinite(bd.total):
                     raise TrainingDiverged(epoch, bi)
-                tg.zero_grads(m.params.values())
                 tg.backward(tg.neg(loss_t))
                 # one reduction per parameter: a NaN or Inf anywhere makes the sum non-finite
                 for name, t in m.params.items():

@@ -3,15 +3,19 @@
 Every primitive applied to :class:`Tensor` values builds a computation graph,
 except under :func:`no_record`; :func:`backward` replays it in reverse
 topological order and accumulates exact gradients into the ``grad`` buffers of
-the participating tensors.  The engine is deliberately small: rank <= 2 arrays,
+the leaf tensors.  It consumes the graph as it goes, like PyTorch's default
+``retain_graph=False``: once a node's backward step has run, the node drops its
+parents, its closure (and with it the forward arrays saved for backward) and
+its own gradient, so a graph serves one backward pass and a second one raises
+``ValueError``.  The engine is deliberately small: rank <= 2 arrays,
 a fixed primitive vocabulary, no implicit broadcasting beyond the dedicated
 ``broadcast_add`` op.  All arithmetic is float64 so that central-difference
 checks can be made tight.
 
 Trainable tensors are carried in a plain ``dict`` of name -> Tensor, whose
 insertion order fixes the order of optimizer updates and of archive blocks.
-The model builds its forward pass from these primitives, calls
-:func:`zero_grads` and then :func:`backward` on the scalar loss, and reads each
+For each batch the model calls :func:`zero_grads`, builds its forward pass
+from these primitives, calls :func:`backward` on the scalar loss and reads each
 parameter's ``grad``.
 """
 
@@ -463,11 +467,19 @@ def pick_rows(path: Sequence[Tensor], idx: np.ndarray) -> Tensor:
 # -- graph traversal ----------------------------------------------------------
 
 
+def _consumed(g):
+    raise ValueError("this graph was already consumed by backward")
+
+
 def backward(out: Tensor) -> None:
     """Accumulate d(out)/d(node) into ``grad`` for every ancestor of ``out``.
 
-    ``out`` must be a scalar (size 1).  Gradients add into whatever is already
-    in ``grad``; callers reset leaf gradients between passes (:func:`zero_grads`).
+    ``out`` must be a scalar (size 1).  Leaf gradients add into whatever is
+    already in ``grad``; callers reset them between passes (:func:`zero_grads`).
+    Every interior node is consumed as the walk passes it: its ``grad`` is
+    ``None`` afterwards and it has no parents.  A backward that would reach a
+    consumed node, such as a second one from the same ``out``, raises
+    ``ValueError`` before any gradient moves.
     """
     if out.data.size != 1:
         raise NonScalarOutput(f"backward on tensor of shape {out.shape}")
@@ -484,6 +496,8 @@ def backward(out: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._bwd is _consumed:
+            raise ValueError(f"backward reaches a '{node._op}' node whose graph was already consumed by backward")
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -491,11 +505,17 @@ def backward(out: Tensor) -> None:
                 stack.append((p, False))
 
     out.grad = np.ones_like(out.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._pending is not None:
             _flush_pending(node)
         if node._bwd is not None and node.grad is not None:
             node._bwd(node.grad)
+        if node._op != "leaf":
+            node.grad = None
+            node._parents = ()
+            if node._bwd is not None:
+                node._bwd = _consumed
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

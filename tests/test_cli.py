@@ -23,6 +23,13 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def run_module(*args):
+    """``python -m fnode`` in a child process that imports the ``fnode`` these tests import."""
+    src = str(Path(fnode.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "fnode", *map(str, args)], capture_output=True, text=True, env=env)
+
+
 class TestRunConfig:
     def test_defaults_cover_every_key(self):
         cfg = RunConfig()
@@ -404,14 +411,24 @@ class TestRuntimeErrors:
     def test_overflow_prints_one_stderr_line_from_a_process(self, cli_workspace, tmp_path, command):
         # pytest captures numpy's warnings in process, so only a child process shows all of stderr
         argv, out = _overflowing_decoder_argv(cli_workspace, tmp_path, command)
-        src = str(Path(fnode.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "fnode", *map(str, argv)], capture_output=True, text=True, env=env
-        )
+        proc = run_module(*argv)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert "non-finite" in proc.stderr
+        assert not out.exists()
+
+    def test_overflowing_code_posterior_is_one_line_ood_error(self, cli_workspace, tmp_path, capsys):
+        # a code posterior mean of 1e308 squares to inf in the mixture density: every score was nan
+        doc = archive_file.read(cli_workspace["model"])
+        doc["model"]["params"]["enc_gamma.b1"][0] = 1e308
+        path = tmp_path / "overflow.fnode"
+        archive_file.write(path, doc)
+        out = tmp_path / "ood.csv"
+        capsys.readouterr()
+        rc = run(_ood({**cli_workspace, "model": path}, out, 2))
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite OOD score" in err, err
         assert not out.exists()
 
     def test_deeply_nested_dataset_is_validation_error(self, cli_workspace, tmp_path, capsys):
@@ -607,6 +624,9 @@ BAD_VALUES = {
     "config_lambda_init_nan": _bad_config("lambda_init", "nan"),
     "config_lambda_init_inf": _bad_config("lambda_init", "inf"),
     "config_sigma_x_inf": _bad_config("sigma_x", "inf"),
+    # the likelihood's 1 / (2 sigma_x^2): the square overflows, or rounds to zero
+    "config_sigma_x_1e308": _bad_config("sigma_x", "1e308"),
+    "config_sigma_x_1e-200": _bad_config("sigma_x", "1e-200"),
     # select_model refuses the count before any fit; a zero among good counts is not left out
     "config_gmm_components_0": ("K must be >= 1", _bad_config("gmm_components", "0")[1]),
     "config_gmm_components_0_1": ("K must be >= 1", _bad_config("gmm_components", "0,1")[1]),
@@ -720,6 +740,19 @@ FILE_CASES = st.one_of(
         st.binary(max_size=64) | st.binary(max_size=64).map(archive_file.MAGIC.__add__),
     ),
 )
+# One float64 of a weight's block in the archive payload rewritten, the header
+# left as it is: the parameter (the workspace model's 17 blocks), an entry
+# index taken modulo the block's size, the new value, and the command to run.
+ARCHIVE_PARAMS = [
+    *(f"{part}.{kind}{i}" for part in ("enc_z0", "enc_gamma", "hyper", "dec") for kind in "wb" for i in (0, 1)),
+    "hyper.lambda",
+]
+PAYLOAD_CASES = st.tuples(
+    st.sampled_from(ARCHIVE_PARAMS),
+    st.integers(0, 1000),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -2.5e-310]),
+    st.sampled_from(["sample", "ood", "eval"]),
+)
 CONTRACT_CASES = st.one_of(
     st.tuples(
         st.just("flag"), st.sampled_from(FUZZED_FLAGS), FUZZ_VALUES,
@@ -785,6 +818,23 @@ def _file_argv(case, ws, tmp, out):
     return ["plot", "--traj", files["traj"], "--band", files["band"], "--out", out]
 
 
+def _payload_argv(case, ws, tmp, out):
+    """The argv of a ``PAYLOAD_CASES`` draw: its command on the workspace archive with one float64 rewritten."""
+    name, index, value, command = case
+    header, payload = archive_file.read_raw(ws["model"])
+    block = header["model"]["params"][name]
+    start = block["offset"] + 8 * (index % math.prod(block["shape"]))
+    payload = payload[:start] + np.float64(value).astype("<f8").tobytes() + payload[start + 8:]
+    model = tmp / "fuzzed.fnode"
+    archive_file.write_raw(model, header, payload)
+    ws = {**ws, "model": model}
+    return {
+        "sample": _sample(ws, out, "--n", 3),
+        "ood": _ood(ws, out, 2),
+        "eval": ["eval", "--model", model, "--data", ws["data"], "--out", out],
+    }[command]
+
+
 def _contract_argv(case, ws, tmp, out):
     """The argv of a ``CONTRACT_CASES`` draw or a ``("bad", BAD_VALUES key)`` seed."""
     kind, *rest = case
@@ -812,16 +862,13 @@ def _seeded_with_bad_values(test):
     return test
 
 
-@_seeded_with_bad_values
-@settings(max_examples=40, deadline=None)
-@given(case=CONTRACT_CASES)
-def test_exit_code_contract(case, cli_workspace):
+def _assert_exit_contract(build_argv, case, ws):
     # 0 ok, 1 runtime error, 2 usage or validation error; a failure writes one
     # error line and never a traceback, which here would be an exception out
     # of main()
     usage_exit = False
     with tempfile.TemporaryDirectory() as tmp:
-        argv = _contract_argv(case, cli_workspace, Path(tmp), Path(tmp) / "out.csv")
+        argv = build_argv(case, ws, Path(tmp), Path(tmp) / "out.csv")
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             try:
@@ -830,6 +877,7 @@ def test_exit_code_contract(case, cli_workspace):
                 rc, usage_exit = e.code, True
     err = err.getvalue()
     assert rc in (0, 1, 2), (rc, err)
+    assert sum("error:" in line for line in err.splitlines()) <= 1, err
     if usage_exit:
         # argparse prints its usage lines above the one error line
         assert rc == 2 and [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:], err
@@ -837,9 +885,24 @@ def test_exit_code_contract(case, cli_workspace):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@_seeded_with_bad_values
+@settings(max_examples=40, deadline=None)
+@given(case=CONTRACT_CASES)
+def test_exit_code_contract(case, cli_workspace):
+    _assert_exit_contract(_contract_argv, case, cli_workspace)
+
+
+# a value of each kind in each command, and the code posterior whose scores were nan
+@example(case=("hyper.w1", 0, math.nan, "sample"))
+@example(case=("enc_z0.b1", 5, math.inf, "eval"))
+@example(case=("enc_gamma.b1", 0, 1e308, "ood"))
+@example(case=("dec.w1", 7, -1e308, "eval"))
+@example(case=("hyper.lambda", 0, 5e-324, "sample"))
+@settings(max_examples=30, deadline=None)
+@given(case=PAYLOAD_CASES)
+def test_archive_payload_exit_code_contract(case, cli_workspace):
+    _assert_exit_contract(_payload_argv, case, cli_workspace)
+
+
 def test_module_entry_point_usage_error_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "fnode", "definitely-not-a-command"],
-        capture_output=True,
-    )
-    assert proc.returncode == 2
+    assert run_module("definitely-not-a-command").returncode == 2

@@ -391,6 +391,17 @@ class TestOOD:
         thr = ood_calibrate(m2, S, data, n_gamma=4, quantile=0.95, seed=0)
         assert thr == pytest.approx(scores[0])
 
+    def test_sampler_of_neither_width_raises_like_rollout(self, trained):
+        # a width-1 sampler matches neither the code (4) nor (z0 | code) (7)
+        m, data, _ = trained
+        S = GMMModel(np.array([1.0]), np.zeros((1, 1)), np.ones((1, 1)), "diag")
+        with pytest.raises(ValueError, match="p \\+ d_gamma") as ours:
+            ood_scores(m, S, data, n_gamma=4, seed=0)
+        src = data.trajectories[0]
+        with pytest.raises(ValueError) as theirs:
+            sample_trajectories(m, S, src, src.times, 4, seed=0)
+        assert str(ours.value) == str(theirs.value)
+
     def test_class_proportions(self, trained):
         m, data, S = trained
         thr = ood_calibrate(m, S, data, n_gamma=8, quantile=0.95, seed=0)

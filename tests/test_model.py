@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,24 @@ class TestFit:
             runs.append({name: t.data.copy() for name, t in m.params.items()})
         for name in runs[0]:
             np.testing.assert_array_equal(runs[0][name], runs[1][name])
+
+    @pytest.mark.parametrize("n_points", [10, 25])
+    def test_peak_memory_stays_near_one_batch_graph(self, n_points):
+        # backward frees each node's saved arrays as it passes, and the
+        # parameter gradients are cleared before the next batch's forward, so
+        # one batch's graph is alive at a time; keeping the previous batch's
+        # graph and gradients through the next forward peaks above 7x.  The
+        # parameters predate tracing, and Adam's two moment buffers are 2x.
+        m = FNODEModel.build(obs_dim=1, n_points=n_points, seed=0)
+        data = generate_set_a(n_per_class=4, n_classes=10, n_points=n_points, seed=1)
+        param_bytes = sum(t.data.nbytes for t in m.params.values())
+        tracemalloc.start()
+        try:
+            fit(m, data, TrainConfig(epochs=1, batch_size=32, kl_anneal_epochs=1, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * param_bytes, peak / param_bytes
 
     def test_loss_improves_on_small_panel(self):
         m = tiny_model(seed=1)

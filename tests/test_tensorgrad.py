@@ -442,3 +442,55 @@ class TestZeroGrads:
             assert (t.grad is None) == (ref[name].grad is None), name
             if t.grad is not None:
                 assert t.grad.tobytes() == ref[name].grad.tobytes(), name
+
+
+def grad_bytes(ps):
+    return {name: None if t.grad is None else t.grad.tobytes() for name, t in ps.items()}
+
+
+class TestConsumedGraph:
+    """backward frees the graph it walks, and a second walk over any of it fails before a gradient moves."""
+
+    def _chained(self, ps, interior):
+        # the rowwise_mlp_chained program, keeping its interior nodes
+        a = tg.tanh(ps["z3"])
+        h1 = tg.rowwise_mlp(a, T3, mlp_layers(ps, False))
+        h2 = tg.rowwise_mlp(h1, T3 + 0.2, mlp_layers(ps, True))
+        sq = tg.square(h2)
+        out = tg.tensor_sum(sq)
+        interior += [a, h1, h2, sq, out]
+        return out
+
+    def test_interior_nodes_are_freed_and_leaves_keep_gradients(self):
+        ps = primitive_params(0)
+        interior = []
+        tg.backward(self._chained(ps, interior))
+        for t in interior:
+            assert t.grad is None and t._parents == (), t
+            with pytest.raises(ValueError, match="consumed by backward"):
+                t._bwd(np.ones_like(t.data))
+        assert all(ps[name].grad is not None and ps[name]._pending is None for name in ("z3", "wl0", "bl2"))
+        assert autodiff.finite_diff_check(lambda p: self._chained(p, []), ps, [], h=1e-5) <= 1e-4
+
+    def test_second_backward_on_one_output_raises(self):
+        ps = primitive_params(1)
+        out = PRIMITIVE_PROGRAMS["rowwise_mlp_chained"](ps)
+        tg.backward(out)
+        before = grad_bytes(ps)
+        with pytest.raises(ValueError, match="consumed by backward"):
+            tg.backward(out)
+        assert grad_bytes(ps) == before
+
+    def test_second_loss_through_a_consumed_subgraph_raises(self):
+        ps = primitive_params(2)
+        y = Tensor(np.random.default_rng(2).standard_normal((3, 2)))
+        shared = tg.rowwise_mlp(tg.tanh(ps["z3"]), T3, mlp_layers(ps, True))
+        first = tg.tensor_sum(tg.square(shared))
+        second = tg.tensor_sum(tg.mul(shared, y))
+        tg.backward(first)
+        before = grad_bytes(ps)
+        with pytest.raises(ValueError, match="consumed by backward"):
+            tg.backward(second)
+        # nothing of the second loss moved: not its own leaf, not the shared leaves
+        assert y.grad is None
+        assert grad_bytes(ps) == before
