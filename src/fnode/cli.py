@@ -409,6 +409,10 @@ def cmd_eval(args) -> int:
     columns = [[r[i] for r in rows if r[i] != ""] for i in range(3, 4 + len(EVAL_HORIZONS))]
     mean_row = ["mean", "", ""] + [sum(c) / len(c) if c else "" for c in columns]
     rows.append(mean_row)
+    for row in rows:
+        if not all(np.isfinite(v) for v in row[3:] if v != ""):
+            who = "the mean row" if row[0] == "mean" else f"trajectory {row[0]}"
+            raise NonFiniteValue(f"eval: the squared error of {who} overflows")
     write_text_atomic(args.out, _csv(rows, header))
     print(f"wrote {args.out}: interpolation MSE {mean_row[3]}")
     return 0

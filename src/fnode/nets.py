@@ -1,12 +1,13 @@
 """Network building blocks.
 
-Every network runs on a batch: inputs are [batch, in_width] matrices and
-weights come from a dict of named tensors (:func:`mlp_forward`).  The
-hypernetwork's output is the flat weight vector of the transition network, one
-row per code; ``model.make_batch_field`` slices those rows into per-row layers,
-so the transition network's weights are data that gradients flow through.
-Training tapes :func:`encode_features`; ``inference.posterior`` is the one
-untaped encoder, which gives the posterior of a latent row (z0 | code).
+Every network runs on a batch: inputs are [batch, in_width] matrices, weights
+come from a dict of named tensors and each layer is one ``tg.dense`` node
+(:func:`mlp_forward`).  The hypernetwork's output is the flat weight vector of
+the transition network, one row per code; ``model.make_batch_field`` slices
+those rows into per-row layers, so the transition network's weights are data
+that gradients flow through.  Training tapes :func:`encode_features`;
+``inference.posterior`` is the one untaped encoder, which gives the posterior
+of a latent row (z0 | code).
 """
 
 from __future__ import annotations
@@ -85,15 +86,14 @@ def init_mlp_params(spec: MLPSpec, rng: np.random.Generator) -> dict[str, Tensor
 
 
 def mlp_forward(spec: MLPSpec, params: dict[str, Tensor], x: Tensor) -> Tensor:
-    """Forward pass of a [batch, in_width] input with named parameters w0, b0, w1, b1, ..."""
+    """Forward pass of a [batch, in_width] input with named parameters w0, b0, w1, b1, ...,
+    one ``tg.dense`` node per layer; a ``lambda`` entry scales the output layer."""
     if x.data.ndim != 2 or x.data.shape[1] != spec.in_width:
         raise tg.ShapeMismatch(f"input shape {x.shape} is not [batch, {spec.in_width}]")
-    h = x
+    h, last = x, spec.n_layers - 1
     for i in range(spec.n_layers):
-        # weights are [out, in]
-        h = tg.broadcast_add(tg.matmul(h, tg.transpose(params[f"w{i}"])), params[f"b{i}"])
-        if i < spec.n_layers - 1 or spec.final_activation == "tanh":
-            h = tg.tanh(h)
+        tanh_out = i < last or spec.final_activation == "tanh"
+        h = tg.dense(h, params[f"w{i}"], params[f"b{i}"], tanh_out, params.get("lambda") if i == last else None)
     return h
 
 
@@ -125,17 +125,13 @@ class GaussianParams:
 class Hypernetwork:
     """Maps a dynamics code to the flat weights of the transition network.
 
-    The body ends in tanh and the result is scaled by a learned scalar, so
-    every produced weight is bounded by ``|lambda|`` no matter how large the
-    code is.
+    The body ends in tanh and the ``lambda`` entry of ``params``, a learned
+    scalar, scales its output layer, so every produced weight is bounded by
+    ``|lambda|`` no matter how large the code is.
     """
 
     body: MLPSpec
     params: dict[str, Tensor]  # body weights plus the scalar "lambda"
-
-    @property
-    def lam(self) -> Tensor:
-        return self.params["lambda"]
 
 
 def init_hypernetwork(
@@ -153,9 +149,8 @@ def init_hypernetwork(
 
 
 def hypernet_map(h: Hypernetwork, gamma: Tensor) -> Tensor:
-    """theta = lambda * tanh(body(gamma)) for a [batch, code_dim] block of codes."""
-    out = mlp_forward(h.body, h.params, gamma)
-    return tg.scalar_mul(out, h.lam)
+    """theta = lambda * tanh(body(gamma)) for a [batch, code_dim] block of codes, in one ``mlp_forward`` call."""
+    return mlp_forward(h.body, h.params, gamma)
 
 
 # -- encoders / decoder -------------------------------------------------------

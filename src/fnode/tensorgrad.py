@@ -9,8 +9,9 @@ parents, its closure (and with it the forward arrays saved for backward) and
 its own gradient, so a graph serves one backward pass and a second one raises
 ``ValueError``.  The engine is deliberately small: rank <= 2 arrays,
 a fixed primitive vocabulary, no implicit broadcasting beyond the dedicated
-``broadcast_add`` op.  All arithmetic is float64 so that central-difference
-checks can be made tight.
+``broadcast_add`` op, and a few fused nodes: a dense layer (:func:`dense`),
+the per-row field network and the solver's step combinations.  All arithmetic
+is float64 so that central-difference checks can be made tight.
 
 Trainable tensors are carried in a plain ``dict`` of name -> Tensor, whose
 insertion order fixes the order of optimizer updates and of archive blocks.
@@ -37,7 +38,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "scalar_mul",
     "matmul",
     "broadcast_add",
     "scale",
@@ -50,6 +50,7 @@ __all__ = [
     "concat",
     "cols",
     "transpose",
+    "dense",
     "rowwise_mlp",
     "add_scaled_rows",
     "rk4_combine",
@@ -205,19 +206,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data * b.data, (a, b), bwd, "mul")
 
 
-def scalar_mul(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply tensor ``a`` by a size-1 tensor ``s``; differentiable in both."""
-    if s.data.size != 1:
-        raise ShapeMismatch(f"scalar_mul: scalar operand has shape {s.shape}")
-    sval = s.data.reshape(())
-
-    def bwd(g):
-        _acc(a, g * sval, own=True)
-        _acc(s, np.sum(g * a.data).reshape(s.data.shape), own=True)
-
-    return Tensor(a.data * sval, (a, s), bwd, "scalar_mul")
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python float constant (not differentiated wrt ``c``)."""
 
@@ -349,8 +337,41 @@ def transpose(a: Tensor) -> Tensor:
 # The solver's inner loop is dominated by per-node Python overhead, so the
 # few operations it repeats are fused: one node per evaluation of the vector
 # field (time column, every layer and activation) and one per Runge-Kutta
-# combination, instead of a dozen.  Each fused op is checked against central
-# differences exactly like the elementary ones.
+# combination, instead of a dozen; a dense layer is one node too.  Each fused
+# op is checked against central differences exactly like the elementary ones.
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, tanh_out: bool = False, s: Tensor | None = None) -> Tensor:
+    """One layer ``s * act(x @ w.T + b)`` with ``w`` [out, in], act tanh or the identity and an optional size-1 ``s``.
+
+    Bias, tanh and (under :func:`no_record`) the scale work in place on the product, so one [B, out] block
+    is live; tanh maps inf to 1, so its input is checked first.  The weight gradient is ``g.T @ x``.
+    """
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or b.data.shape + xd.shape[1:] != wd.shape or s is not None and s.data.size != 1:
+        raise ShapeMismatch(f"dense: {x.shape} @ {w.shape}.T + {b.shape}, scale {None if s is None else s.shape}")
+    act = xd @ wd.T
+    act += b.data
+    if tanh_out:
+        if _CHECK_FINITE and not np.all(np.isfinite(act)):
+            raise NonFiniteValue("non-finite pre-activation in primitive 'dense'")
+        np.tanh(act, out=act)
+    out = act
+    if s is not None:
+        sval = s.data.reshape(())
+        out = act * sval if _RECORD else np.multiply(act, sval, out=act)
+
+    def bwd(g):
+        if s is not None:
+            _acc(s, np.sum(g * act).reshape(s.data.shape), own=True)
+            g = g * sval
+        if tanh_out:
+            g = g * (1.0 - act * act) if s is None else np.multiply(g, 1.0 - act * act, out=g)
+        _acc(b, g.sum(axis=0), own=True)
+        _acc(x, g @ wd, own=True)
+        _acc(w, g.T @ xd, own=True)
+
+    return Tensor(out, (x, w, b) if s is None else (x, w, b, s), bwd, "dense")
 
 
 def rowwise_mlp(z: Tensor, t_row: np.ndarray, layers) -> Tensor:

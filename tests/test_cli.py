@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import archive_file
@@ -429,6 +430,38 @@ class TestRuntimeErrors:
         err = capsys.readouterr().err
         assert rc == 1, err
         assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite OOD score" in err, err
+        assert not out.exists()
+
+    def test_overflowing_squared_error_is_one_line_eval_error(self, cli_workspace, tmp_path, capsys):
+        # the decoded values stay finite, but their squared error was inf in every MSE cell at exit 0
+        doc = archive_file.read(cli_workspace["model"])
+        doc["model"]["params"]["dec.b1"][0] = 1e308
+        path = tmp_path / "overflow.fnode"
+        archive_file.write(path, doc)
+        out = tmp_path / "eval.csv"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(["eval", "--model", path, "--data", cli_workspace["data"], "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err == "error: eval: the squared error of trajectory 0 overflows\n", err
+        assert not caught, [str(w.message) for w in caught]
+        assert not out.exists()
+
+    def test_overflowing_hypernetwork_pre_activation_is_one_line_error(self, cli_workspace, tmp_path, capsys):
+        # tanh would map the overflow to a finite weight; the dense node's check stops it first
+        doc = archive_file.read(cli_workspace["model"])
+        doc["model"]["params"]["hyper.w0"][0, 1] = 1e308
+        doc["model"]["params"]["hyper.w0"][1, 1] = -1e308
+        path = tmp_path / "overflow.fnode"
+        archive_file.write(path, doc)
+        out = tmp_path / "sample.csv"
+        capsys.readouterr()
+        rc = run(_sample({**cli_workspace, "model": path}, out, "--n", 3))
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "'dense'" in err, err
         assert not out.exists()
 
     def test_deeply_nested_dataset_is_validation_error(self, cli_workspace, tmp_path, capsys):
@@ -862,19 +895,41 @@ def _seeded_with_bad_values(test):
     return test
 
 
+def _written_csvs(argv, out):
+    """The CSV files a run of ``argv`` writes: the ``--out`` of sample, ood and
+    eval, and train's per-epoch log and selection table."""
+    if argv[0] == "train":
+        return [Path(f"{out}.log.csv"), Path(f"{out}.gmm.csv")]
+    return [out] if argv[0] in ("sample", "ood", "eval") else []
+
+
+def _assert_finite_cells(path):
+    for no, line in enumerate(path.read_text(encoding="utf-8").splitlines()[1:], start=2):
+        for cell in line.split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), f"{path.name}:{no}: {line}"
+
+
 def _assert_exit_contract(build_argv, case, ws):
     # 0 ok, 1 runtime error, 2 usage or validation error; a failure writes one
     # error line and never a traceback, which here would be an exception out
-    # of main()
+    # of main().  A run that exits 0 writes finite numbers only.
     usage_exit = False
     with tempfile.TemporaryDirectory() as tmp:
-        argv = build_argv(case, ws, Path(tmp), Path(tmp) / "out.csv")
+        out = Path(tmp) / "out.csv"
+        argv = build_argv(case, ws, Path(tmp), out)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             try:
                 rc = run(argv)
             except SystemExit as e:
                 rc, usage_exit = e.code, True
+        if rc == 0:
+            for path in _written_csvs(argv, out):
+                _assert_finite_cells(path)
     err = err.getvalue()
     assert rc in (0, 1, 2), (rc, err)
     assert sum("error:" in line for line in err.splitlines()) <= 1, err
@@ -892,8 +947,12 @@ def test_exit_code_contract(case, cli_workspace):
     _assert_exit_contract(_contract_argv, case, cli_workspace)
 
 
-# a value of each kind in each command, and the code posterior whose scores were nan
+# a value of each kind in each command, the code posterior whose scores were
+# nan, squared errors that overflowed in eval's cells, and an overflow that
+# tanh would hide in the hypernetwork's output layer
 @example(case=("hyper.w1", 0, math.nan, "sample"))
+@example(case=("dec.b1", 0, 1e308, "eval"))
+@example(case=("hyper.w1", 0, 1e308, "sample"))
 @example(case=("enc_z0.b1", 5, math.inf, "eval"))
 @example(case=("enc_gamma.b1", 0, 1e308, "ood"))
 @example(case=("dec.w1", 7, -1e308, "eval"))

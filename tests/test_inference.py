@@ -161,11 +161,13 @@ class TestRollout:
 
     @pytest.mark.parametrize("per_row", [False, True])
     def test_peak_memory_stays_near_the_weight_block(self, per_row):
-        # Nothing is recorded, so the hypernetwork's intermediates go as they
-        # are used, and the field's per-layer weights are views of theta.  The
-        # peak is one op of the hypernetwork's output layer holding its input
-        # and its result, two [B, weight_count] blocks (2.14 here), not one
-        # block per taped op.
+        # Nothing is recorded, the hypernetwork's output layer is one dense
+        # node that adds its bias, applies tanh and scales in place on its
+        # matmul result, and the field's per-layer weights are views of theta.
+        # So one [B, weight_count] block is live: the peak reads 1.14 blocks on
+        # the shared grid and 1.43 on per-row grids, where the process's first
+        # np.unique (in pick_rows) imports numpy.ma, about 1 MB.  Four ops that
+        # each held an input and a result block read 2.14 on both.
         m = FNODEModel.build(obs_dim=1, n_points=10, seed=0)
         B = 40
         rng = np.random.default_rng(0)
@@ -179,7 +181,7 @@ class TestRollout:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.3 * block, peak / block
+        assert peak < 1.5 * block, peak / block
 
 
 class TestTransfer:
@@ -252,7 +254,7 @@ def linear_decoder_model(seed=0):
         obs_dim=1, n_points=4, p=3, d_gamma=3, f_hidden=(6,), enc_hidden=(8,),
         dec_hidden=(), hyper_hidden=(6,), seed=seed,
     )
-    m.hyper.lam.data *= 0.0
+    m.hyper.params["lambda"].data *= 0.0
     return m
 
 

@@ -108,7 +108,7 @@ class TestKLSchedule:
 class TestForward:
     def test_zero_lambda_gives_constant_path(self):
         m = tiny_model()
-        m.hyper.lam.data *= 0.0
+        m.hyper.params["lambda"].data *= 0.0
         traj = tiny_data(n=4).trajectories[0]
         latents = np.random.default_rng(0).standard_normal((1, m.p + m.d_gamma))
         recon = rollout(m, latents, float(traj.times[0]), traj.times)[0]
@@ -145,7 +145,7 @@ class TestELBO:
         # decoder reproduces the data exactly => recon term is the pure normalizer
         m = tiny_model(n_points=2)
         traj = Trajectory(np.array([0.1, 0.9]), np.zeros((2, 1)))
-        m.hyper.lam.data *= 0.0
+        m.hyper.params["lambda"].data *= 0.0
         # zero decoder and zero-mean encoder: recon == 0 == targets
         for name, t in m.dec.params.items():
             t.data *= 0.0
@@ -361,7 +361,7 @@ class TestReconstruct:
 
     def test_times_before_anchor_integrate_backwards(self):
         m = tiny_model()
-        m.hyper.lam.data *= 0.0  # constant latent path both directions
+        m.hyper.params["lambda"].data *= 0.0  # constant latent path both directions
         traj = tiny_data(n=4).trajectories[0]
         times = np.concatenate([[traj.times[0] - 0.2], traj.times])
         recon = reconstruct(m, traj, times)
@@ -369,7 +369,7 @@ class TestReconstruct:
 
     def test_frozen_lambda_keeps_latent_constant(self):
         m = tiny_model()
-        m.hyper.lam.data *= 0.0
+        m.hyper.params["lambda"].data *= 0.0
         traj = tiny_data(n=4).trajectories[3]
         rng = np.random.default_rng(0)
         theta = hypernet_map(m.hyper, Tensor(rng.standard_normal((1, m.d_gamma))))
@@ -440,7 +440,7 @@ class TestAnchoredDecoding:
     @pytest.mark.parametrize("grid", sorted(ANCHORED_GRIDS))
     def test_rollout_matches_numpy_rk4(self, grid):
         m = tiny_model(seed=2)
-        m.hyper.lam.data[...] = 1.0  # a field strong enough to move the state
+        m.hyper.params["lambda"].data[...] = 1.0  # a field strong enough to move the state
         times = ANCHORED_GRIDS[grid]
         rng = np.random.default_rng(9)
         Z0, G = rng.standard_normal((3, m.p)), rng.standard_normal((3, m.d_gamma))
@@ -456,7 +456,7 @@ class TestAnchoredDecoding:
     @pytest.mark.parametrize("use_posterior_mean", [True, False])
     def test_reconstruct_matches_numpy_rk4(self, grid, use_posterior_mean):
         m = tiny_model(n_points=3, seed=3)
-        m.hyper.lam.data[...] = 1.0
+        m.hyper.params["lambda"].data[...] = 1.0
         x = Trajectory(ANCHOR + np.array([0.0, 0.2, 0.45]), np.array([[0.5], [-0.3], [0.8]]))
         times = ANCHORED_GRIDS[grid]
         got = reconstruct(m, x, times, use_posterior_mean=use_posterior_mean, seed=4)
@@ -573,7 +573,7 @@ class TestModelRegistry:
         want = [f"{part}.{name}" for part in ("enc_z0", "enc_gamma") for name in layers]
         want += [f"hyper.{name}" for name in layers + ["lambda"]] + [f"dec.{name}" for name in layers]
         assert list(m.params) == want
-        assert m.params["hyper.lambda"] is m.hyper.lam
+        assert m.params["hyper.lambda"] is m.hyper.params["lambda"]
         assert m.params["enc_gamma.b1"] is m.enc_gamma.params["b1"]
 
     @pytest.mark.parametrize("obs_scale", [0.0, -1.0, math.nan, math.inf])

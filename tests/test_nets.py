@@ -152,6 +152,27 @@ class TestHypernetwork:
         theta = hypernet_map(h, gamma)
         assert np.all(np.abs(theta.data) <= 2.0)
 
+    def test_is_one_mlp_forward_call_on_the_body(self, monkeypatch):
+        # The benchmark's nets.hyper_s probe rebinds nets.mlp_forward and keys
+        # it on the body spec; a hypernetwork that went round that call would
+        # read 0 there with every other test passing.
+        import fnode.nets as nets
+
+        calls, orig = [], nets.mlp_forward
+
+        def spy(spec, params, x):
+            calls.append(spec)
+            return orig(spec, params, x)
+
+        rng = np.random.default_rng(3)
+        h = init_hypernetwork(5, MLPSpec((3, 4, 2)), (8,), rng)
+        gamma = Tensor(rng.standard_normal((2, 5)))
+        want = hypernet_map(h, gamma).data
+        monkeypatch.setattr(nets, "mlp_forward", spy)
+        got = hypernet_map(h, gamma).data
+        assert len(calls) == 1 and calls[0] is h.body
+        assert got.tobytes() == want.tobytes()
+
     def test_saturation_approaches_lambda(self):
         # a body that passes its (scaled) input straight through tanh
         body = MLPSpec((1, 2), final_activation="tanh")

@@ -89,10 +89,10 @@ class TestIntegrate:
     def test_gradient_wrt_field_parameter(self):
         # z(T) = z0 * exp(a*T); d/da = T * z(T), checked by central differences
         def prog(params):
-            out = solve(lambda z, t: tg.scalar_mul(z, params["a"]), Tensor([[1.0]]), [0.0, 1.0])
+            out = solve(lambda z, t: tg.matmul(z, params["a"]), Tensor([[1.0]]), [0.0, 1.0])
             return tg.tensor_sum(out[-1])
 
-        params = {"a": Tensor(0.5)}
+        params = {"a": Tensor([[0.5]])}
         assert autodiff.finite_diff_check(prog, params, [], h=1e-5) <= 1e-6
 
 

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -211,7 +213,10 @@ PRIMITIVE_PROGRAMS = {
     "add": lambda ps: tg.tensor_sum(tg.square(tg.add(ps["a"], ps["b"]))),
     "sub": lambda ps: tg.tensor_sum(tg.square(tg.sub(ps["a"], ps["b"]))),
     "mul": lambda ps: tg.tensor_sum(tg.mul(ps["a"], ps["b"])),
-    "scalar_mul": lambda ps: tg.tensor_sum(tg.scalar_mul(ps["a"], ps["s"])),
+    "dense": lambda ps: tg.tensor_sum(tg.square(tg.dense(ps["m1"], ps["m1b"], ps["b3"]))),
+    "dense_tanh": lambda ps: tg.tensor_sum(tg.square(tg.dense(ps["m1"], ps["m1b"], ps["b3"], True))),
+    # the scale is a parameter, so its gradient is checked too
+    "dense_tanh_scale": lambda ps: tg.tensor_sum(tg.square(tg.dense(ps["m1"], ps["m1b"], ps["b3"], True, ps["s"]))),
     "matmul_mm": lambda ps: tg.tensor_sum(tg.matmul(ps["m1"], ps["m2"])),
     "broadcast_add": lambda ps: tg.tensor_sum(tg.square(tg.broadcast_add(ps["m1"], ps["b4"]))),
     "tanh": lambda ps: tg.tensor_sum(tg.tanh(ps["a"])),
@@ -277,6 +282,7 @@ def primitive_params(seed):
         # gradient of 1e-7 is below what central differences resolve
         **{f"wl{i}": 0.5 * rng.standard_normal((3, n_in * n_out)) for i, (n_in, n_out) in enumerate(MLP_LAYERS)},
         **{f"bl{i}": rng.standard_normal((3, n_out)) for i, (_, n_out) in enumerate(MLP_LAYERS)},
+        b3=rng.standard_normal(3),
     )
 
 
@@ -358,6 +364,54 @@ class TestRowwiseMLP:
             tg.rowwise_mlp(ps["z3"], T3, layers[1:])
 
 
+class TestDense:
+    @pytest.mark.parametrize("tanh_out, scaled", [(False, False), (True, False), (True, True)])
+    def test_forward_matches_a_numpy_layer_bit_for_bit(self, tanh_out, scaled):
+        ps = primitive_params(5)
+        x, w, b, s = (ps[k].data for k in ("m1", "m1b", "b3", "s"))
+        want = x @ w.T + b
+        if tanh_out:
+            want = np.tanh(want)
+        if scaled:
+            want = want * s[0]
+        args = (ps["m1"], ps["m1b"], ps["b3"], tanh_out, ps["s"] if scaled else None)
+        with tg.no_record():
+            plain = tg.dense(*args).data
+        assert tg.dense(*args).data.tobytes() == want.tobytes()
+        assert plain.tobytes() == want.tobytes()
+
+    def test_mlp_forward_adds_one_node_per_layer(self):
+        from fnode.nets import MLPSpec, init_mlp_params, mlp_forward
+
+        spec = MLPSpec((4, 6, 5, 3), final_activation="tanh")
+        params = init_mlp_params(spec, np.random.default_rng(0))
+        params["lambda"] = Tensor(np.float64(0.5))
+        out = mlp_forward(spec, params, Tensor(np.ones((2, 4))))
+        seen, stack, ops = set(), [out], []
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                ops.append(node._op)
+                stack.extend(node._parents)
+        assert sorted(op for op in ops if op != "leaf") == ["dense"] * spec.n_layers
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_overflowing_pre_activation_names_the_primitive(self, record):
+        # tanh would map the overflow to 1, so the check must see the pre-activation
+        x, w, b = Tensor(np.full((2, 3), 10.0)), Tensor(np.full((4, 3), 1e308)), Tensor(np.zeros(4))
+        with contextlib.nullcontext() if record else tg.no_record(), np.errstate(over="ignore"):
+            with pytest.raises(tg.NonFiniteValue, match="'dense'"):
+                tg.dense(x, w, b, True, Tensor(np.float64(0.1)))
+
+    def test_shapes_are_checked(self):
+        ps = primitive_params(0)
+        with pytest.raises(tg.ShapeMismatch, match="dense"):
+            tg.dense(ps["m1"], ps["m2"], ps["b3"])
+        with pytest.raises(tg.ShapeMismatch, match="dense"):
+            tg.dense(ps["m1"], ps["m1b"], ps["b3"], True, ps["a"])
+
+
 class TestNoRecord:
     def _graph(self, ps):
         return tg.tensor_sum(tg.square(tg.rowwise_mlp(tg.tanh(ps["z3"]), T3, mlp_layers(ps, True))))
@@ -365,7 +419,12 @@ class TestNoRecord:
     def test_results_keep_no_parents_or_closure(self):
         ps = primitive_params(0)
         with tg.no_record():
-            outs = [tg.tanh(ps["z3"]), tg.rowwise_mlp(ps["z3"], T3, mlp_layers(ps, True)), self._graph(ps)]
+            outs = [
+                tg.tanh(ps["z3"]),
+                tg.rowwise_mlp(ps["z3"], T3, mlp_layers(ps, True)),
+                tg.dense(ps["m1"], ps["m1b"], ps["b3"], True, ps["s"]),
+                self._graph(ps),
+            ]
         for out in outs:
             assert out._parents == () and out._bwd is None, out
         recorded = self._graph(ps)
