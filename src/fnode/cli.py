@@ -300,8 +300,10 @@ def cmd_sample(args) -> int:
             raise ValidationError("archive holds no fitted sampler; train with epochs > 0")
         paths = inference.sample_trajectories(m, S, source, times, args.n, seed=args.seed)
     elif args.mode == "prior":
+        z0 = inference.posterior(m, [source])[0][:, : m.p]
         codes = np.random.default_rng(args.seed).standard_normal((args.n, m.d_gamma))
-        paths = inference.rollout(m, inference.with_z0(m, source, codes), float(source.times[0]), times)
+        latents = np.hstack([np.repeat(z0, args.n, axis=0), codes])
+        paths = inference.rollout(m, latents, float(source.times[0]), times)
     elif args.mode == "transfer":
         if args.exemplar is None:
             raise ValidationError("--mode transfer needs --exemplar")
@@ -384,9 +386,9 @@ def cmd_eval(args) -> int:
     mean, std = inference.posterior(m, prefixes)
     latents = mean[None]
     if args.samples > 1:
-        # trajectory j's sample k takes its z0 noise, then its code noise, from default_rng(seed ^ j)
+        # trajectory j's samples are posterior draws on default_rng(seed ^ j); latents[k, j] is its k-th
         rngs = [np.random.default_rng(args.seed ^ j) for j in range(len(prefixes))]
-        latents = mean + std * np.stack([rng.standard_normal((args.samples, mean.shape[1])) for rng in rngs], axis=1)
+        latents = inference.posterior_draws(mean, std, args.samples, rngs).transpose(1, 0, 2)
 
     # One rollout per trajectory length: row (k, i) is sample k of trajectory js[i] over its own
     # times.  cut >= t0, so every mask holds the first time, where each row's rollout starts.

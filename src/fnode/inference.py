@@ -6,13 +6,14 @@ around an exemplar's code.  On top of those sit empirical credible bands and a
 likelihood-threshold outlier test.
 
 A trajectory's latent point is one row (z0 | code).  :func:`posterior` is the
-one untaped encoder, and a posterior draw is ``mean + std * noise`` on noise
-the caller drew.  Every readout that decodes, the generators, the bands and
-:func:`reconstruct` alike, decodes all of its rows in one :func:`rollout` call,
-which runs them through the batched solver.  The code bank that ``gmm`` fits
-the mixture on (:func:`collect_gamma_samples`) and the draws the outlier score
-averages over (:func:`ood_scores`) share one per-trajectory routine, and differ
-only in their generators.
+one untaped encoder, and each readout calls it once, on every trajectory it
+reads, in one batch.  :func:`posterior_draws` is the one posterior draw,
+``mean + std * noise`` with each trajectory's noise from its own generator,
+taken on the column block the readout needs: whole rows, the code or z0.
+Every readout that decodes, the generators, the bands and :func:`reconstruct`
+alike, decodes all of its rows in one :func:`rollout` call, which runs them
+through the batched solver; :func:`rollout` is also the one place that knows
+an anchor time, the time a shared grid's initial states sit at.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ __all__ = [
     "OODReport",
     "ZeroAcceptance",
     "posterior",
-    "with_z0",
+    "posterior_draws",
     "collect_gamma_samples",
     "rollout",
     "reconstruct",
@@ -101,10 +102,14 @@ def posterior(m: FNODEModel, trajs) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def with_z0(m: FNODEModel, z0_source, codes: np.ndarray) -> np.ndarray:
-    """Latent rows that pair the posterior-mean z0 of ``z0_source`` with each row of ``codes``."""
-    z0 = posterior(m, [z0_source])[0][:, : m.p]
-    return np.concatenate([np.repeat(z0, len(codes), axis=0), codes], axis=1)
+def posterior_draws(mean: np.ndarray, std: np.ndarray, n: int, rngs) -> np.ndarray:
+    """``n`` draws ``mean + std * noise`` for each row of [N, width] posterior moments; returns [N, n, width].
+
+    Row j's noise is ``rngs[j].standard_normal((n, width))``, drawn in row
+    order, so one generator repeated N times gives one stream in data order.
+    """
+    noise = np.stack([rng.standard_normal((n, mean.shape[1])) for rng in rngs])
+    return mean[:, None] + std[:, None] * noise
 
 
 def _check_latents(m: FNODEModel, shape: tuple) -> None:
@@ -116,11 +121,15 @@ def rollout(m: FNODEModel, latents: np.ndarray, anchor_t: float | None, times) -
     """Decode latent rows (z0 | code) over ``times``; returns a [B, T, obs_dim] array.
 
     ``latents`` is [B, p + d_gamma]; a single draw is a batch of one.
-    ``times`` is a [T] grid that every row shares, with the initial states at
-    ``anchor_t``, or a [B, T] grid of per-row times with ``anchor_t`` None,
-    where each row starts at its own first time (see :func:`decode_path`).
-    Rows go through the batched solver ``ROLLOUT_ROWS`` at a time, under
-    ``no_record``, which builds no graph.
+    ``times`` is a strictly increasing [T] grid that every row shares, with
+    the initial states at the finite time ``anchor_t``, or a [B, T] grid of
+    per-row times with ``anchor_t`` None, where each row starts at its own
+    first time.  A shared grid is decoded in two legs of per-row grids, each
+    through :func:`model.decode_path` and straight into the result: a
+    backward leg from the anchor down through the earlier times, and a
+    forward leg through the rest, from the anchor unless the first of them
+    is within 1e-12 of it.  Rows go through the batched solver
+    ``ROLLOUT_ROWS`` at a time, under ``no_record``, which builds no graph.
     """
     times = np.asarray(times, dtype=np.float64)
     latents = np.asarray(latents, dtype=np.float64)
@@ -128,14 +137,32 @@ def rollout(m: FNODEModel, latents: np.ndarray, anchor_t: float | None, times) -
     B = latents.shape[0]
     if times.ndim not in (1, 2) or times.ndim == 2 and times.shape[0] != B:
         raise ValueError(f"times {times.shape} must be a [T] grid or a [B, T] grid for B = {B}")
+    if (times.ndim == 1) != (anchor_t is not None):
+        raise ValueError("times must be a [T] grid with an anchor time or a [B, T] grid without one")
+    # legs of (grid, the columns of the result it fills, the leading states it drops)
+    legs = [(times, slice(None), 0)]
+    if times.ndim == 1:
+        if not math.isfinite(anchor_t):
+            raise ValueError(f"the anchor time must be finite, got {anchor_t!r}")
+        if times.size < 1 or np.any(np.diff(times) <= 0):
+            raise ValueError("a shared grid must be non-empty and strictly increasing")
+        n_before = int(np.sum(times < anchor_t - 1e-12))
+        legs = []
+        if n_before:  # the anchor, then the earlier times in descending order
+            legs.append((np.concatenate([[anchor_t], times[n_before - 1 :: -1]]), slice(n_before - 1, None, -1), 1))
+        if n_before < times.size:  # the later times, from the anchor unless it is the first of them
+            drop = int(abs(times[n_before] - anchor_t) > 1e-12)
+            legs.append((np.concatenate([[anchor_t][:drop], times[n_before:]]), slice(n_before, None), drop))
     out = np.empty((B, times.shape[-1], m.obs_dim))
     with no_record():
         for lo in range(0, B, ROLLOUT_ROWS):
             hi = min(lo + ROLLOUT_ROWS, B)
+            z0 = Tensor(latents[lo:hi, : m.p])
             theta = hypernet_map(m.hyper, Tensor(latents[lo:hi, m.p :]))
-            grid = times if times.ndim == 1 else times[lo:hi]
-            recon = decode_path(m, Tensor(latents[lo:hi, : m.p]), theta, anchor_t, grid)
-            out[lo:hi] = recon.data.reshape(-1, hi - lo, m.obs_dim).transpose(1, 0, 2)
+            for grid, cols, drop in legs:
+                rows = grid[lo:hi] if grid.ndim == 2 else np.broadcast_to(grid, (hi - lo, grid.size))
+                recon = decode_path(m, z0, theta, rows).data.reshape(-1, hi - lo, m.obs_dim)
+                out[lo:hi, cols] = recon[drop:].transpose(1, 0, 2)
     return out
 
 
@@ -148,25 +175,8 @@ def reconstruct(m: FNODEModel, x, times, use_posterior_mean: bool = True, seed: 
     ``default_rng(seed)``.
     """
     mean, std = posterior(m, [x])
-    latents = mean if use_posterior_mean else mean + std * np.random.default_rng(seed).standard_normal(mean.shape)
+    latents = mean if use_posterior_mean else posterior_draws(mean, std, 1, [np.random.default_rng(seed)])[0]
     return rollout(m, latents, float(np.asarray(x.times)[0]), times)[0]
-
-
-def _posterior_draws(m: FNODEModel, trajs, n: int, rngs, joint: bool) -> np.ndarray:
-    """``n`` posterior draws of the code, or of (z0 | code) when ``joint``, per trajectory.
-
-    Returns [N, n, width].  Trajectory j takes its code noise, then (joint
-    only) its z0 noise, from ``rngs[j]``.
-    """
-    mean, std = posterior(m, trajs)
-    if not joint:
-        mean, std = mean[:, m.p :], std[:, m.p :]
-    noise = np.empty((len(trajs), n, mean.shape[1]))
-    for j, rng in enumerate(rngs):
-        noise[j, :, -m.d_gamma :] = rng.standard_normal((n, m.d_gamma))
-        if joint:
-            noise[j, :, : m.p] = rng.standard_normal((n, m.p))
-    return mean[:, None] + std[:, None] * noise
 
 
 def collect_gamma_samples(m: FNODEModel, data, n_gamma: int, seed: int = 0, include_z0: bool = False) -> np.ndarray:
@@ -174,13 +184,15 @@ def collect_gamma_samples(m: FNODEModel, data, n_gamma: int, seed: int = 0, incl
 
     Returns the [N * n_gamma, d] bank in data order: trajectory j's draws are
     ``bank[j * n_gamma : (j + 1) * n_gamma]``, all from one generator.  With
-    ``include_z0`` each row is a latent row (z0 draw | code draw), for
-    fitting a joint sampler used in fully unconditional generation.
+    ``include_z0`` each row is a whole latent row (z0 | code), drawn on one
+    noise row, for fitting a joint sampler used in fully unconditional
+    generation.
     """
     if n_gamma < 1:
         raise ValueError("n_gamma must be >= 1")
-    trajs = data.trajectories
-    draws = _posterior_draws(m, trajs, n_gamma, [np.random.default_rng(seed)] * len(trajs), include_z0)
+    mean, std = posterior(m, data.trajectories)
+    cols = slice(0 if include_z0 else m.p, None)
+    draws = posterior_draws(mean[:, cols], std[:, cols], n_gamma, [np.random.default_rng(seed)] * len(mean))
     return draws.reshape(-1, draws.shape[2])
 
 
@@ -199,15 +211,22 @@ def sample_trajectories(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    draws = gmm_mod.sample(S, n, seed=seed)
-    latents = draws if S.d == m.p + m.d_gamma else with_z0(m, z0_source, draws)
+    latents = gmm_mod.sample(S, n, seed=seed)
+    if S.d != m.p + m.d_gamma:  # codes only: pair each with the posterior-mean z0
+        z0 = posterior(m, [z0_source])[0][:, : m.p]
+        latents = np.hstack([np.repeat(z0, n, axis=0), latents])
     return list(rollout(m, latents, float(np.asarray(z0_source.times)[0]), times))
 
 
 def transfer_trajectory(m: FNODEModel, z0_source, exemplar, times) -> np.ndarray:
-    """Exemplar dynamics applied to the donor's initial state (deterministic)."""
-    code = posterior(m, [exemplar])[0][:, m.p :]
-    return rollout(m, with_z0(m, z0_source, code), float(np.asarray(z0_source.times)[0]), times)[0]
+    """Exemplar dynamics applied to the donor's initial state (deterministic).
+
+    Both are encoded in one batch; the latent row pairs the donor's
+    posterior-mean z0 with the exemplar's posterior-mean code.
+    """
+    mean = posterior(m, [z0_source, exemplar])[0]
+    latents = np.hstack([mean[:1, : m.p], mean[1:, m.p :]])
+    return rollout(m, latents, float(np.asarray(z0_source.times)[0]), times)[0]
 
 
 def neighborhood_sample(
@@ -223,7 +242,8 @@ def neighborhood_sample(
     """Mixture draws within Euclidean distance ``delta`` of the exemplar's code.
 
     Returns (accepted codes, decoded trajectories); fewer than ``n`` rows come
-    back when the acceptance region is hit rarely.
+    back when the acceptance region is hit rarely.  Each accepted code is
+    decoded from the exemplar's posterior-mean z0, at its first time.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -231,7 +251,7 @@ def neighborhood_sample(
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     if S.d != m.d_gamma:
         raise ValueError("neighborhood sampling needs a code-space sampler")
-    gamma_j = posterior(m, [exemplar])[0][0, m.p :]
+    z0, gamma_j = np.split(posterior(m, [exemplar])[0], [m.p], axis=1)
     rng_seq = seed
     accepted = []
     attempts = 0
@@ -250,7 +270,8 @@ def neighborhood_sample(
         )
     codes = np.stack(accepted)
     times = exemplar.times if times is None else times
-    return codes, list(rollout(m, with_z0(m, exemplar, codes), float(np.asarray(exemplar.times)[0]), times))
+    latents = np.hstack([np.repeat(z0, len(codes), axis=0), codes])
+    return codes, list(rollout(m, latents, float(np.asarray(exemplar.times)[0]), times))
 
 
 def credible_band(
@@ -282,12 +303,11 @@ def credible_band(
     mean, std = posterior(m, [x])
 
     if source == "posterior":
-        # draw k takes its z0 noise, then its code noise, from the one stream
-        latents = mean + std * rng.standard_normal((n_draws, m.p + m.d_gamma))
+        latents = posterior_draws(mean, std, n_draws, [rng])[0]
     else:
         latents = gmm_mod.sample(S, n_draws, seed=seed + 1)
         if S.d != m.p + m.d_gamma:  # codes only: pair them with posterior z0 draws
-            z0 = mean[:, : m.p] + std[:, : m.p] * rng.standard_normal((n_draws, m.p))
+            z0 = posterior_draws(mean[:, : m.p], std[:, : m.p], n_draws, [rng])[0]
             latents = np.concatenate([z0, latents], axis=1)
     draws = rollout(m, latents, float(np.asarray(x.times)[0]), times)
 
@@ -317,9 +337,10 @@ def ood_scores(m: FNODEModel, S: gmm_mod.GMMModel, data, n_gamma: int = 16, seed
     joint = S.d == m.p + m.d_gamma
     # the latent rows a code-only sampler's draws would make, checked as rollout checks them
     _check_latents(m, (n_gamma, S.d if joint else m.p + S.d))
-    trajs = data.trajectories
-    rngs = [np.random.default_rng(seed ^ j) for j in range(len(trajs))]
-    draws = _posterior_draws(m, trajs, n_gamma, rngs, joint)
+    mean, std = posterior(m, data.trajectories)
+    cols = slice(0 if joint else m.p, None)
+    rngs = [np.random.default_rng(seed ^ j) for j in range(len(mean))]
+    draws = posterior_draws(mean[:, cols], std[:, cols], n_gamma, rngs)
     scores = np.array([-gmm_mod.score_rows(S, block).mean() for block in draws])
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:

@@ -8,8 +8,10 @@ maps latent states back to observation space.  Training maximizes the usual
 Gaussian-likelihood evidence lower bound with a linear KL warm-up.
 
 :func:`decode_path` is the one decode from (z0, field weights) to decoder
-output: the training objective calls it on the taped batch, and
-``inference.rollout`` calls it, untaped, for every readout of a trained model.
+output, over a [B, T] grid of per-row times that the solver runs forward or
+backward as each row goes: the training objective calls it on the taped
+batch, and ``inference.rollout`` calls it, untaped, for every readout of a
+trained model, once per leg of a grid that reaches both sides of its anchor.
 """
 
 from __future__ import annotations
@@ -282,7 +284,7 @@ def _elbo_core(m: FNODEModel, feats, times, targets, kl_weight: float, noises):
         z0_all = reparameterize(q_z0, nz)
         gamma_all = reparameterize(q_gamma, ng)
         theta_all = hypernet_map(m.hyper, gamma_all)
-        recon = decode_path(m, z0_all, theta_all, None, times)
+        recon = decode_path(m, z0_all, theta_all, times)
         sq = tg.tensor_sum(tg.square(recon - targets_tm))
         recon_draws.append(tg.scale(sq, -1.0 / (2.0 * m.sigma_x**2)) + log_norm)
 
@@ -444,48 +446,14 @@ def fit(m: FNODEModel, data, cfg: TrainConfig, on_epoch=None):
 # -- decoding ---------------------------------------------------------------------------
 
 
-def decode_path(m: FNODEModel, z0: Tensor, theta: Tensor, anchor_t: float | None, times) -> Tensor:
-    """Decode a batch of rollouts at every time of ``times``.
+def decode_path(m: FNODEModel, z0: Tensor, theta: Tensor, times) -> Tensor:
+    """Decode a batch of rollouts at every time of a [B, T] grid of per-row times.
 
-    ``z0`` is [B, p] and ``theta`` the [B, weight_count] field weights.
-    ``times`` is either one [T] grid that every rollout shares, with ``z0``
-    the states at ``anchor_t``, or a [B, T] grid of per-row times with
-    ``anchor_t`` None, where row b starts from ``z0[b]`` at its first time
-    ``times[b, 0]``.  The result is the [T * B, obs_dim] decoder output in
-    time-major order: row ``i * B + b`` is rollout b at its i-th time.  Shared
-    times earlier than the anchor are reached by integrating the negated field
-    in tau = anchor - t; all others by the ordinary forward solve.
+    ``z0`` is [B, p] and ``theta`` the [B, weight_count] field weights; row b
+    starts from ``z0[b]`` at its first time ``times[b, 0]`` and runs through
+    its row of ``times``, forward or backward in time as the row increases or
+    decreases (see :func:`odeint.integrate_batch`).  The result is the
+    [T * B, obs_dim] decoder output in time-major order: row ``i * B + b`` is
+    rollout b at its i-th time.
     """
-    times = np.asarray(times, dtype=np.float64)
-    B = z0.data.shape[0]
-    fld = make_batch_field(m.f_spec, theta)
-    if times.ndim == 2 and anchor_t is None:
-        return m.dec(tg.concat(integrate_batch(fld, z0, times, m.solver)))
-    if times.ndim != 1 or times.size < 1 or anchor_t is None:
-        raise ValueError("times must be a [T] grid with an anchor time or a [B, T] grid without one")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
-
-    eps = 1e-12
-    n_before = int(np.sum(times < anchor_t - eps))
-    before = times[:n_before]
-    after = times[n_before:]
-
-    states: list[Tensor] = []
-    if before.size:
-
-        def fld_rev(Z: Tensor, tau_row: np.ndarray) -> Tensor:
-            return tg.neg(fld(Z, anchor_t - tau_row))
-
-        tau_grid = np.concatenate([[0.0], anchor_t - before[::-1]])
-        try:
-            path = integrate_batch(fld_rev, z0, np.broadcast_to(tau_grid, (B, tau_grid.size)), m.solver)
-        except IntegrationBlowUp as e:
-            raise IntegrationBlowUp(anchor_t - e.t, e.row) from None  # report t, not tau
-        states = path[:0:-1]
-    if after.size:
-        offset = 0 if abs(after[0] - anchor_t) <= eps else 1
-        grid = after if offset == 0 else np.concatenate([[anchor_t], after])
-        path = integrate_batch(fld, z0, np.broadcast_to(grid, (B, grid.size)), m.solver)
-        states += path[offset:]
-    return m.dec(tg.concat(states))
+    return m.dec(tg.concat(integrate_batch(make_batch_field(m.f_spec, theta), z0, times, m.solver)))

@@ -1,7 +1,9 @@
 """Fixed-step Runge-Kutta-4 integration of a batch of latent states.
 
 The one solver, :func:`integrate_batch`, advances a [B, p] state over per-row
-time grids.  Each row follows its own step schedule (full steps of the step
+time grids.  Each row runs in the direction of its own grid, forward in time
+on an increasing row and backward on a decreasing one: its steps carry the
+row's sign.  Each row follows its own step schedule (full steps of the step
 size, then one partial step onto each grid time), and the batch takes the
 k-th step of every row's schedule together; a row whose schedule has ended
 takes zero-length steps, which leave its state unchanged bit for bit.  So the
@@ -54,16 +56,19 @@ def integrate_batch(field, z0: Tensor, times: np.ndarray, cfg: SolverConfig) -> 
     """Vectorized RK4 over a batch of trajectories with per-row time grids.
 
     ``z0`` is [B, p]; ``times`` is a [B, T] array, each row strictly
-    increasing, with ``times[:, 0]`` the per-row time of the initial state.
+    increasing or strictly decreasing, with ``times[:, 0]`` the per-row time
+    of the initial state.
     ``field(Z, t_row)`` maps a [B, p] state and a per-row time column to
     [B, p] derivatives.  Returns one [B, p] state tensor per grid column.
 
     Each row follows its own schedule: for each segment between grid times in
     turn, full steps of ``cfg.step_size`` and then one partial step that lands
-    exactly on the next grid time.  The batch's k-th step is the k-th step of
-    every row's schedule, so it takes as many steps as its longest schedule;
-    a row whose schedule has ended takes zero-length steps, which leave its
-    state bit-identical, so a row ends exactly where it would if run alone.
+    exactly on the next grid time, each step carrying the row's sign (an
+    increasing row's steps are multiplied by +1.0, which changes no bit).  The
+    batch's k-th step is the k-th step of every row's schedule, so it takes as
+    many steps as its longest schedule; a row whose schedule has ended takes
+    zero-length steps, which leave its state bit-identical, so a row ends
+    exactly where it would if run alone.
     A row's state at grid time j + 1 is the one after its own steps through
     segment j, picked from the step path with :func:`tensorgrad.pick_rows`.
     A non-finite state raises :class:`IntegrationBlowUp` at the earliest
@@ -76,15 +81,17 @@ def integrate_batch(field, z0: Tensor, times: np.ndarray, cfg: SolverConfig) -> 
     B, T = times.shape
     if z0.data.shape[0] != B:
         raise ValueError(f"z0 batch {z0.data.shape[0]} != times batch {B}")
-    if not np.all(np.diff(times, axis=1) > 0):
-        raise ValueError("each row of times must be strictly increasing")
+    diff = np.diff(times, axis=1)
+    sign = np.where(diff[:, :1] < 0, -1.0, 1.0)  # [B, 1]: the direction of each row
+    gap = diff * sign
+    if not np.all(gap > 0):
+        raise ValueError("each row of times must be strictly increasing or strictly decreasing")
     if T == 1:
         return [z0]
     h = cfg.step_size
 
     # Per-segment schedule: n_full full steps, then a partial step of rem.
     t_lo = times[:, :-1]
-    gap = times[:, 1:] - t_lo
     n_full = np.floor(gap / h + 1e-12).astype(np.int64)
     rem = gap - n_full * h
     rem[rem <= 1e-12] = 0.0
@@ -101,8 +108,8 @@ def integrate_batch(field, z0: Tensor, times: np.ndarray, cfg: SolverConfig) -> 
     seg = np.minimum(np.cumsum(done.reshape(B, K + 1), axis=1)[:, :K], T - 2)
     s = np.arange(K) - (ends - steps)[rows, seg]
     nf = n_full[rows, seg]
-    t_tab = t_lo[rows, seg] + np.minimum(s, nf) * h
-    h_tab = np.where(s < nf, h, np.where(s == nf, rem[rows, seg], 0.0))
+    t_tab = t_lo[rows, seg] + np.minimum(s, nf) * h * sign
+    h_tab = np.where(s < nf, h, np.where(s == nf, rem[rows, seg], 0.0)) * sign
 
     path = [z0]
     for k in range(K):

@@ -8,9 +8,9 @@ the leaf tensors.  It consumes the graph as it goes, like PyTorch's default
 parents, its closure (and with it the forward arrays saved for backward) and
 its own gradient, so a graph serves one backward pass and a second one raises
 ``ValueError``.  The engine is deliberately small: rank <= 2 arrays,
-a fixed primitive vocabulary, no implicit broadcasting beyond the dedicated
-``broadcast_add`` op, and a few fused nodes: a dense layer (:func:`dense`),
-the per-row field network and the solver's step combinations.  All arithmetic
+a fixed primitive vocabulary, no implicit broadcasting, and a few fused
+nodes: a dense layer (:func:`dense`, which adds its bias to every row), the
+per-row field network and the solver's step combinations.  All arithmetic
 is float64 so that central-difference checks can be made tight.
 
 Trainable tensors are carried in a plain ``dict`` of name -> Tensor, whose
@@ -38,8 +38,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "matmul",
-    "broadcast_add",
     "scale",
     "shift",
     "neg",
@@ -49,7 +47,6 @@ __all__ = [
     "tensor_sum",
     "concat",
     "cols",
-    "transpose",
     "dense",
     "rowwise_mlp",
     "add_scaled_rows",
@@ -231,31 +228,6 @@ def neg(a: Tensor) -> Tensor:
     return Tensor(-a.data, (a,), bwd, "neg")
 
 
-def broadcast_add(mat: Tensor, vec: Tensor) -> Tensor:
-    """Add a rank-1 vector to every row of a rank-2 matrix."""
-    if mat.data.ndim != 2 or vec.data.ndim != 1 or mat.data.shape[1] != vec.data.shape[0]:
-        raise ShapeMismatch(f"broadcast_add: {mat.shape} vs {vec.shape}")
-
-    def bwd(g):
-        _acc(mat, g)
-        _acc(vec, g.sum(axis=0), own=True)
-
-    return Tensor(mat.data + vec.data, (mat, vec), bwd, "broadcast_add")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
-        raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
-
-    def bwd(g):
-        _acc(a, g @ bd.T, own=True)
-        _acc(b, ad.T @ g, own=True)
-
-    return Tensor(ad @ bd, (a, b), bwd, "matmul")
-
-
 def tanh(a: Tensor) -> Tensor:
     out_data = np.tanh(a.data)
 
@@ -320,16 +292,6 @@ def cols(a: Tensor, start: int, stop: int) -> Tensor:
         a.grad[:, start:stop] += g
 
     return Tensor(a.data[:, start:stop], (a,), bwd, "cols")
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeMismatch(f"transpose: rank {a.data.ndim}")
-
-    def bwd(g):
-        _acc(a, g.T)
-
-    return Tensor(a.data.T, (a,), bwd, "transpose")
 
 
 # -- fused batched primitives -------------------------------------------------

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fnode import gmm
+from fnode import gmm, inference
 from fnode.gmm import GMMModel, em_fit
 from fnode.inference import (
     CredibleBand,
@@ -110,6 +110,31 @@ class TestSampleTrajectories:
         m, data, S = trained
         with pytest.raises(ValueError):
             sample_trajectories(m, S, data.trajectories[0], data.trajectories[0].times, n=0)
+
+
+class TestEncodesOnce:
+    """Each readout encodes what it reads in one batch: one call per encoder."""
+
+    @pytest.mark.parametrize("readout", ["transfer", "neighborhood", "sample", "reconstruct", "band", "band_gmm"])
+    def test_two_encoder_calls(self, trained, monkeypatch, readout):
+        m, data, S = trained
+        src, ex = data.trajectories[0], data.trajectories[9]
+        encode, rows = inference.encode_features, []
+
+        def counted(enc, feats):
+            rows.append(len(feats))
+            return encode(enc, feats)
+
+        monkeypatch.setattr(inference, "encode_features", counted)
+        {
+            "transfer": lambda: transfer_trajectory(m, src, ex, src.times),
+            "neighborhood": lambda: neighborhood_sample(m, S, ex, 1e3, 3, seed=0),
+            "sample": lambda: sample_trajectories(m, S, src, src.times, 3, seed=0),
+            "reconstruct": lambda: reconstruct(m, src, src.times, use_posterior_mean=False),
+            "band": lambda: credible_band(m, S, src, src.times, n_draws=20),
+            "band_gmm": lambda: credible_band(m, S, src, src.times, n_draws=20, source="gmm"),
+        }[readout]()
+        assert rows == ([2, 2] if readout == "transfer" else [1, 1])
 
 
 class TestRollout:
@@ -432,36 +457,34 @@ class TestPosteriorDraws:
 
     @pytest.mark.parametrize("joint", [False, True])
     def test_bank_rows_follow_one_shared_stream(self, trained, joint):
-        # trajectory by trajectory: code noise, then (joint only) z0 noise; rows are (z0 | code)
+        # trajectory by trajectory, one noise row per draw over the bank's
+        # columns: the code, or (joint) the whole row (z0 | code)
         m, data, _ = trained
         n = 3
         bank = collect_gamma_samples(m, data, n, seed=5, include_z0=joint)
         trajs = data.trajectories
         mean, std = numpy_posterior(m, trajs)
+        cols = slice(0 if joint else m.p, None)
         rng = np.random.default_rng(5)
         assert bank.shape == (len(trajs) * n, m.d_gamma + joint * m.p)
         for j in range(len(trajs)):
-            rows = mean[j, m.p :] + std[j, m.p :] * rng.standard_normal((n, m.d_gamma))
-            if joint:
-                z0 = mean[j, : m.p] + std[j, : m.p] * rng.standard_normal((n, m.p))
-                rows = np.concatenate([z0, rows], axis=1)
+            rows = mean[j, cols] + std[j, cols] * rng.standard_normal((n, m.d_gamma + joint * m.p))
             np.testing.assert_allclose(bank[j * n : (j + 1) * n], rows, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("joint", [False, True])
     def test_ood_scores_follow_per_trajectory_streams(self, trained, joint):
-        # trajectory j draws from default_rng(seed ^ j): code noise, then z0 noise
+        # trajectory j draws from default_rng(seed ^ j), one noise row per draw
+        # over the sampler's columns: the code, or (joint) the whole row (z0 | code)
         m, data, _ = trained
         n, seed = 5, 12
         S = diag_mixture(m.d_gamma + joint * m.p, seed=1)
         scores = ood_scores(m, S, data, n_gamma=n, seed=seed)
         trajs = data.trajectories
         mean, std = numpy_posterior(m, trajs)
+        cols = slice(0 if joint else m.p, None)
         for j in range(len(trajs)):
             rng = np.random.default_rng(seed ^ j)
-            draws = mean[j, m.p :] + std[j, m.p :] * rng.standard_normal((n, m.d_gamma))
-            if joint:
-                z0 = mean[j, : m.p] + std[j, : m.p] * rng.standard_normal((n, m.p))
-                draws = np.concatenate([z0, draws], axis=1)
+            draws = mean[j, cols] + std[j, cols] * rng.standard_normal((n, S.d))
             assert scores[j] == pytest.approx(-diag_mixture_logpdf(S, draws).mean(), rel=1e-12)
 
     def test_joint_sample_takes_z0_from_the_first_columns(self):

@@ -125,7 +125,7 @@ class TestForward:
         assert mean.shape == std.shape == (1, m.p + m.d_gamma)
         z0 = Tensor(np.random.default_rng(1).standard_normal((1, m.p)))
         theta = hypernet_map(m.hyper, Tensor(np.random.default_rng(2).standard_normal((1, m.d_gamma))))
-        recon = decode_path(m, z0, theta, 0.4, traj.times)
+        recon = decode_path(m, z0, theta, traj.times[None, :])
         assert recon.data.shape == (1, 1)
         np.testing.assert_array_equal(recon.data, m.dec(z0).data)
 
@@ -431,6 +431,8 @@ ANCHORED_GRIDS = {
     "before_at_after": np.array([-0.47, -0.13, 0.3, 0.52, 0.91]),
     "before_only": np.array([-0.41, 0.05, 0.18]),
     "starts_after": np.array([0.44, 0.67, 1.13]),
+    # both legs start from the anchor, which is not a grid time
+    "straddles": np.array([-0.29, 0.07, 0.61, 0.88]),
 }
 
 
@@ -468,6 +470,12 @@ class TestAnchoredDecoding:
         z0, gamma = row[: m.p], row[m.p :]
         theta = hypernet_map(m.hyper, Tensor(gamma[None])).data[0]
         np.testing.assert_allclose(got, numpy_decode(m, z0, theta, ANCHOR, times), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("anchor", [math.nan, math.inf, -math.inf])
+    def test_non_finite_anchor_raises(self, anchor):
+        m = tiny_model()
+        with pytest.raises(ValueError, match="anchor time must be finite"):
+            rollout(m, np.zeros((2, m.p + m.d_gamma)), anchor, ANCHORED_GRIDS["straddles"])
 
     @pytest.mark.parametrize("anchor, times", [(0.0, [-100.0, 0.0]), (5.0, [-100.0, -50.0]), (0.0, [0.0, 100.0])])
     def test_blow_up_reports_a_time_between_the_anchor_and_the_grid(self, anchor, times):

@@ -89,7 +89,7 @@ class TestIntegrate:
     def test_gradient_wrt_field_parameter(self):
         # z(T) = z0 * exp(a*T); d/da = T * z(T), checked by central differences
         def prog(params):
-            out = solve(lambda z, t: tg.matmul(z, params["a"]), Tensor([[1.0]]), [0.0, 1.0])
+            out = solve(lambda z, t: tg.dense(z, params["a"], Tensor([0.0])), Tensor([[1.0]]), [0.0, 1.0])
             return tg.tensor_sum(out[-1])
 
         params = {"a": Tensor([[0.5]])}
@@ -120,6 +120,24 @@ class TestIntegrateBatch:
         n_steps = (times[:, -1] - times[:, 0]) / h + times.shape[1]
         rel = n_steps[:, None, None] * (np.abs(a[:, None, :]) * h) ** 5 / 100 + 1e-14
         assert np.all(np.abs(got - exact) <= rel * np.abs(exact))
+
+    def test_decreasing_rows_match_the_exponential(self):
+        # The same oracle on each row's grid reversed: the solve runs backward
+        # from the row's last time, so z(t) = z0 exp(a_b (t - t0)) with t < t0.
+        times, z0, a = self.batch_setup(seed=1)
+        times = times[:, ::-1]
+
+        def batch_field(Z, t_row):
+            return tg.mul(Z, Tensor(np.broadcast_to(a, Z.data.shape).copy()))
+
+        h = 0.1
+        states = integrate_batch(batch_field, Tensor(z0), times, SolverConfig(step_size=h))
+        got = np.stack([s.data for s in states], axis=1)
+        exact = z0[:, None, :] * np.exp(a[:, None, :] * (times - times[:, :1])[:, :, None])
+        n_steps = (times[:, 0] - times[:, -1]) / h + times.shape[1]
+        rel = n_steps[:, None, None] * (np.abs(a[:, None, :]) * h) ** 5 / 100 + 1e-14
+        assert np.all(np.abs(got - exact) <= rel * np.abs(exact))
+        assert np.max(np.abs(got[:, -1] - z0)) > 0.1  # the states moved
 
     def test_time_dependent_field_matches(self):
         # z' = a_b cos(2 pi t) z is z0 exp(a_b (sin 2 pi t - sin 2 pi t0) / (2 pi)).
@@ -153,6 +171,14 @@ class TestIntegrateBatch:
         times = np.array([[0.0, 1.0], [0.5, 0.5]])
         with pytest.raises(ValueError):
             integrate_batch(lambda Z, t: Z, Tensor(z0), times, SolverConfig())
+
+    @pytest.mark.parametrize(
+        "row", [[0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [1.0, 0.5, 0.5], [0.0, 0.5, 0.5], [1.0, np.nan, 0.0]]
+    )
+    def test_rejects_a_row_that_turns_or_repeats_a_time(self, row):
+        times = np.array([[0.0, 0.4, 0.9], row])
+        with pytest.raises(ValueError, match="strictly"):
+            integrate_batch(lambda Z, t: Z, Tensor(np.zeros((2, 1))), times, SolverConfig())
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("checks", [True, False])
@@ -230,6 +256,33 @@ class TestOwnSchedules:
         together = z0_grad(slice(None))
         for b in range(5):
             np.testing.assert_array_equal(together[b], z0_grad(slice(b, b + 1))[0])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mixed_directions_leave_each_row_as_if_run_alone(seed):
+    # A batch of increasing and decreasing rows through a time-dependent
+    # field: each row's states, and the gradient that reaches its initial
+    # state, are bit-identical to the row solved on its own.
+    times, _, _ = ragged_rows(seed, B=5)
+    times[1::2] = times[1::2, ::-1]
+    rng = np.random.default_rng(seed)
+    z0 = rng.standard_normal((5, 2))
+    layers = mlp_layers(rng, 5, (3, 4, 2))
+    cfg = SolverConfig(step_size=0.1)
+
+    def solve_rows(rows):
+        z = Tensor(z0[rows])
+        sub = [(Tensor(w.data[rows]), Tensor(b.data[rows]), *rest) for w, b, *rest in layers]
+        states = integrate_batch(lambda Z, t: tg.rowwise_mlp(Z, t, sub), z, times[rows], cfg)
+        path = np.stack([s.data for s in states], axis=1)
+        tg.backward(tg.tensor_sum(tg.square(tg.concat(states))))
+        return path, z.grad
+
+    path, grad = solve_rows(slice(None))
+    for b in range(5):
+        alone_path, alone_grad = solve_rows(slice(b, b + 1))
+        np.testing.assert_array_equal(path[b], alone_path[0])
+        np.testing.assert_array_equal(grad[b], alone_grad[0])
 
 
 # Rows of mixed step counts: a row padded with zero-length steps while others
