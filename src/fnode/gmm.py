@@ -7,16 +7,16 @@ the covariance structure chosen by BIC.  The fitted mixture is the sampler
 used for generation and the density used for likelihood-based outlier
 scoring.  This module knows only arrays, not the model.
 
-Components are scored together, component-major: each covariance is factored
-once per EM step, log-densities and responsibilities are [K, n] (numpy
-reduces a short contiguous axis, such as K of [n, K], many times slower),
-and the M-step is one product per moment.  EM carries raw arrays; a
-:class:`GMMModel`, whose constructor checks shapes, weights and floors, is
-built once per restart.
+Each fit builds one design matrix D = [X | second moments]^T of its centred rows (|x|^2, x^2 or the upper
+triangle of x x^T, by covariance type), in which every Gaussian log-density is linear: the E-step is one
+product of per-component coefficients with D and the M-step one ``resp @ D.T``.  A fit's ``N_RESTARTS``
+restarts advance in lockstep on a leading axis, so numpy's per-call costs are paid once per step.  EM
+carries raw arrays; a :class:`GMMModel`, which checks shapes, weights and floors, is built per restart.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Sequence
@@ -96,54 +96,77 @@ class GMMModel:
 # -- likelihood machinery -----------------------------------------------------------
 
 
-def _weighted_log_prob(X, weights, means, cov, cov_type: str) -> np.ndarray:
-    """log w_k + log N(x_i | mu_k, Sigma_k) as a [K, n] array, all components at once.
+@functools.cache
+def _triu(d: int):
+    """Indices (i, j) of a d x d upper triangle and the [d, d] map of each entry to its place in it; read-only."""
+    i, j = np.triu_indices(d)
+    fold = np.empty((d, d), dtype=np.intp)
+    fold[i, j] = fold[j, i] = np.arange(i.size)
+    i.flags.writeable = j.flags.writeable = fold.flags.writeable = False
+    return i, j, fold
 
-    Component-major, so the reductions over components that follow (the
-    log-sum-exp, EM's masses) run along the long contiguous axis.  Each
-    covariance is factored once and the Mahalanobis distances come from a few
-    matrix products, as in scikit-learn's ``GaussianMixture``.  Rows and means
-    are first shifted by the mean of the means, so the expanded quadratics do
-    not cancel far from the origin.  A non-positive-definite covariance raises
-    ``LinAlgError``.
-    """
-    (n, d), K = X.shape, means.shape[0]
-    centre = means.mean(axis=0)
-    X, means = X - centre, means - centre
-    if cov_type in ("spherical", "diag"):
-        # |x - mu|^2 / var summed over dims = p . x^2 - 2 (mu p) . x + mu^2 . p, with p = 1 / var
-        prec = np.broadcast_to(1.0 / (cov[:, None] if cov_type == "spherical" else cov), (K, d))
-        maha = prec @ (X * X).T - 2.0 * ((means * prec) @ X.T) + np.sum(means * means * prec, axis=1)[:, None]
-        half_logdet = -0.5 * np.sum(np.log(prec), axis=1)
+
+def _design(X: np.ndarray, cov_type: str) -> np.ndarray:
+    """Feature-major [m, n] design matrix [X | |x|^2 (spherical), x^2 (diag) or x x^T's upper triangle]^T."""
+    Xt = np.ascontiguousarray(X.T)
+    if cov_type == "spherical":
+        second = np.sum(Xt * Xt, axis=0, keepdims=True)
+    elif cov_type == "diag":
+        second = Xt * Xt
     else:
-        # Sigma = L L^T, so the distance is |L^-1 (x - mu)|^2
-        L = np.linalg.cholesky(cov)
-        Linv = np.linalg.solve(L, np.broadcast_to(np.eye(d), L.shape))
-        half_logdet = np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
-        if cov_type == "tied":
-            Y, Ym = Linv @ X.T, means @ Linv.T
-            maha = np.sum(Y * Y, axis=0) - 2.0 * (Ym @ Y) + np.sum(Ym * Ym, axis=1)[:, None]
-        else:
-            # one [K*d, d] @ [d, n] product for all factors, then per-component sums of
-            # squares; in place, as each fresh [K*d, n] temporary costs page faults
-            Y = Linv.reshape(K * d, d) @ X.T
-            Y -= (Linv @ means[:, :, None]).reshape(K * d, 1)
-            Y *= Y
-            maha = Y.reshape(K, d, n).sum(axis=1)
-    return np.log(weights)[:, None] - 0.5 * (d * LOG_2PI + maha) - np.reshape(half_logdet, (-1, 1))
+        i, j, _ = _triu(X.shape[1])
+        second = Xt[i] * Xt[j]
+    return np.concatenate([Xt, second])
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log of the sum over axis 0 (the components) of exp(a)."""
-    hi = np.max(a, axis=0)
-    # terms below e^-700 cannot move a sum that holds exp(0), and subnormal ones slow exp several-fold
-    return hi + np.log(np.sum(np.exp(np.maximum(a - hi, EXP_FLOOR)), axis=0))
+def _weighted_log_prob(D, weights, means, cov, cov_type: str) -> np.ndarray:
+    """log w_k + log N(x_i | mu_k, Sigma_k) as [R, K, n] for R mixtures of K components, ``means`` [R, K, d].
+
+    With P = Sigma^-1 it is coef . D[:, i] + const, coef = [P mu | the weights of -x^T P x / 2 on the second
+    moments] and const = log w - (d log 2pi + log det Sigma + mu^T P mu) / 2.  The expanded quadratic
+    cancels far from the origin, so rows and means are centred first.  A non-PD covariance raises ``LinAlgError``.
+    """
+    R, K, d = means.shape
+    coef = np.empty((R, K, D.shape[0]))
+    if cov_type in ("spherical", "diag"):
+        var = cov[..., None] if cov_type == "spherical" else cov
+        Pmu = means / var
+        logdet = d * np.log(cov) if cov_type == "spherical" else np.sum(np.log(cov), axis=-1)
+        coef[..., d:] = -0.5 / var
+    else:
+        # Sigma = L L^T, so P = L^-T L^-1; tied [R, d, d] gains a component axis to broadcast over K
+        L = np.linalg.cholesky(cov if cov_type == "full" else cov[:, None])
+        Linv = np.linalg.inv(L)
+        P = np.swapaxes(Linv, -1, -2) @ Linv
+        logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+        Pmu = (P @ means[..., None])[..., 0]
+        i, j, _ = _triu(d)
+        coef[..., d:] = P[..., i, j] * np.where(i == j, -0.5, -1.0)  # x^T P x holds each x_i x_j, i < j, twice
+    coef[..., :d] = Pmu
+    const = np.log(weights) - 0.5 * (d * LOG_2PI + logdet + np.sum(means * Pmu, axis=-1))
+    out = coef.reshape(R * K, -1) @ D
+    out += const.reshape(R * K, 1)
+    return out.reshape(R, K, -1)
+
+
+def _posterior(weighted: np.ndarray):
+    """(log-normalisers [R, n], responsibilities [R, K, n]) of weighted log-densities [R, K, n]."""
+    hi = np.max(weighted, axis=1)
+    resp = weighted - hi[:, None, :]
+    # zero terms below e^-700: they cannot move a sum that holds exp(0), and subnormal ones slow exp and EM's products
+    np.putmask(resp, resp < EXP_FLOOR, -np.inf)
+    np.exp(resp, out=resp)
+    total = np.sum(resp, axis=1)
+    resp /= total[:, None, :]
+    return hi + np.log(total), resp
 
 
 def score_rows(model: GMMModel, X: np.ndarray) -> np.ndarray:
-    """Mixture log-density of each row of ``X``."""
+    """Mixture log-density of each row of ``X``, scored on rows and means centred on the mean of the means."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return _logsumexp(_weighted_log_prob(X, model.weights, model.means, model.covariances, model.cov_type))
+    centre = model.means.mean(axis=0)
+    mixture = (model.weights[None], (model.means - centre)[None], model.covariances[None], model.cov_type)
+    return _posterior(_weighted_log_prob(_design(X - centre, model.cov_type), *mixture))[0][0]
 
 
 # -- EM ------------------------------------------------------------------------------
@@ -175,53 +198,22 @@ def _init_covariances(X: np.ndarray, K: int, cov_type: str) -> np.ndarray:
     return base if cov_type == "tied" else np.tile(base, (K, 1, 1))
 
 
-def _m_step(X: np.ndarray, XX: np.ndarray, resp: np.ndarray, mass: np.ndarray, cov_type: str):
-    """Weights, means and floored covariances from [K, n] responsibilities and their [K] masses.
-
-    ``XX`` holds the rows' second moments: flattened outer products for full, squares otherwise.
-    """
-    n, d = X.shape
+def _m_step(D: np.ndarray, d: int, resp: np.ndarray, mass: np.ndarray, cov_type: str):
+    """Weights, means and floored covariances of R mixtures from [R, K, n] responsibilities and [R, K] masses."""
+    R, K, n = resp.shape
     nk = mass + 10.0 * np.finfo(np.float64).eps
-    means = (resp @ X) / nk[:, None]
-    if cov_type == "full":
-        cov = (resp @ XX / nk[:, None]).reshape(len(nk), d, d) - means[:, :, None] * means[:, None, :]
-        cov[:, np.arange(d), np.arange(d)] += COV_FLOOR
-    elif cov_type == "tied":
-        cov = (X.T @ X - (nk * means.T) @ means) / n
-        cov.flat[:: d + 1] += COV_FLOOR
+    moments = (resp.reshape(R * K, n) @ D.T).reshape(R, K, -1) / nk[..., None]
+    means, second = moments[..., :d], moments[..., d:]
+    if cov_type == "spherical":
+        cov = np.maximum((second[..., 0] - np.sum(means * means, axis=-1)) / d, COV_FLOOR)
+    elif cov_type == "diag":
+        cov = np.maximum(second - means * means, COV_FLOOR)
     else:
-        var = resp @ XX / nk[:, None] - means * means
-        cov = np.maximum(var if cov_type == "diag" else var.mean(axis=1), COV_FLOOR)
+        cov = second[..., _triu(d)[2]] - means[..., :, None] * means[..., None, :]
+        if cov_type == "tied":
+            cov = np.einsum("rk,rkij->rij", nk, cov) / n  # the mass-weighted mean of the components' covariances
+        cov[..., np.arange(d), np.arange(d)] += COV_FLOOR
     return nk / n, means, cov
-
-
-def _em_once(X, XX, K, cov_type, rng, max_iter, tol):
-    """One EM run on centred rows: (weights, means, covariances) and the log-likelihood history."""
-    weights, means, cov = np.full(K, 1.0 / K), _kmeanspp_centers(X, K, rng), _init_covariances(X, K, cov_type)
-    history = []
-    for _ in range(max_iter):
-        weighted = _weighted_log_prob(X, weights, means, cov, cov_type)
-        norm = _logsumexp(weighted)
-        loglik = float(norm.sum())
-        history.append(loglik)
-        # zero responsibilities below e^-700: they cannot move EM's sums, and subnormal ones slow the products
-        resp = weighted - norm
-        np.putmask(resp, resp < EXP_FLOOR, -np.inf)
-        np.exp(resp, out=resp)
-        mass = resp.sum(axis=1)
-        empties = np.flatnonzero(mass < 1e-10)
-        if empties.size:
-            worst = np.argsort(norm)[: empties.size]
-            for k, i in zip(empties, worst):
-                log.info("re-seeding empty component %d from worst-fit row %d", k, i)
-                resp[:, i] = 0.0
-                resp[k, i] = 1.0
-            mass = resp.sum(axis=1)
-
-        weights, means, cov = _m_step(X, XX, resp, mass, cov_type)
-        if len(history) > 1 and loglik - history[-2] < tol:
-            break
-    return (weights, means, cov), history
 
 
 def _as_bank(bank) -> np.ndarray:
@@ -232,26 +224,46 @@ def _as_bank(bank) -> np.ndarray:
 
 
 def em_fit(bank: np.ndarray, K: int, cov_type: str = "diag", seed: int = 0, max_iter: int = 200, tol: float = 1e-6):
-    """EM fit of an [n, d] bank with k-means++ seeding; best of ``N_RESTARTS`` runs is kept.
+    """EM fit of an [n, d] bank from ``N_RESTARTS`` k-means++ seedings; returns (model, loglik_history).
 
-    Returns (model, loglik_history); the per-iteration total log-likelihood is
-    nondecreasing within a run.
+    The restarts advance in lockstep; one leaves after the M-step of the iteration whose gain falls below
+    ``tol``, and its history, the total log-likelihood before each M-step, is nondecreasing.  Final
+    log-likelihoods within 1e-9 of the best's magnitude tie, as BICs do in :func:`select_model`, and the
+    first restart among them is kept, so rounding does not choose among restarts at one optimum.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     X = _as_bank(bank)
     if K < 1:
         raise ValueError("K must be >= 1")
-    if np.unique(X, axis=0).shape[0] < K:
+    rows = np.ascontiguousarray(X + 0.0)  # one byte string per row; -0.0 + 0.0 is 0.0, so the zeros are one
+    if np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))).size < K:
         raise ValueError(f"need at least K={K} distinct rows, bank has fewer")
     # Every restart fits the same centred rows, so the M-step's expanded second moments do not cancel.
     shift = X.mean(axis=0)
     X = X - shift
-    XX = (X[:, :, None] * X[:, None, :]).reshape(len(X), X.shape[1] ** 2) if cov_type == "full" else X * X
-    rng = np.random.default_rng(seed)
-    runs = (_em_once(X, XX, K, cov_type, rng, max_iter, tol) for _ in range(N_RESTARTS))
-    fits = [(GMMModel(weights, means + shift, cov, cov_type), history) for (weights, means, cov), history in runs]
-    return max(fits, key=lambda fit: fit[1][-1])
+    D, rng, R = _design(X, cov_type), np.random.default_rng(seed), N_RESTARTS
+    weights, means = np.full((R, K), 1.0 / K), np.stack([_kmeanspp_centers(X, K, rng) for _ in range(R)])
+    cov, histories, live = np.stack([_init_covariances(X, K, cov_type)] * R), [[] for _ in range(R)], np.arange(R)
+    for _ in range(max_iter):
+        norm, resp = _posterior(_weighted_log_prob(D, weights[live], means[live], cov[live], cov_type))
+        mass = resp.sum(axis=2)
+        for a in np.flatnonzero(np.any(mass < 1e-10, axis=1)):
+            empties = np.flatnonzero(mass[a] < 1e-10)
+            for k, i in zip(empties, np.argsort(norm[a])[: empties.size]):
+                log.info("re-seeding empty component %d from worst-fit row %d", k, i)
+                resp[a, :, i] = 0.0
+                resp[a, k, i] = 1.0
+            mass[a] = resp[a].sum(axis=1)
+        weights[live], means[live], cov[live] = _m_step(D, X.shape[1], resp, mass, cov_type)
+        for r, loglik in zip(live, norm.sum(axis=1)):
+            histories[r].append(float(loglik))
+        live = np.array([r for r in live if not (len(histories[r]) > 1 and histories[r][-1] - histories[r][-2] < tol)])
+        if not live.size:
+            break
+    fits = [(GMMModel(weights[r], means[r] + shift, cov[r], cov_type), histories[r]) for r in range(R)]
+    best = max(history[-1] for _, history in fits)
+    return next(fit for fit in fits if best - fit[1][-1] <= 1e-9 * abs(best))
 
 
 def _bic(loglik: float, n_params: int, n: int) -> float:

@@ -341,7 +341,7 @@ def ood_scores(m: FNODEModel, S: gmm_mod.GMMModel, data, n_gamma: int = 16, seed
     cols = slice(0 if joint else m.p, None)
     rngs = [np.random.default_rng(seed ^ j) for j in range(len(mean))]
     draws = posterior_draws(mean[:, cols], std[:, cols], n_gamma, rngs)
-    scores = np.array([-gmm_mod.score_rows(S, block).mean() for block in draws])
+    scores = -gmm_mod.score_rows(S, draws.reshape(-1, draws.shape[-1])).reshape(draws.shape[:2]).mean(axis=1)
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
         j = bad[0]

@@ -112,18 +112,48 @@ class TestEMFit:
         with pytest.raises(ValueError):
             em_fit(X, K=5, cov_type="diag", seed=0)
 
+    def test_signed_zeros_are_one_distinct_row(self):
+        with pytest.raises(ValueError, match="distinct rows"):
+            em_fit(np.array([[0.0], [-0.0]]), K=2, cov_type="diag", seed=0)
+
     @pytest.mark.parametrize("cov_type", COV_TYPES)
-    def test_shifted_bank_gives_shifted_fit(self, cov_type, monkeypatch):
-        # EM fits centred rows, so moving the bank far from the origin moves only the means.
-        # One restart: restarts that reach one optimum are ranked by rounding alone.
-        monkeypatch.setattr(gmm_mod, "N_RESTARTS", 1)
+    def test_shifted_bank_gives_shifted_fit(self, cov_type):
+        # EM fits centred rows, so moving the bank far from the origin moves only the means.  Restarts
+        # that reach one optimum differ by rounding alone, so the kept one must not depend on it.
         X = three_clusters(n_per=60, d=3, seed=5)
-        near, near_hist = em_fit(X, K=3, cov_type=cov_type, seed=1)
-        far, far_hist = em_fit(X + 1e4, K=3, cov_type=cov_type, seed=1)
-        assert len(far_hist) == len(near_hist)
-        np.testing.assert_allclose(far.means - 1e4, near.means, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(far.covariances, near.covariances, rtol=1e-9, atol=0)
-        np.testing.assert_allclose(far.weights, near.weights, rtol=1e-9, atol=0)
+        for seed in range(8):
+            near, near_hist = em_fit(X, K=3, cov_type=cov_type, seed=seed)
+            far, far_hist = em_fit(X + 1e4, K=3, cov_type=cov_type, seed=seed)
+            assert len(far_hist) == len(near_hist), seed
+            np.testing.assert_allclose(far.means - 1e4, near.means, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(far.covariances, near.covariances, rtol=1e-9, atol=0)
+            np.testing.assert_allclose(far.weights, near.weights, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("cov_type, seed", [("tied", 1), ("full", 0)])
+    def test_restarts_share_each_e_step(self, cov_type, seed, monkeypatch):
+        # The restarts advance together: a fit makes as many E-steps as its longest restart has
+        # iterations, not their sum, and each restart runs as long as it does alone from its seed.
+        X = three_clusters(n_per=60, d=3, seed=5)
+        seeds, live = [], []
+        draw, e_step = gmm_mod._kmeanspp_centers, gmm_mod._weighted_log_prob
+        monkeypatch.setattr(gmm_mod, "_kmeanspp_centers", lambda *args: seeds.append(draw(*args)) or seeds[-1])
+
+        def counted(D, weights, *rest):
+            live.append(len(weights))
+            return e_step(D, weights, *rest)
+
+        monkeypatch.setattr(gmm_mod, "_weighted_log_prob", counted)
+        _, history = em_fit(X, K=3, cov_type=cov_type, seed=seed)
+        monkeypatch.setattr(gmm_mod, "_weighted_log_prob", e_step)
+        monkeypatch.setattr(gmm_mod, "N_RESTARTS", 1)
+        alone = []
+        for centers in seeds:
+            monkeypatch.setattr(gmm_mod, "_kmeanspp_centers", lambda *args, c=centers: c)
+            alone.append(len(em_fit(X, K=3, cov_type=cov_type, seed=seed)[1]))
+        assert len(seeds) == 3 and len(set(alone)) == 3
+        assert len(live) == max(alone) < sum(alone) and len(history) in alone
+        # restarts leave the batch and never return: step t scores every restart longer than t
+        assert live == [sum(n > t for n in alone) for t in range(max(alone))]
 
     @pytest.mark.parametrize("cov_type", ["spherical", "diag", "full"])
     def test_empty_component_is_reseeded(self, cov_type, caplog, monkeypatch):
@@ -230,6 +260,15 @@ class TestSelectModel:
         best, table = select_model(X, [1], ("full", "tied"), seed=seed)
         assert best.cov_type == "tied", [(r.cov_type, r.bic) for r in table]
 
+    def test_each_cell_fitted_once_through_the_module(self, monkeypatch):
+        # select_model looks em_fit up on the module, with the covariance type as its third
+        # positional argument, so a probe rebinding gmm.em_fit sees every fit
+        X = three_clusters(n_per=40)
+        cells, fit = [], gmm_mod.em_fit
+        monkeypatch.setattr(gmm_mod, "em_fit", lambda X, K, ct, **kw: cells.append((K, ct)) or fit(X, K, ct, **kw))
+        _, table = select_model(X, [1, 2, 3], ("spherical", "diag"), seed=0)
+        assert cells == [(r.K, r.cov_type) for r in table] and len(cells) == 6
+
     def test_each_fit_scored_once(self, monkeypatch):
         X = three_clusters(n_per=40)
         calls = []
@@ -335,6 +374,26 @@ class TestScoreRowsOracle:
         np.testing.assert_allclose(score_rows(model, X), want, rtol=rtol, atol=0)
 
 
+class TestStackedEStep:
+    # Two mixtures scored in one call, as EM scores its restarts, each against the oracle on its own.
+    # Rows and means are centred on one point first, as EM centres them.
+    @pytest.mark.parametrize("offset, rtol", [(0.0, 1e-10), (1e4, 1e-9)])
+    @pytest.mark.parametrize("cov_type", COV_TYPES)
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    def test_each_mixture_matches_per_component_cholesky_solve(self, cov_type, d, offset, rtol):
+        pair = [_random_mixture(cov_type, 4, d, seed=20 * d + r, offset=offset) for r in range(2)]
+        models, X = [m for m, _, _ in pair], np.concatenate([rows for _, _, rows in pair])
+        centre = np.concatenate([m.means for m in models]).mean(axis=0)
+        weights, means, cov = (np.stack([getattr(m, a) for m in models]) for a in ("weights", "means", "covariances"))
+        D = gmm_mod._design(X - centre, cov_type)
+        weighted = gmm_mod._weighted_log_prob(D, weights, means - centre, cov, cov_type)
+        norm, resp = gmm_mod._posterior(weighted)
+        assert weighted.shape == resp.shape == (2, 4, X.shape[0])
+        for r, (model, full, _) in enumerate(pair):
+            want = _oracle_log_density(model.weights, model.means, full, X)
+            np.testing.assert_allclose(norm[r], want, rtol=rtol, atol=0)
+
+
 # Each row is scored on its own, whatever the order of the others.  Equal up to
 # rounding: a matrix product need not sum a row the same way at every position.
 @settings(max_examples=40, deadline=None)
@@ -365,8 +424,8 @@ class TestFullMStep:
         logits = 6.0 * (np.arange(K)[:, None] == labels) + rng.standard_normal((K, 200))
         resp = np.exp(logits - logits.max(axis=0))
         resp /= resp.sum(axis=0)
-        XX = np.einsum("ni,nj->nij", X, X).reshape(200, d * d)
-        weights, means, cov = gmm_mod._m_step(X, XX, resp, resp.sum(axis=1), "full")
+        D = gmm_mod._design(X, "full")
+        (weights,), (means,), (cov,) = gmm_mod._m_step(D, d, resp[None], resp.sum(axis=1)[None], "full")
         for k in range(K):
             want = np.cov(X.T, aweights=resp[k], bias=True).reshape(d, d) + gmm_mod.COV_FLOOR * np.eye(d)
             np.testing.assert_allclose(cov[k], want, rtol=0, atol=1e-10 * np.abs(want).max())

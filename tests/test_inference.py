@@ -353,8 +353,9 @@ class TestCredibleBand:
         band = credible_band(m, S, x, x.times, n_draws=30, level=0.9, seed=6, source="gmm")
         paths = rollout(m, gmm.sample(S, 30, seed=7), float(x.times[0]), x.times)
         np.testing.assert_array_equal(band.mean, paths.mean(axis=0))
-        np.testing.assert_array_equal(band.lower, np.quantile(paths, 0.05, axis=0))
-        np.testing.assert_array_equal(band.upper, np.quantile(paths, 0.95, axis=0))
+        # the band's quantile levels as it computes them: (1 - 0.9) / 2 is 0.04999999999999999, not 0.05
+        np.testing.assert_array_equal(band.lower, np.quantile(paths, (1.0 - 0.9) / 2.0, axis=0))
+        np.testing.assert_array_equal(band.upper, np.quantile(paths, (1.0 + 0.9) / 2.0, axis=0))
 
     def test_validates_level_and_draws(self, trained):
         m, data, _ = trained
