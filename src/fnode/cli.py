@@ -133,25 +133,15 @@ def _traj_by_index(data, index: int):
 
 
 def _csv(rows: list[list], header: list[str]) -> str:
-    lines = [",".join(header)]
-    for r in rows:
-        lines.append(",".join(fmt_float(c) if isinstance(c, float) else str(c) for c in r))
-    return "\n".join(lines) + "\n"
+    lines = [",".join(fmt_float(c) if isinstance(c, float) else str(c) for c in r) for r in rows]
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 def band_to_csv(band: inference.CredibleBand) -> str:
     """Band CSV: time then (lower_d, mean_d, upper_d) triplets per dimension."""
-    obs_dim = band.mean.shape[1]
-    header = ["time"]
-    for d in range(1, obs_dim + 1):
-        header += [f"lower_{d}", f"mean_{d}", f"upper_{d}"]
-    rows = []
-    for i, t in enumerate(band.times):
-        row: list = [float(t)]
-        for d in range(obs_dim):
-            row += [float(band.lower[i, d]), float(band.mean[i, d]), float(band.upper[i, d])]
-        rows.append(row)
-    return _csv(rows, header)
+    header = ["time"] + [f"{k}_{d}" for d in range(1, band.mean.shape[1] + 1) for k in ("lower", "mean", "upper")]
+    triplets = np.stack([band.lower, band.mean, band.upper], axis=2).reshape(len(band.times), -1)
+    return _csv([[float(t), *map(float, row)] for t, row in zip(band.times, triplets)], header)
 
 
 def _trajs_to_csv(paths: list[np.ndarray], times: np.ndarray, obs_dim: int) -> str:
@@ -439,22 +429,14 @@ def cmd_plot(args) -> int:
     series: dict[str, list[tuple[float, float]]] = {}
     for r in rows:
         series.setdefault(r[0], []).append((float(r[1]), float(r[2])))
-    series_list = []
-    for sid in sorted(series, key=lambda s: int(s)):
-        pts = series[sid]
-        series_list.append(
-            (f"sample {sid}", np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
-        )
+    series_list = [(f"sample {sid}", *np.array(series[sid]).T) for sid in sorted(series, key=int)]
 
     band = None
     if args.band:
         bheader, brows = _read_csv(args.band)
         if bheader[:4] != ["time", "lower_1", "mean_1", "upper_1"]:
             raise ValidationError(f"{args.band}: expected time,lower_1,mean_1,upper_1 columns")
-        bt = np.array([float(r[0]) for r in brows])
-        bl = np.array([float(r[1]) for r in brows])
-        bm = np.array([float(r[2]) for r in brows])
-        bu = np.array([float(r[3]) for r in brows])
+        bt, bl, bm, bu = np.array([[float(c) for c in r[:4]] for r in brows]).T
         if np.any(bl > bu):
             raise ValidationError(f"{args.band}: lower exceeds upper")
         band = (bt, bl, bm, bu)
@@ -545,7 +527,7 @@ def main(argv=None) -> int:
     except ValueError as e:  # ValidationError, ArchiveError and DatasetFormatError among them
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (IntegrationBlowUp, NonFiniteValue, RuntimeError, OSError) as e:
+    except (IntegrationBlowUp, NonFiniteValue, RuntimeError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -144,7 +144,7 @@ def rollout(m: FNODEModel, latents: np.ndarray, anchor_t: float | None, times) -
     if times.ndim == 1:
         if not math.isfinite(anchor_t):
             raise ValueError(f"the anchor time must be finite, got {anchor_t!r}")
-        if times.size < 1 or np.any(np.diff(times) <= 0):
+        if times.size < 1 or np.any(times[1:] <= times[:-1]):
             raise ValueError("a shared grid must be non-empty and strictly increasing")
         n_before = int(np.sum(times < anchor_t - 1e-12))
         legs = []

@@ -32,6 +32,7 @@ from .nets import (
     encode_features,
     hypernet_map,
     init_hypernetwork,
+    param_shapes,
     weight_count,
 )
 
@@ -105,10 +106,13 @@ class FNODEModel:
     output width, ``d_gamma`` the hypernetwork's input width, ``obs_dim`` the
     decoder's output width and ``n_points`` the encoders' input width over
     ``1 + obs_dim``; ``__post_init__`` checks that the specs agree on them.
-    ``params`` is derived as well: every trainable tensor under a component
-    prefix (``enc_z0.``, ``enc_gamma.``, ``hyper.``, ``dec.``), in that order.
-    The components share those tensors, so in-place optimizer updates are
-    visible everywhere.
+    ``params`` is the parameter registry, built and checked only here: each
+    component holds exactly the tensors ``nets.param_shapes`` names for its
+    spec, in those shapes, and the hypernetwork its scalar ``lambda`` too.  It
+    lists them under a component prefix (``enc_z0.``, ``enc_gamma.``,
+    ``hyper.``, ``dec.``), in that order and in layer order, ``hyper.lambda``
+    after its layers; Adam and the archive follow that order.  The components
+    share those tensors, so in-place optimizer updates are visible everywhere.
     """
 
     enc_z0: MLP
@@ -160,8 +164,23 @@ class FNODEModel:
             raise ValueError(f"sigma_x must lie in [1e-150, 1e150], got {self.sigma_x!r}")
         if not (math.isfinite(self.obs_scale) and self.obs_scale > 0):
             raise ValueError(f"obs_scale must be finite and positive, got {self.obs_scale!r}")
-        parts = (("enc_z0.", self.enc_z0), ("enc_gamma.", self.enc_gamma), ("hyper.", self.hyper), ("dec.", self.dec))
-        self.params = {prefix + name: t for prefix, part in parts for name, t in part.params.items()}
+        parts = (
+            ("enc_z0", self.enc_z0.params, param_shapes(self.enc_z0.spec)),
+            ("enc_gamma", self.enc_gamma.params, param_shapes(self.enc_gamma.spec)),
+            ("hyper", self.hyper.params, {**param_shapes(self.hyper.body), "lambda": ()}),
+            ("dec", self.dec.params, param_shapes(self.dec.spec)),
+        )
+        self.params = {}
+        for prefix, params, shapes in parts:
+            odd = sorted(params.keys() ^ shapes.keys())
+            if odd:
+                what = "is missing" if odd[0] in shapes else "is not one its spec names"
+                raise ValueError(f"parameter {prefix}.{odd[0]} {what}")
+            for name, shape in shapes.items():
+                if params[name].data.shape != shape:
+                    got = list(params[name].data.shape)
+                    raise ValueError(f"parameter {prefix}.{name} has shape {got}, its spec needs {list(shape)}")
+                self.params[f"{prefix}.{name}"] = params[name]
 
     @classmethod
     def build(

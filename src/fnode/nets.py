@@ -2,16 +2,19 @@
 
 Every network runs on a batch: inputs are [batch, in_width] matrices, weights
 come from a dict of named tensors and each layer is one ``tg.dense`` node
-(:func:`mlp_forward`).  The hypernetwork's output is the flat weight vector of
-the transition network, one row per code; ``model.make_batch_field`` slices
-those rows into per-row layers, so the transition network's weights are data
-that gradients flow through.  Training tapes :func:`encode_features`;
-``inference.posterior`` is the one untaped encoder, which gives the posterior
-of a latent row (z0 | code).
+(:func:`mlp_forward`).  :func:`param_shapes` is the one naming rule for those
+tensors: layer ``i`` holds ``w{i}`` [out, in] and ``b{i}`` [out], in layer
+order, and the hypernetwork adds the scalar ``lambda``.  The hypernetwork's
+output is the flat weight vector of the transition network, one row per code;
+``model.make_batch_field`` slices those rows into per-row layers, so the
+transition network's weights are data that gradients flow through.  Training
+tapes :func:`encode_features`; ``inference.posterior`` is the one untaped
+encoder, which gives the posterior of a latent row (z0 | code).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +29,7 @@ __all__ = [
     "GaussianParams",
     "Hypernetwork",
     "weight_count",
+    "param_shapes",
     "init_mlp_params",
     "mlp_forward",
     "init_hypernetwork",
@@ -68,32 +72,41 @@ class MLPSpec:
         return self.layer_widths[-1]
 
 
+def param_shapes(spec: MLPSpec) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every layer parameter, in layer order: w0 [out, in], b0 [out], w1, b1, ..."""
+    shapes = {}
+    ws = spec.layer_widths
+    for i, (n_in, n_out) in enumerate(zip(ws[:-1], ws[1:])):
+        shapes[f"w{i}"] = (n_out, n_in)
+        shapes[f"b{i}"] = (n_out,)
+    return shapes
+
+
 def weight_count(spec: MLPSpec) -> int:
     """Total parameter count: sum over layers of in*out + out."""
-    ws = spec.layer_widths
-    return sum(i * o + o for i, o in zip(ws[:-1], ws[1:]))
+    return sum(math.prod(shape) for shape in param_shapes(spec).values())
 
 
 def init_mlp_params(spec: MLPSpec, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer."""
+    """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer, drawn in :func:`param_shapes` order."""
     params = {}
-    ws = spec.layer_widths
-    for layer, (n_in, n_out) in enumerate(zip(ws[:-1], ws[1:])):
-        bound = 1.0 / np.sqrt(n_in)
-        params[f"w{layer}"] = Tensor(rng.uniform(-bound, bound, size=(n_out, n_in)))
-        params[f"b{layer}"] = Tensor(rng.uniform(-bound, bound, size=n_out))
+    for name, shape in param_shapes(spec).items():
+        if len(shape) == 2:  # a layer's weight comes before its bias and sets the bound of both
+            bound = 1.0 / np.sqrt(shape[1])
+        params[name] = Tensor(rng.uniform(-bound, bound, size=shape))
     return params
 
 
 def mlp_forward(spec: MLPSpec, params: dict[str, Tensor], x: Tensor) -> Tensor:
-    """Forward pass of a [batch, in_width] input with named parameters w0, b0, w1, b1, ...,
+    """Forward pass of a [batch, in_width] input with the parameters :func:`param_shapes` names,
     one ``tg.dense`` node per layer; a ``lambda`` entry scales the output layer."""
     if x.data.ndim != 2 or x.data.shape[1] != spec.in_width:
         raise tg.ShapeMismatch(f"input shape {x.shape} is not [batch, {spec.in_width}]")
+    names = iter(param_shapes(spec))
     h, last = x, spec.n_layers - 1
-    for i in range(spec.n_layers):
+    for i, (w, b) in enumerate(zip(names, names)):
         tanh_out = i < last or spec.final_activation == "tanh"
-        h = tg.dense(h, params[f"w{i}"], params[f"b{i}"], tanh_out, params.get("lambda") if i == last else None)
+        h = tg.dense(h, params[w], params[b], tanh_out, params.get("lambda") if i == last else None)
     return h
 
 

@@ -18,9 +18,11 @@ of ``8 * prod(shape)`` bytes starts ``offset`` bytes into the payload.
 straight into one float64 buffer.  Every array is a reshaped view of its own
 block: writable, C-contiguous, aligned and in native byte order, and, as the
 blocks tile the payload, sharing no entry with another array.  It checks the
-header's schema and version, each parameter's shape against its spec, the
+header's schema and version; that the parameter set equals the registry the
+specs give, with no name missing or extra and each shape as its spec needs
+(``FNODEModel`` checks this, as it does for a model built in memory); the
 header's sizes (``p``, ``d_gamma``, ``obs_dim``, ``n_points``) against the
-ones the specs give, and the sampler's width and values.  The payload must
+ones the specs give; and the sampler's width and values.  The payload must
 hold shape entries that are non-negative integers and offsets that are
 non-negative multiples of 8, no block may run past the payload's end, and
 the blocks must tile the payload exactly: no gap, no overlap, no trailing
@@ -167,23 +169,6 @@ def save_archive(
     write_bytes_atomic(path, [MAGIC, header, b"\n", *arrays])
 
 
-def _param(raw: dict, name: str, shape: tuple) -> Tensor:
-    arr = raw[name]
-    if arr.shape != shape:
-        raise ArchiveError(f"parameter {name} has shape {list(arr.shape)}, its spec needs {list(shape)}")
-    return Tensor(arr)
-
-
-def _mlp_params_from(spec: MLPSpec, raw: dict, prefix: str) -> dict[str, Tensor]:
-    # rebuild in canonical layer order; files store keys sorted alphabetically
-    ps = {}
-    ws = spec.layer_widths
-    for i, (n_in, n_out) in enumerate(zip(ws[:-1], ws[1:])):
-        ps[f"w{i}"] = _param(raw, prefix + f"w{i}", (n_out, n_in))
-        ps[f"b{i}"] = _param(raw, prefix + f"b{i}", (n_out,))
-    return ps
-
-
 def _read_document(fh) -> tuple[object, _Payload]:
     """The archive header and its payload."""
     if fh.readline() != MAGIC:
@@ -197,9 +182,11 @@ def _read_document(fh) -> tuple[object, _Payload]:
 def load_archive(path):
     """Rebuild (model, gmm_or_None, seeds) from a saved archive.
 
-    Any archive this cannot rebuild, including one with missing keys, bad
-    payloads, parameter shapes that disagree with the specs or sizes that
-    disagree with the ones the specs give, raises :class:`ArchiveError`.
+    The archive's parameter set must equal the registry its specs give:
+    ``FNODEModel`` refuses a missing, extra or misshapen parameter.  Any
+    archive this cannot rebuild, including one with missing keys, bad
+    payloads, such a parameter set or sizes that disagree with the ones the
+    specs give, raises :class:`ArchiveError`.
     """
     try:
         with open(path, "rb") as fh:
@@ -227,27 +214,20 @@ def load_archive(path):
 
 def _rebuild(doc: dict):
     md = doc["model"]
-    specs = md["specs"]
-    raw_params = md["params"]
-
-    enc_z0_spec = _decode_spec(specs["enc_z0"])
-    enc_gamma_spec = _decode_spec(specs["enc_gamma"])
-    hyper_spec = _decode_spec(specs["hyper_body"])
-    dec_spec = _decode_spec(specs["dec"])
-
-    enc_z0 = MLP(enc_z0_spec, _mlp_params_from(enc_z0_spec, raw_params, "enc_z0."))
-    enc_gamma = MLP(enc_gamma_spec, _mlp_params_from(enc_gamma_spec, raw_params, "enc_gamma."))
-    hyper_params = _mlp_params_from(hyper_spec, raw_params, "hyper.")
-    hyper_params["lambda"] = _param(raw_params, "hyper.lambda", ())
-    hyper = Hypernetwork(hyper_spec, hyper_params)
-    dec = MLP(dec_spec, _mlp_params_from(dec_spec, raw_params, "dec."))
-
+    specs = {key: _decode_spec(obj) for key, obj in md["specs"].items()}
+    # the payload's arrays, as views, grouped by network; FNODEModel checks each group against its spec
+    nets = {net: {} for net in ("enc_z0", "enc_gamma", "hyper", "dec")}
+    for name, arr in md["params"].items():
+        net, _, key = name.partition(".")
+        if net not in nets:
+            raise ArchiveError(f"parameter {name} belongs to none of the networks {', '.join(nets)}")
+        nets[net][key] = Tensor(arr)
     m = FNODEModel(
-        enc_z0=enc_z0,
-        enc_gamma=enc_gamma,
-        hyper=hyper,
-        f_spec=_decode_spec(specs["f"]),
-        dec=dec,
+        enc_z0=MLP(specs["enc_z0"], nets["enc_z0"]),
+        enc_gamma=MLP(specs["enc_gamma"], nets["enc_gamma"]),
+        hyper=Hypernetwork(specs["hyper_body"], nets["hyper"]),
+        f_spec=specs["f"],
+        dec=MLP(specs["dec"], nets["dec"]),
         solver=SolverConfig(step_size=float(md["solver"]["step_size"])),
         sigma_x=float(md["sigma_x"]),
         obs_scale=float(md["obs_scale"]),

@@ -88,6 +88,8 @@ def render_line_plot(
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     if title:
+        # escaped by hand: xml.sax.saxutils would import urllib.request and ssl, 7 MB, into every command
+        title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         out.append(
             f'<text x="{WIDTH // 2}" y="14" text-anchor="middle" font-family="sans-serif" '
             f'font-size="12">{title}</text>'

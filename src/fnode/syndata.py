@@ -56,7 +56,7 @@ class Trajectory:
             v = v[:, None]
         if t.ndim != 1 or v.ndim != 2 or t.shape[0] < 1 or v.shape[0] != t.shape[0]:
             raise ValueError("times/values must be non-empty and aligned: [T] times, [T] or [T, d] values")
-        if t.shape[0] > 1 and not np.all(np.diff(t) > 0):
+        if not np.all(t[1:] > t[:-1]):
             raise ValueError("times must be strictly increasing")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
             raise ValueError("times/values must be finite")

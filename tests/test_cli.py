@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import archive_file
@@ -16,7 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fnode
-from fnode.cli import RunConfig, ValidationError, main
+from fnode import inference
+from fnode.cli import RunConfig, ValidationError, band_to_csv, main
+from fnode.serialize import load_archive
 from fnode.syndata import PanelDataset, Trajectory, load_dataset, save_dataset
 
 
@@ -408,6 +411,21 @@ class TestRuntimeErrors:
         assert err.startswith("error: ") and err.count("\n") == 1 and "non-finite" in err, err
         assert not out.exists()
 
+    def test_memory_error_is_one_line_runtime_error(self, cli_workspace, tmp_path, capsys, monkeypatch):
+        # a grid far wider than its step asks the solver for a step table that cannot be allocated
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 271. TiB for an array")
+
+        monkeypatch.setattr(inference, "rollout", out_of_memory)
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        rc = run(["sample", "--model", cli_workspace["model"], "--data", cli_workspace["data"],
+                  "--out", out, "--mode", "prior"])
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err == "error: Unable to allocate 271. TiB for an array\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["sample", "eval"])
     def test_overflow_prints_one_stderr_line_from_a_process(self, cli_workspace, tmp_path, command):
         # pytest captures numpy's warnings in process, so only a child process shows all of stderr
@@ -544,6 +562,35 @@ class TestPlot:
         out = tmp_path / "p.svg"
         assert run(["plot", "--traj", csv, "--band", band, "--out", out]) == 0
         assert "polygon" in out.read_text()
+
+
+    def test_title_is_escaped(self, tmp_path):
+        csv = tmp_path / "t.csv"
+        self.make_traj_csv(csv, ["0,0.0,1.0", "0,1.0,3.0"])
+        out = tmp_path / "p.svg"
+        assert run(["plot", "--traj", csv, "--out", out, "--title", "a < b & c"]) == 0
+        root = ET.fromstring(out.read_text())
+        assert "a < b & c" in [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+
+    def test_band_csv_of_a_trained_model_plots(self, cli_workspace, tmp_path):
+        m, S, _ = load_archive(cli_workspace["model"])
+        traj = load_dataset(cli_workspace["data"]).trajectories[0]
+        grid = np.linspace(traj.times[0], traj.times[-1], 7)
+        band = inference.credible_band(m, S, traj, grid, n_draws=20, level=0.9, seed=0)
+        lines = band_to_csv(band).splitlines()
+        assert lines[0] == "time,lower_1,mean_1,upper_1"
+        assert len(lines) == 1 + grid.size
+        rows = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+        want = np.column_stack([grid, band.lower[:, 0], band.mean[:, 0], band.upper[:, 0]])
+        assert rows.tobytes() == want.tobytes()
+
+        band_csv, csv, out = tmp_path / "band.csv", tmp_path / "t.csv", tmp_path / "p.svg"
+        band_csv.write_text("\n".join(lines) + "\n")
+        points = zip(traj.times.tolist(), traj.values[:, 0].tolist())
+        self.make_traj_csv(csv, [f"0,{t!r},{v!r}" for t, v in points])
+        assert run(["plot", "--traj", csv, "--band", band_csv, "--out", out]) == 0
+        root = ET.fromstring(out.read_text())
+        assert len(list(root.iter("{http://www.w3.org/2000/svg}polygon"))) == 1
 
 
 class TestArchiveRoundTripThroughCLI:
@@ -897,9 +944,11 @@ def _seeded_with_bad_values(test):
 
 def _written_csvs(argv, out):
     """The CSV files a run of ``argv`` writes: the ``--out`` of sample, ood and
-    eval, and train's per-epoch log and selection table."""
+    eval, and train's per-epoch log and, when it fits a sampler, its selection
+    table (``epochs = 0`` without ``--gmm-only`` fits none)."""
     if argv[0] == "train":
-        return [Path(f"{out}.log.csv"), Path(f"{out}.gmm.csv")]
+        fitted = load_archive(out)[1] is not None
+        return [Path(f"{out}.log.csv")] + [Path(f"{out}.gmm.csv")] * fitted
     return [out] if argv[0] in ("sample", "ood", "eval") else []
 
 
@@ -940,6 +989,7 @@ def _assert_exit_contract(build_argv, case, ws):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@example(case=("config", "epochs = 0"))
 @_seeded_with_bad_values
 @settings(max_examples=40, deadline=None)
 @given(case=CONTRACT_CASES)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,13 @@ class TestRollout:
         for bad in (np.zeros((2, 2, 2)), np.stack([times] * 3)):
             with pytest.raises(ValueError, match="grid"):
                 rollout(m, latents, None, bad)
+
+    def test_decreasing_grid_a_whole_float_range_wide_is_refused_without_warning(self, trained):
+        m, _, _ = trained
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="strictly increasing"):
+                rollout(m, np.zeros((1, m.p + m.d_gamma)), 0.0, np.array([1e308, -1e308]))
 
     def test_rejects_unbatched_draws(self, trained):
         m, data, _ = trained

@@ -584,6 +584,42 @@ class TestModelRegistry:
         assert m.params["hyper.lambda"] is m.hyper.params["lambda"]
         assert m.params["enc_gamma.b1"] is m.enc_gamma.params["b1"]
 
+    @staticmethod
+    def _with_params(m, part, edit):
+        """``m`` with component ``part`` holding an edited copy of its parameter dict."""
+        comp = getattr(m, part)
+        params = dict(comp.params)
+        edit(params)
+        return dataclasses.replace(m, **{part: dataclasses.replace(comp, params=params)})
+
+    def test_registry_order_does_not_follow_the_components(self):
+        def sort_names(ps):  # the order an archive's sorted header gives
+            items = sorted(ps.items())
+            ps.clear()
+            ps.update(items)
+
+        m = tiny_model()
+        for part in ("enc_z0", "enc_gamma", "hyper", "dec"):
+            m2 = self._with_params(m, part, sort_names)
+            assert list(m2.params) == list(m.params)
+            assert all(m2.params[name] is t for name, t in m.params.items())
+
+    # defect -> (component, edit of its parameter dict, words the error names)
+    REGISTRY_DEFECTS = {
+        "missing": ("dec", lambda ps: ps.pop("w0"), "parameter dec.w0 is missing"),
+        "missing lambda": ("hyper", lambda ps: ps.pop("lambda"), "parameter hyper.lambda is missing"),
+        "extra layer": ("dec", lambda ps: ps.update(w7=ps["w0"]), "parameter dec.w7 is not one"),
+        "extra in encoder": ("enc_z0", lambda ps: ps.update(lambda_=ps["b0"]), "parameter enc_z0.lambda_ is not one"),
+        "transposed": ("enc_gamma", lambda ps: ps.update(w0=Tensor(ps["w0"].data.T.copy())), "enc_gamma.w0 has shape"),
+        "lambda as vector": ("hyper", lambda ps: ps.update({"lambda": Tensor(np.ones(1))}), "hyper.lambda has shape"),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(REGISTRY_DEFECTS))
+    def test_registry_refuses_a_parameter_set_unlike_the_specs(self, defect):
+        part, edit, words = self.REGISTRY_DEFECTS[defect]
+        with pytest.raises(ValueError, match=words):
+            self._with_params(tiny_model(), part, edit)
+
     @pytest.mark.parametrize("obs_scale", [0.0, -1.0, math.nan, math.inf])
     def test_obs_scale_must_be_finite_and_positive(self, obs_scale):
         with pytest.raises(ValueError, match="obs_scale"):

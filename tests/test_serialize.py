@@ -243,6 +243,16 @@ def _reshape_param(name, shape):
     return edit
 
 
+def _add_param(name, like):
+    """Store a copy of parameter ``like`` under the extra name ``name``."""
+
+    def edit(doc):
+        params = doc["model"]["params"]
+        params[name] = params[like].copy()
+
+    return edit
+
+
 def _transpose_dec_w0(doc):
     n_out, n_in = doc["model"]["params"]["dec.w0"].shape
     _reshape_param("dec.w0", (n_in, n_out))(doc)
@@ -357,6 +367,8 @@ SCHEMA_DEFECTS = {
     "no parameter": _format3(_drop("model", "params", "dec.w0")),
     "shape against spec": _format3(_transpose_dec_w0),
     "scalar lambda as vector": _format3(_reshape_param("hyper.lambda", (1,))),
+    "parameter of no network": _format3(_add_param("junk.w0", "dec.w0")),
+    "extra layer parameter": _format3(_add_param("dec.w7", "dec.w0")),
     "sampler covariances against means": _format3(_flat_sampler_covariances),
     "version only": _format3(_keep_only_version),
     **{name: make for name, (make, _) in PAYLOAD_DEFECTS.items()},
@@ -376,6 +388,13 @@ class TestArchiveSchema:
         path = tmp_path / "bad.fnode"
         SCHEMA_DEFECTS[defect](archive_doc, path)
         with pytest.raises(ArchiveError):
+            load_archive(path)
+
+    @pytest.mark.parametrize("name", ["junk.w0", "dec.w7"])
+    def test_extra_parameter_is_named(self, archive_doc, tmp_path, name):
+        path = tmp_path / "bad.fnode"
+        _format3(_add_param(name, "dec.w0"))(archive_doc, path)
+        with pytest.raises(ArchiveError, match=f"parameter {name} "):
             load_archive(path)
 
     @pytest.mark.parametrize("defect", sorted(PAYLOAD_DEFECTS))

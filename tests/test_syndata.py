@@ -1,5 +1,6 @@
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,13 @@ class TestTrajectory:
     def test_rejects_decreasing_times(self):
         with pytest.raises(ValueError):
             Trajectory([0.0, 0.5, 0.4], [1.0, 2.0, 3.0])
+
+    def test_times_a_whole_float_range_apart_are_increasing(self):
+        # their difference overflows to inf; the comparison itself must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = Trajectory([-1e308, 1e308], [0.0, 0.0])
+        assert t.times.tolist() == [-1e308, 1e308]
 
     def test_promotes_1d_values(self):
         t = Trajectory([0.0, 1.0], [1.0, 2.0])
