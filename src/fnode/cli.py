@@ -5,11 +5,19 @@ atomically, and uses exit codes 0 (success), 1 (runtime failure) and
 2 (usage or validation error).  :func:`main` is the one place that maps
 errors to exit codes: any ``ValueError`` (a bad flag, config, dataset or
 archive) exits 2, a runtime or OS error exits 1, each with one line on stderr.
+
+Each default has one home, the library function that uses it: the config
+keys read theirs from ``FNODEModel.build``, ``TrainConfig`` and
+``gmm.select_model``, and the ``generate-data``, ``ood`` and ``sample
+--max-attempts`` flags from ``generate_set_a``, ``ood_calibrate`` and
+``neighborhood_sample``.  Only the defaults no library function declares are
+stated here.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import astuple
@@ -41,39 +49,35 @@ class ValidationError(ValueError):
 
 # -- run configuration -------------------------------------------------------------
 
-# key -> (parser, default). "auto" obs_scale means RMS of the training values.
-_CONFIG_KEYS = {
-    "p": (int, 8),
-    "d_gamma": (int, 16),
-    "f_hidden": ("intlist", (100, 100)),
-    "enc_hidden": ("intlist", (64, 64)),
-    "dec_hidden": ("intlist", (64, 64)),
-    "hyper_hidden": ("intlist", (128, 128)),
-    "step_size": (float, 0.1),
-    "sigma_x": (float, 0.05),
-    "lambda_init": (float, 0.1),
-    "obs_scale": ("scale", "auto"),
-    "epochs": (int, 200),
-    "batch_size": (int, 32),
-    "learning_rate": (float, 1e-3),
-    "kl_anneal_epochs": (int, 50),
-    "mc_samples": (int, 1),
-    "seed": (int, 0),
-    "n_gamma": (int, 5),
-    "gmm_components": ("range", tuple(range(1, 21))),
-    "gmm_cov_types": ("covlist", gmm_mod.COV_TYPES),
-    "gmm_max_iter": (int, 200),
+
+def _defaults(fn) -> dict:
+    """The keyword defaults ``fn`` declares, by name, in signature order."""
+    return {k: v.default for k, v in inspect.signature(fn).parameters.items() if v.default is not v.empty}
+
+
+# key -> default, build's obs_scale and seed aside.  "auto" obs_scale means RMS of the training values.
+_CONFIG_DEFAULTS = {
+    **{k: v for k, v in _defaults(FNODEModel.build).items() if k not in ("obs_scale", "seed")},
+    "obs_scale": "auto",
+    **_defaults(TrainConfig),
+    "n_gamma": 5,
+    "gmm_components": tuple(range(1, 21)),
+    "gmm_cov_types": _defaults(gmm_mod.select_model)["cov_types"],
+    "gmm_max_iter": _defaults(gmm_mod.select_model)["max_iter"],
 }
+# A key's parser follows the type of its default (int, float, or a tuple read
+# as a comma list of ints), but for these.
+_SPECIAL_KINDS = {"obs_scale": "scale", "gmm_components": "range", "gmm_cov_types": "covlist"}
 
 
 def _parse_value(key: str, raw: str):
-    kind = _CONFIG_KEYS[key][0]
+    kind = _SPECIAL_KINDS.get(key, type(_CONFIG_DEFAULTS[key]))
     try:
         if kind is int:
             return int(raw)
         if kind is float:
             return float(raw)
-        if kind == "intlist":
+        if kind is tuple:
             return tuple(int(tok) for tok in raw.split(",") if tok.strip())
         if kind == "scale":
             return "auto" if raw.strip() == "auto" else float(raw)
@@ -99,7 +103,7 @@ class RunConfig:
     """Plain-text key=value configuration; unknown keys are rejected."""
 
     def __init__(self, overrides: dict | None = None):
-        self.values = {k: default for k, (_, default) in _CONFIG_KEYS.items()}
+        self.values = dict(_CONFIG_DEFAULTS)
         if overrides:
             self.values.update(overrides)
 
@@ -114,7 +118,7 @@ class RunConfig:
                 if "=" not in stripped:
                     raise ValidationError(f"{path}:{line_no}: expected key=value")
                 key, raw = (part.strip() for part in stripped.split("=", 1))
-                if key not in _CONFIG_KEYS:
+                if key not in _CONFIG_DEFAULTS:
                     raise ValidationError(f"{path}:{line_no}: unknown key {key!r}")
                 overrides[key] = _parse_value(key, raw)
         return cls(overrides)
@@ -157,17 +161,8 @@ def _trajs_to_csv(paths: list[np.ndarray], times: np.ndarray, obs_dim: int) -> s
 
 
 def cmd_generate_data(args) -> int:
-    if args.n_per_class < 1 or args.n_classes < 1 or args.n_points < 1:
-        raise ValidationError("counts must be positive")
     gen = generate_set_a if args.set == "a" else generate_set_b
-    data = gen(
-        n_per_class=args.n_per_class,
-        n_classes=args.n_classes,
-        n_points=args.n_points,
-        t_max=args.t_max,
-        seed=args.seed,
-        noise=args.noise,
-    )
+    data = gen(**{k: getattr(args, k) for k in _defaults(gen)})
     save_dataset(data, args.out)
     print(
         f"wrote {args.out}: N={len(data)} trajectories, "
@@ -209,29 +204,9 @@ def cmd_train(args) -> int:
     if select:
         _check_selection(cfg_file, len(data.trajectories))
 
-    m = FNODEModel.build(
-        obs_dim=data.obs_dim,
-        n_points=n_points,
-        p=cfg_file["p"],
-        d_gamma=cfg_file["d_gamma"],
-        f_hidden=cfg_file["f_hidden"],
-        enc_hidden=cfg_file["enc_hidden"],
-        dec_hidden=cfg_file["dec_hidden"],
-        hyper_hidden=cfg_file["hyper_hidden"],
-        step_size=cfg_file["step_size"],
-        sigma_x=cfg_file["sigma_x"],
-        obs_scale=obs_scale,
-        lambda_init=cfg_file["lambda_init"],
-        seed=cfg_file["seed"],
-    )
-    tcfg = TrainConfig(
-        epochs=cfg_file["epochs"],
-        batch_size=cfg_file["batch_size"],
-        learning_rate=cfg_file["learning_rate"],
-        kl_anneal_epochs=min(cfg_file["kl_anneal_epochs"], max(cfg_file["epochs"], 1)),
-        seed=cfg_file["seed"],
-        mc_samples=cfg_file["mc_samples"],
-    )
+    arch = {k: cfg_file[k] for k in _defaults(FNODEModel.build)} | {"obs_scale": obs_scale}
+    m = FNODEModel.build(obs_dim=data.obs_dim, n_points=n_points, **arch)
+    tcfg = TrainConfig(**{k: cfg_file[k] for k in _defaults(TrainConfig)})
 
     log_path = args.log or (str(args.out) + ".log.csv")
     log_rows: list[list] = []
@@ -317,8 +292,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_ood(args) -> int:
-    if not 0.0 < args.quantile <= 1.0:
-        raise ValidationError("--quantile must lie in (0, 1]")
     m, S, _ = load_archive(args.model)
     if S is None:
         raise ValidationError("archive holds no fitted sampler; train with epochs > 0")
@@ -456,13 +429,13 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate-data", help="write a synthetic panel dataset")
     g.add_argument("--set", choices=("a", "b"), required=True)
     g.add_argument("--out", required=True)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--n-per-class", type=int, default=100)
-    g.add_argument("--n-classes", type=int, default=10)
-    g.add_argument("--n-points", type=int, default=10)
-    g.add_argument("--t-max", type=float, default=1.5)
-    g.add_argument("--noise", choices=("per_trajectory", "per_point", "none"), default="per_trajectory")
-    g.set_defaults(func=cmd_generate_data)
+    g.add_argument("--seed", type=int)
+    g.add_argument("--n-per-class", type=int)
+    g.add_argument("--n-classes", type=int)
+    g.add_argument("--n-points", type=int)
+    g.add_argument("--t-max", type=float)
+    g.add_argument("--noise", choices=("per_trajectory", "per_point", "none"))
+    g.set_defaults(func=cmd_generate_data, **_defaults(generate_set_a))
 
     t = sub.add_parser("train", help="fit the model and its ex-post sampler")
     t.add_argument("--data", required=True)
@@ -482,21 +455,21 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--exemplar", type=int, default=None)
     s.add_argument("--delta", type=float, default=None)
     s.add_argument("--n", type=int, default=10)
-    s.add_argument("--max-attempts", type=int, default=10000)
+    s.add_argument("--max-attempts", type=int)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--grid-points", type=int, default=None, help="uniform grid instead of source times")
     s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_sample)
+    s.set_defaults(func=cmd_sample, max_attempts=_defaults(inference.neighborhood_sample)["max_attempts"])
 
     o = sub.add_parser("ood", help="likelihood-threshold outlier test")
     o.add_argument("--model", required=True)
     o.add_argument("--train-data", required=True)
     o.add_argument("--test-data", required=True)
-    o.add_argument("--quantile", type=float, default=0.95)
-    o.add_argument("--n-gamma", type=int, default=16)
-    o.add_argument("--seed", type=int, default=0)
+    o.add_argument("--quantile", type=float)
+    o.add_argument("--n-gamma", type=int)
+    o.add_argument("--seed", type=int)
     o.add_argument("--out", required=True)
-    o.set_defaults(func=cmd_ood)
+    o.set_defaults(func=cmd_ood, **_defaults(inference.ood_calibrate))
 
     e = sub.add_parser("eval", help="interpolation/extrapolation MSE table")
     e.add_argument("--model", required=True)

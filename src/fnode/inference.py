@@ -245,8 +245,10 @@ def neighborhood_sample(
     back when the acceptance region is hit rarely.  Each accepted code is
     decoded from the exemplar's posterior-mean z0, at its first time.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta!r}")
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     if S.d != m.d_gamma:

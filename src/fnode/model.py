@@ -83,8 +83,6 @@ class TrainConfig:
             raise ValueError("batch_size, kl_anneal_epochs, mc_samples must be positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
-        if self.epochs > 0 and self.kl_anneal_epochs > self.epochs:
-            raise ValueError("kl_anneal_epochs must not exceed epochs")
 
 
 @dataclass
@@ -240,10 +238,14 @@ def kl_gaussian(q: GaussianParams) -> float:
 
 
 def kl_schedule(epoch: int, cfg: TrainConfig) -> float:
-    """Linear ramp from 0 to 1 over the first ``kl_anneal_epochs`` epochs."""
+    """Linear ramp from 0 to 1 over the first ``kl_anneal_epochs`` epochs.
+
+    A warm-up longer than the run is clamped to ``max(epochs, 1)`` epochs, so
+    the last epoch always weighs the KL terms fully.
+    """
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    return min(1.0, (epoch + 1) / cfg.kl_anneal_epochs)
+    return min(1.0, (epoch + 1) / min(cfg.kl_anneal_epochs, max(cfg.epochs, 1)))
 
 
 # -- forward / objective ---------------------------------------------------------

@@ -99,8 +99,10 @@ def _generate(
     seed: int,
     noise: str,
 ) -> PanelDataset:
-    if min(n_per_class, n_classes, n_points) < 1 or t_max <= 0:
-        raise ValueError("counts must be positive and t_max > 0")
+    if min(n_per_class, n_classes, n_points) < 1:
+        raise ValueError("counts must be positive")
+    if not 0 < t_max < np.inf:
+        raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
     if noise not in ("per_trajectory", "per_point", "none"):
         raise ValueError(f"unknown noise mode {noise!r}")
     rng = np.random.default_rng(seed)

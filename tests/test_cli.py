@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -20,7 +21,7 @@ import fnode
 from fnode import inference
 from fnode.cli import RunConfig, ValidationError, band_to_csv, main
 from fnode.serialize import load_archive
-from fnode.syndata import PanelDataset, Trajectory, load_dataset, save_dataset
+from fnode.syndata import PanelDataset, Trajectory, generate_set_a, generate_set_b, load_dataset, save_dataset
 
 
 def run(args):
@@ -36,9 +37,20 @@ def run_module(*args):
 
 class TestRunConfig:
     def test_defaults_cover_every_key(self):
-        cfg = RunConfig()
-        assert cfg["epochs"] == 200 and cfg["learning_rate"] == 1e-3
-        assert cfg["gmm_components"] == tuple(range(1, 21))
+        # Most defaults are read from the library functions train calls; a
+        # default's type sets its key's parser, so the types are pinned too.
+        pinned = {
+            "p": 8, "d_gamma": 16, "f_hidden": (100, 100), "enc_hidden": (64, 64), "dec_hidden": (64, 64),
+            "hyper_hidden": (128, 128), "step_size": 0.1, "sigma_x": 0.05, "lambda_init": 0.1,
+            "obs_scale": "auto", "epochs": 200, "batch_size": 32, "learning_rate": 1e-3, "kl_anneal_epochs": 50,
+            "mc_samples": 1, "seed": 0, "n_gamma": 5, "gmm_components": tuple(range(1, 21)),
+            "gmm_cov_types": ("spherical", "tied", "diag", "full"), "gmm_max_iter": 200,
+        }
+
+        def typed(values):
+            return {k: (v, type(v), [type(e) for e in v] if isinstance(v, tuple) else None) for k, v in values.items()}
+
+        assert typed(RunConfig().values) == typed(pinned)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.txt"
@@ -81,6 +93,18 @@ class TestGenerateData:
     def test_zero_count_is_validation_error(self, tmp_path):
         rc = run(["generate-data", "--set", "a", "--out", tmp_path / "x", "--n-per-class", "0"])
         assert rc == 2
+
+    def test_both_sets_declare_the_same_defaults(self):
+        # generate-data takes its flags' defaults from set A's signature for both sets
+        assert inspect.signature(generate_set_a) == inspect.signature(generate_set_b)
+
+    @pytest.mark.parametrize("t_max", ["nan", "inf", "-inf", "1e400", "0", "-1"])
+    def test_t_max_not_finite_and_positive_is_one_line_validation_error(self, tmp_path, capsys, t_max):
+        out = tmp_path / "x.jsonl"
+        rc = run(["generate-data", "--set", "b", "--out", out, "--n-per-class", 2, f"--t-max={t_max}"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1 and "t_max" in err, err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -166,6 +190,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and "max_iter" in err
+
+    @pytest.mark.parametrize("t_max", ["1e12", "1e19", "1e300"])
+    def test_grid_of_too_many_solver_steps_is_one_line_validation_error(self, cli_workspace, tmp_path, capsys, t_max):
+        data, out = tmp_path / "long.jsonl", tmp_path / "m.fnode"
+        argv = ["generate-data", "--set", "a", "--out", data, "--n-per-class", 2, "--n-classes", 2, "--t-max", t_max]
+        assert run(argv) == 0
+        capsys.readouterr()
+        rc = run(["train", "--data", data, "--config", cli_workspace["config"], "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1 and "steps of size" in err, err
+        assert not out.exists()
 
     def test_seed_flag_overrides_config(self, cli_workspace, tmp_path):
         out = tmp_path / "seeded.json"
@@ -762,6 +797,7 @@ FUZZ_VALUES = st.one_of(
     st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4),
 )
 FUZZED_FLAGS = [
+    *(("generate-data", f) for f in ("--n-per-class", "--n-classes", "--n-points", "--t-max", "--seed")),
     *(("sample", f) for f in ("--index", "--exemplar", "--delta", "--n", "--max-attempts", "--seed", "--grid-points")),
     *(("ood", f) for f in ("--quantile", "--n-gamma", "--seed")),
     *(("eval", f) for f in ("--observe-fraction", "--samples", "--seed")),
@@ -929,6 +965,8 @@ def _contract_argv(case, ws, tmp, out):
     (command, flag), value, mode = rest
     # a base argv that keeps every run small: a few draws, a few attempts
     base = {
+        "generate-data": ["generate-data", "--set", "a", "--n-per-class", 2, "--n-classes", 2, "--n-points", 3,
+                          "--out", out],
         "sample": _sample(ws, out, "--mode", mode, "--exemplar", 1, "--delta", 1.0, "--n", 3, "--max-attempts", 6),
         "ood": _ood(ws, out, 2),
         "eval": ["eval", "--model", ws["model"], "--data", ws["data"], "--out", out],
@@ -990,6 +1028,7 @@ def _assert_exit_contract(build_argv, case, ws):
 
 
 @example(case=("config", "epochs = 0"))
+@example(case=("flag", ("generate-data", "--t-max"), "inf", "gmm"))
 @_seeded_with_bad_values
 @settings(max_examples=40, deadline=None)
 @given(case=CONTRACT_CASES)

@@ -257,6 +257,12 @@ class TestNeighborhood:
                 m, S, data.trajectories[3], delta=1e-9, n=3, max_attempts=300, seed=0
             )
 
+    @pytest.mark.parametrize("delta, n", [(math.nan, 3), (0.0, 3), (-1.0, 3), (1.0, 0), (1.0, -2)])
+    def test_refuses_a_bad_delta_or_count(self, trained, delta, n):
+        m, data, S = trained
+        with pytest.raises(ValueError, match="delta must be positive|n must be >= 1"):
+            neighborhood_sample(m, S, data.trajectories[3], delta=delta, n=n, max_attempts=300, seed=0)
+
     def test_accepted_codes_satisfy_constraint(self, trained):
         m, data, S = trained
         exemplar = data.trajectories[5]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import autodiff
 import fnode.tensorgrad as tg
+from fnode import odeint
 from fnode.odeint import IntegrationBlowUp, SolverConfig, integrate_batch
 from fnode.tensorgrad import Tensor
 
@@ -179,6 +181,30 @@ class TestIntegrateBatch:
         times = np.array([[0.0, 0.4, 0.9], row])
         with pytest.raises(ValueError, match="strictly"):
             integrate_batch(lambda Z, t: Z, Tensor(np.zeros((2, 1))), times, SolverConfig())
+
+    @pytest.mark.parametrize(
+        "row", [[0.0, 1e12], [0.0, 1e19], [0.0, 1e300], [-1e308, 1e308], [1e308, -1e308], [0.0, 0.5, 1e19]]
+    )
+    def test_refuses_a_grid_of_too_many_steps(self, row):
+        # counted in float64: 1e19 / h overflows the int64 cast, a gap of 2e308 float64 itself
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"steps of size 0\.1, over the limit of 100000"):
+                integrate_batch(lambda Z, t: calls.append(t) or Z, Tensor(np.zeros((2, 1))),
+                                np.array([np.linspace(0.0, 1.0, len(row)), row]), SolverConfig(step_size=0.1))
+        assert not calls
+
+    def test_a_row_of_max_steps_runs(self, monkeypatch):
+        # ten full steps, or nine and a partial one, fit a limit of 10; one step more does not
+        monkeypatch.setattr(odeint, "MAX_STEPS", 10)
+        calls = []
+        for end in (1.0, 0.95):
+            integrate_batch(lambda Z, t: calls.append(t) or Z, Tensor(np.zeros((1, 1))), np.array([[0.0, end]]),
+                            SolverConfig(step_size=0.1))
+        assert len(calls) == 2 * 4 * 10
+        with pytest.raises(ValueError, match="needs 11 steps"):
+            integrate_batch(lambda Z, t: Z, Tensor(np.zeros((1, 1))), np.array([[0.0, 1.05]]), SolverConfig(0.1))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("checks", [True, False])
