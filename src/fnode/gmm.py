@@ -1,17 +1,16 @@
 """Ex-post Gaussian mixture over collected dynamics codes.
 
-After training, per-trajectory posterior draws of the code are pooled into an
-[n, d] sample bank (drawn by ``inference.collect_gamma_samples``) and a
-mixture is fit by expectation-maximization, with the number of components and
-the covariance structure chosen by BIC.  The fitted mixture is the sampler
-used for generation and the density used for likelihood-based outlier
-scoring.  This module knows only arrays, not the model.
+After training, per-trajectory posterior draws of the code are pooled into an [n, d] sample bank (drawn by
+``inference.collect_gamma_samples``) and a mixture is fit by expectation-maximization, with the number of
+components and the covariance structure chosen by BIC.  The fitted mixture is the sampler used for generation
+and the density used for likelihood-based outlier scoring.  This module knows only arrays, not the model.
 
 Each fit builds one design matrix D = [X | second moments]^T of its centred rows (|x|^2, x^2 or the upper
 triangle of x x^T, by covariance type), in which every Gaussian log-density is linear: the E-step is one
-product of per-component coefficients with D and the M-step one ``resp @ D.T``.  A fit's ``N_RESTARTS``
-restarts advance in lockstep on a leading axis, so numpy's per-call costs are paid once per step.  EM
-carries raw arrays; a :class:`GMMModel`, which checks shapes, weights and floors, is built per restart.
+product of per-component coefficients with D and the M-step one ``resp @ D.T``.  Tied shares one precision,
+so its E-step adds one quadratic per restart to K linear terms and its M-step needs ``resp @ X`` and X^T X.
+A fit's ``N_RESTARTS`` restarts advance in lockstep on a leading axis, so numpy's per-call costs are paid once
+per step.  EM carries raw arrays and builds one :class:`GMMModel`, for the restart it keeps.
 """
 
 from __future__ import annotations
@@ -80,6 +79,8 @@ class GMMModel:
         if self.cov_type in ("spherical", "diag") and np.any(self.covariances < COV_FLOOR):
             raise ValueError(f"variances fall below the {COV_FLOOR} floor")
         if self.cov_type in ("tied", "full"):
+            if not np.array_equal(self.covariances, np.swapaxes(self.covariances, -1, -2)):
+                raise ValueError("covariances must be symmetric")  # Cholesky reads only one triangle
             L = np.linalg.cholesky(self.covariances)
             if np.any(np.diagonal(L, axis1=-2, axis2=-1) < COV_FLOOR):
                 raise ValueError("covariance Cholesky diagonal below floor")
@@ -123,30 +124,33 @@ def _weighted_log_prob(D, weights, means, cov, cov_type: str) -> np.ndarray:
     """log w_k + log N(x_i | mu_k, Sigma_k) as [R, K, n] for R mixtures of K components, ``means`` [R, K, d].
 
     With P = Sigma^-1 it is coef . D[:, i] + const, coef = [P mu | the weights of -x^T P x / 2 on the second
-    moments] and const = log w - (d log 2pi + log det Sigma + mu^T P mu) / 2.  The expanded quadratic
-    cancels far from the origin, so rows and means are centred first.  A non-PD covariance raises ``LinAlgError``.
+    moments] and const = log w - (d log 2pi + log det Sigma + mu^T P mu) / 2; tied scores its shared quadratic
+    once per restart and broadcasts it over K.  The expanded quadratic cancels far from the origin, so rows and
+    means are centred first.  A non-PD covariance raises ``LinAlgError``.
     """
     R, K, d = means.shape
-    coef = np.empty((R, K, D.shape[0]))
     if cov_type in ("spherical", "diag"):
         var = cov[..., None] if cov_type == "spherical" else cov
         Pmu = means / var
         logdet = d * np.log(cov) if cov_type == "spherical" else np.sum(np.log(cov), axis=-1)
-        coef[..., d:] = -0.5 / var
+        quad = -0.5 / var
     else:
-        # Sigma = L L^T, so P = L^-T L^-1; tied [R, d, d] gains a component axis to broadcast over K
+        # Sigma = L L^T, so P = L^-T L^-1; tied [R, d, d] gains a unit component axis that broadcasts over K
         L = np.linalg.cholesky(cov if cov_type == "full" else cov[:, None])
         Linv = np.linalg.inv(L)
         P = np.swapaxes(Linv, -1, -2) @ Linv
         logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
         Pmu = (P @ means[..., None])[..., 0]
         i, j, _ = _triu(d)
-        coef[..., d:] = P[..., i, j] * np.where(i == j, -0.5, -1.0)  # x^T P x holds each x_i x_j, i < j, twice
-    coef[..., :d] = Pmu
+        quad = P[..., i, j] * np.where(i == j, -0.5, -1.0)  # x^T P x holds each x_i x_j, i < j, twice
     const = np.log(weights) - 0.5 * (d * LOG_2PI + logdet + np.sum(means * Pmu, axis=-1))
-    out = coef.reshape(R * K, -1) @ D
-    out += const.reshape(R * K, 1)
-    return out.reshape(R, K, -1)
+    if cov_type == "tied":
+        out = (Pmu.reshape(R * K, d) @ D[:d]).reshape(R, K, -1)
+        out += (quad[:, 0] @ D[d:])[:, None]
+    else:
+        out = (np.concatenate([Pmu, quad], axis=-1).reshape(R * K, -1) @ D).reshape(R, K, -1)
+    out += const[..., None]
+    return out
 
 
 def _posterior(weighted: np.ndarray):
@@ -198,20 +202,27 @@ def _init_covariances(X: np.ndarray, K: int, cov_type: str) -> np.ndarray:
     return base if cov_type == "tied" else np.tile(base, (K, 1, 1))
 
 
-def _m_step(D: np.ndarray, d: int, resp: np.ndarray, mass: np.ndarray, cov_type: str):
-    """Weights, means and floored covariances of R mixtures from [R, K, n] responsibilities and [R, K] masses."""
-    R, K, n = resp.shape
+def _m_step(D: np.ndarray, gram: np.ndarray, resp: np.ndarray, mass: np.ndarray, cov_type: str):
+    """Weights, means and floored covariances of R mixtures from [R, K, n] responsibilities and [R, K] masses.
+
+    ``gram`` is the fit's X^T X.  Tied needs only ``resp @ X``: Sigma = (X^T X - sum_k n_k mu_k mu_k^T) / n.
+    Tied and full covariances are folded from one triangle, so they are exactly symmetric.
+    """
+    (R, K, n), d = resp.shape, gram.shape[0]
     nk = mass + 10.0 * np.finfo(np.float64).eps
-    moments = (resp.reshape(R * K, n) @ D.T).reshape(R, K, -1) / nk[..., None]
+    rows = D[:d] if cov_type == "tied" else D
+    moments = (resp.reshape(R * K, n) @ rows.T).reshape(R, K, -1) / nk[..., None]
     means, second = moments[..., :d], moments[..., d:]
     if cov_type == "spherical":
         cov = np.maximum((second[..., 0] - np.sum(means * means, axis=-1)) / d, COV_FLOOR)
     elif cov_type == "diag":
         cov = np.maximum(second - means * means, COV_FLOOR)
     else:
-        cov = second[..., _triu(d)[2]] - means[..., :, None] * means[..., None, :]
-        if cov_type == "tied":
-            cov = np.einsum("rk,rkij->rij", nk, cov) / n  # the mass-weighted mean of the components' covariances
+        i, j, fold = _triu(d)
+        if cov_type == "full":
+            cov = second[..., fold] - means[..., :, None] * means[..., None, :]
+        else:
+            cov = ((gram - (np.swapaxes(means, 1, 2) * nk[:, None]) @ means) / n)[..., i, j][..., fold]
         cov[..., np.arange(d), np.arange(d)] += COV_FLOOR
     return nk / n, means, cov
 
@@ -242,7 +253,7 @@ def em_fit(bank: np.ndarray, K: int, cov_type: str = "diag", seed: int = 0, max_
     # Every restart fits the same centred rows, so the M-step's expanded second moments do not cancel.
     shift = X.mean(axis=0)
     X = X - shift
-    D, rng, R = _design(X, cov_type), np.random.default_rng(seed), N_RESTARTS
+    D, gram, rng, R = _design(X, cov_type), X.T @ X, np.random.default_rng(seed), N_RESTARTS
     weights, means = np.full((R, K), 1.0 / K), np.stack([_kmeanspp_centers(X, K, rng) for _ in range(R)])
     cov, histories, live = np.stack([_init_covariances(X, K, cov_type)] * R), [[] for _ in range(R)], np.arange(R)
     for _ in range(max_iter):
@@ -255,15 +266,15 @@ def em_fit(bank: np.ndarray, K: int, cov_type: str = "diag", seed: int = 0, max_
                 resp[a, :, i] = 0.0
                 resp[a, k, i] = 1.0
             mass[a] = resp[a].sum(axis=1)
-        weights[live], means[live], cov[live] = _m_step(D, X.shape[1], resp, mass, cov_type)
+        weights[live], means[live], cov[live] = _m_step(D, gram, resp, mass, cov_type)
         for r, loglik in zip(live, norm.sum(axis=1)):
             histories[r].append(float(loglik))
         live = np.array([r for r in live if not (len(histories[r]) > 1 and histories[r][-1] - histories[r][-2] < tol)])
         if not live.size:
             break
-    fits = [(GMMModel(weights[r], means[r] + shift, cov[r], cov_type), histories[r]) for r in range(R)]
-    best = max(history[-1] for _, history in fits)
-    return next(fit for fit in fits if best - fit[1][-1] <= 1e-9 * abs(best))
+    best = max(history[-1] for history in histories)
+    r = next(r for r, history in enumerate(histories) if best - history[-1] <= 1e-9 * abs(best))
+    return GMMModel(weights[r], means[r] + shift, cov[r], cov_type), histories[r]
 
 
 def _bic(loglik: float, n_params: int, n: int) -> float:
@@ -355,16 +366,15 @@ def sample(model: GMMModel, n: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     comps = rng.choice(model.n_components, size=n, p=model.weights)
     out = np.empty((n, model.d))
+    ct = model.cov_type
+    chol = np.linalg.cholesky(model.covariances) if ct in ("tied", "full") else None  # tied: one for every k
     for k in range(model.n_components):
         idx = np.flatnonzero(comps == k)
         if idx.size == 0:
             continue
         eps = rng.standard_normal((idx.size, model.d))
-        ct = model.cov_type
         if ct in ("spherical", "diag"):
             out[idx] = model.means[k] + np.sqrt(model.covariances[k]) * eps
         else:
-            cov = model.covariances if ct == "tied" else model.covariances[k]
-            L = np.linalg.cholesky(cov)
-            out[idx] = model.means[k] + eps @ L.T
+            out[idx] = model.means[k] + eps @ (chol if ct == "tied" else chol[k]).T
     return out

@@ -58,6 +58,13 @@ class TestGMMModel:
         with pytest.raises(ValueError):
             GMMModel(weights, means, cov, cov_type)
 
+    @pytest.mark.parametrize("cov_type", ["tied", "full"])
+    def test_asymmetric_covariance_rejected(self, cov_type):
+        # Cholesky reads the lower triangle only, so this one would score and sample as the identity
+        cov = np.array([[1.0, 5.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="covariances must be symmetric"):
+            GMMModel(np.ones(1), np.zeros((1, 2)), cov if cov_type == "tied" else cov[None], cov_type)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("key", ["weights", "means", "covariances"])
     @pytest.mark.parametrize("cov_type", COV_TYPES)
@@ -154,6 +161,43 @@ class TestEMFit:
         assert len(live) == max(alone) < sum(alone) and len(history) in alone
         # restarts leave the batch and never return: step t scores every restart longer than t
         assert live == [sum(n > t for n in alone) for t in range(max(alone))]
+
+    @pytest.mark.parametrize("cov_type", ["tied", "full"])
+    def test_covariances_exactly_symmetric(self, cov_type):
+        X = three_clusters(n_per=50, d=4, seed=6) @ np.random.default_rng(6).standard_normal((4, 4))
+        for seed in range(4):
+            for K in (1, 2, 3, 5):
+                cov = em_fit(X, K, cov_type, seed=seed, max_iter=30)[0].covariances
+                assert np.array_equal(cov, np.swapaxes(cov, -1, -2)), (seed, K)
+
+    @pytest.mark.parametrize("cov_type", COV_TYPES)
+    def test_losing_restart_is_never_validated(self, cov_type, monkeypatch):
+        # Every restart but the kept one is poisoned in its last M-step, after its log-likelihood is
+        # recorded, so it ranks as it would clean.  Only the kept restart becomes a GMMModel.
+        X, max_iter = three_clusters(n_per=60, d=3, seed=5), 12
+        fit = dict(cov_type=cov_type, seed=0, max_iter=max_iter, tol=-np.inf)  # every restart runs max_iter steps
+        clean, clean_history = em_fit(X, 3, **fit)
+        calls, poisoned, m_step = [], [], gmm_mod._m_step
+
+        def poison_losers(*args):
+            weights, means, cov = m_step(*args)
+            calls.append(1)
+            for r in range(len(weights) if len(calls) == max_iter else 0):
+                if not np.array_equal(means[r] + X.mean(axis=0), clean.means):
+                    cov[r] = np.nan
+                    poisoned.append((weights[r], means[r], cov[r]))
+            return weights, means, cov
+
+        monkeypatch.setattr(gmm_mod, "_m_step", poison_losers)
+        builds, validate = [], GMMModel.__post_init__
+        monkeypatch.setattr(GMMModel, "__post_init__", lambda self: builds.append(1) or validate(self))
+        model, history = em_fit(X, 3, **fit)
+        assert len(builds) == 1 and history == clean_history and len(poisoned) == gmm_mod.N_RESTARTS - 1
+        for key in ("weights", "means", "covariances"):
+            assert np.array_equal(getattr(model, key), getattr(clean, key))
+        for loser in poisoned:
+            with pytest.raises(ValueError, match="non-finite"):
+                GMMModel(*loser, cov_type)
 
     @pytest.mark.parametrize("cov_type", ["spherical", "diag", "full"])
     def test_empty_component_is_reseeded(self, cov_type, caplog, monkeypatch):
@@ -425,11 +469,42 @@ class TestFullMStep:
         resp = np.exp(logits - logits.max(axis=0))
         resp /= resp.sum(axis=0)
         D = gmm_mod._design(X, "full")
-        (weights,), (means,), (cov,) = gmm_mod._m_step(D, d, resp[None], resp.sum(axis=1)[None], "full")
+        (weights,), (means,), (cov,) = gmm_mod._m_step(D, X.T @ X, resp[None], resp.sum(axis=1)[None], "full")
         for k in range(K):
             want = np.cov(X.T, aweights=resp[k], bias=True).reshape(d, d) + gmm_mod.COV_FLOOR * np.eye(d)
             np.testing.assert_allclose(cov[k], want, rtol=0, atol=1e-10 * np.abs(want).max())
             np.testing.assert_allclose(means[k], np.average(X, axis=0, weights=resp[k]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(weights, resp.mean(axis=1), rtol=1e-12)
+
+
+class TestTiedMStep:
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_matches_pooled_weighted_sample_covariance(self, d, K, offset):
+        # The bank sits at ``offset`` and is centred, as em_fit centres it; the oracle works on the raw rows.
+        # The last row is one-hot to the last component, as a re-seeded empty component holds it.
+        rng = np.random.default_rng(100 * d + K)
+        centers = rng.uniform(-10.0, 10.0, (K, d)) + offset
+        labels = rng.integers(K, size=200)
+        X = centers[labels] + rng.standard_normal((200, d)) @ rng.standard_normal((d, d))
+        logits = 6.0 * (np.arange(K)[:, None] == labels) + rng.standard_normal((K, 200))
+        resp = np.exp(logits - logits.max(axis=0))
+        resp[:, -1] = np.arange(K) == K - 1
+        resp /= resp.sum(axis=0)
+        want = np.zeros((d, d))
+        for k in range(K):
+            diff = X - np.average(X, axis=0, weights=resp[k])
+            want += (resp[k][:, None] * diff).T @ diff
+        want = want / X.shape[0] + gmm_mod.COV_FLOOR * np.eye(d)
+        Xc = X - X.mean(axis=0)
+        D = gmm_mod._design(Xc, "tied")
+        (weights,), (means,), (cov,) = gmm_mod._m_step(D, Xc.T @ Xc, resp[None], resp.sum(axis=1)[None], "tied")
+        np.testing.assert_allclose(cov, want, rtol=0, atol=1e-10 * np.abs(want).max())
+        assert np.array_equal(cov, cov.T)
+        for k in range(K):
+            want_mean = np.average(X, axis=0, weights=resp[k]) - X.mean(axis=0)
+            np.testing.assert_allclose(means[k], want_mean, rtol=0, atol=1e-12 * max(1.0, offset))
         np.testing.assert_allclose(weights, resp.mean(axis=1), rtol=1e-12)
 
 
@@ -452,6 +527,14 @@ class TestSample:
             np.array([0.5, 0.5]), np.array([[0.0], [3.0]]), np.array([[1.0], [0.5]]), "diag"
         )
         np.testing.assert_array_equal(sample(model, 64, seed=9), sample(model, 64, seed=9))
+
+    def test_tied_draws_equal_its_full_copy(self):
+        # one factor of the shared covariance serves every component, as K factors of it would
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((3, 3))
+        tied = GMMModel(np.array([0.2, 0.3, 0.5]), rng.standard_normal((3, 3)), A @ A.T + np.eye(3), "tied")
+        full = GMMModel(tied.weights, tied.means, np.tile(tied.covariances, (3, 1, 1)), "full")
+        assert np.array_equal(sample(tied, 200, seed=2), sample(full, 200, seed=2))
 
     @pytest.mark.parametrize("cov_type", COV_TYPES)
     def test_sample_moments_match_model(self, cov_type):

@@ -263,6 +263,13 @@ def _flat_sampler_covariances(doc):
     doc["gmm"]["covariances"] = np.ones(2)
 
 
+def _asymmetric_sampler_covariance(doc):
+    # a tied sampler whose covariance differs from its transpose; Cholesky alone would read it as the identity
+    d = doc["gmm"]["means"].shape[1]
+    doc["gmm"]["cov_type"], doc["gmm"]["covariances"] = "tied", np.eye(d)
+    doc["gmm"]["covariances"][0, 1] = 5.0
+
+
 def _keep_only_version(doc):
     for key in [k for k in doc if k != "format_version"]:
         del doc[key]
@@ -370,6 +377,7 @@ SCHEMA_DEFECTS = {
     "parameter of no network": _format3(_add_param("junk.w0", "dec.w0")),
     "extra layer parameter": _format3(_add_param("dec.w7", "dec.w0")),
     "sampler covariances against means": _format3(_flat_sampler_covariances),
+    "asymmetric sampler covariance": _format3(_asymmetric_sampler_covariance),
     "version only": _format3(_keep_only_version),
     **{name: make for name, (make, _) in PAYLOAD_DEFECTS.items()},
 }
