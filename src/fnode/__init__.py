@@ -11,12 +11,10 @@ from . import cli, gmm, inference, model, nets, odeint, serialize, svg, syndata,
 from .gmm import GMMModel, em_fit, select_model
 from .inference import (
     CredibleBand,
-    OODReport,
     collect_gamma_samples,
     credible_band,
     neighborhood_sample,
     ood_calibrate,
-    ood_test,
     reconstruct,
     sample_trajectories,
     transfer_trajectory,

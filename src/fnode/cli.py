@@ -90,8 +90,9 @@ def _parse_value(key: str, raw: str):
         if kind == "range":
             if ":" in raw:
                 parts = [int(tok) for tok in raw.split(":")]
-                lo, hi = parts[0], parts[1]
-                step = parts[2] if len(parts) > 2 else 1
+                if len(parts) > 3 or len(parts) == 3 and parts[2] < 1:
+                    raise ValueError("a range is lo:hi or lo:hi:step, with step >= 1")
+                lo, hi, step = (parts + [1])[:3]
                 return tuple(range(lo, hi + 1, step))
             return tuple(int(tok) for tok in raw.split(",") if tok.strip())
     except ValueError as e:
@@ -148,12 +149,10 @@ def band_to_csv(band: inference.CredibleBand) -> str:
     return _csv([[float(t), *map(float, row)] for t, row in zip(band.times, triplets)], header)
 
 
-def _trajs_to_csv(paths: list[np.ndarray], times: np.ndarray, obs_dim: int) -> str:
-    header = ["sample_id", "time"] + [f"value_{d}" for d in range(1, obs_dim + 1)]
-    rows = []
-    for sid, path in enumerate(paths):
-        for i, t in enumerate(times):
-            rows.append([sid, float(t)] + [float(v) for v in np.atleast_1d(path[i])])
+def _trajs_to_csv(paths: np.ndarray, times: np.ndarray) -> str:
+    """[n, T, obs_dim] decoded paths as rows of sample_id, time and the values."""
+    header = ["sample_id", "time"] + [f"value_{d}" for d in range(1, paths.shape[2] + 1)]
+    rows = [[sid, float(t), *map(float, row)] for sid, path in enumerate(paths) for t, row in zip(times, path)]
     return _csv(rows, header)
 
 
@@ -178,6 +177,8 @@ def _check_selection(cfg: RunConfig, n_trajectories: int) -> None:
         ("n_gamma", cfg["n_gamma"] < 1, "must be >= 1"),
         ("gmm_max_iter", cfg["gmm_max_iter"] < 1, "must be >= 1"),
         ("gmm_cov_types", not cfg["gmm_cov_types"], "must name at least one covariance type"),
+        ("gmm_cov_types", len(set(cfg["gmm_cov_types"])) < len(cfg["gmm_cov_types"]), "must not repeat a type"),
+        ("gmm_components", len(set(ks)) < len(ks), "must not repeat a K"),
         ("gmm_components", min(ks, default=0) < 1, "every K must be >= 1"),
         ("gmm_components", max(ks, default=0) > n_rows, f"every K must be <= the {n_rows} rows of the code bank"),
     ]:
@@ -273,7 +274,7 @@ def cmd_sample(args) -> int:
         if args.exemplar is None:
             raise ValidationError("--mode transfer needs --exemplar")
         exemplar = _traj_by_index(data, args.exemplar)
-        paths = [inference.transfer_trajectory(m, source, exemplar, times)]
+        paths = inference.transfer_trajectory(m, source, exemplar, times)[None]
     else:  # neighborhood
         if args.exemplar is None or args.delta is None:
             raise ValidationError("--mode neighborhood needs --exemplar and --delta")
@@ -286,7 +287,7 @@ def cmd_sample(args) -> int:
             m, S, exemplar, args.delta, args.n, max_attempts=args.max_attempts, seed=args.seed, times=times
         )
 
-    write_text_atomic(args.out, _trajs_to_csv(paths, times, m.obs_dim))
+    write_text_atomic(args.out, _trajs_to_csv(paths, times))
     print(f"wrote {args.out}: {len(paths)} trajectories over {times.size} times")
     return 0
 
@@ -299,19 +300,18 @@ def cmd_ood(args) -> int:
     test_data = load_dataset(args.test_data)
 
     threshold = inference.ood_calibrate(m, S, train_data, args.n_gamma, args.quantile, args.seed)
-    reports = inference.ood_test(m, S, threshold, test_data, args.n_gamma, args.seed)
-
+    nll = inference.ood_scores(m, S, test_data, args.n_gamma, args.seed)
+    flagged = nll > threshold
+    labels = test_data.labels()
     rows = [
-        [r.index, "" if r.label is None else r.label, r.nll, r.threshold, int(r.flagged)]
-        for r in reports
+        [j, "" if lab is None else lab, float(score), threshold, int(flag)]
+        for j, (lab, score, flag) in enumerate(zip(labels, nll, flagged))
     ]
     write_text_atomic(args.out, _csv(rows, ["index", "label", "nll", "threshold", "flagged"]))
 
-    flagged = np.array([r.flagged for r in reports])
-    print(f"threshold={threshold:.6g} flag_rate={flagged.mean():.4f} ({flagged.sum()}/{len(reports)})")
-    props = inference.class_flag_proportions(reports)
-    for lab, prop in props.items():
-        print(f"class {lab}: {prop:.4f}")
+    print(f"threshold={threshold:.6g} flag_rate={flagged.mean():.4f} ({flagged.sum()}/{flagged.size})")
+    for lab in sorted(set(labels) - {None}):
+        print(f"class {lab}: {flagged[[k == lab for k in labels]].mean():.4f}")
     return 0
 
 
@@ -383,7 +383,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _read_csv(path) -> tuple[list[str], list[list[str]]]:
+def _read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header and the (line number, cells) of each row."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(no, ln.split(",")) for no, ln in enumerate(fh.read().splitlines(), start=1) if ln.strip()]
     if len(lines) < 2:
@@ -392,7 +393,15 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
     for no, row in lines[1:]:
         if len(row) != len(header):
             raise ValidationError(f"{path}:{no}: {len(row)} fields, the header has {len(header)}")
-    return header, [row for _, row in lines[1:]]
+    return header, lines[1:]
+
+
+def _numbers(path, no: int, cells: list[str], kind=float) -> list:
+    """The cells of line ``no`` as ``kind``; a cell that is not one is refused, naming ``path:no``."""
+    try:
+        return [kind(c) for c in cells]
+    except ValueError as e:
+        raise ValidationError(f"{path}:{no}: {e}") from e
 
 
 def cmd_plot(args) -> int:
@@ -400,8 +409,9 @@ def cmd_plot(args) -> int:
     if header[:2] != ["sample_id", "time"] or len(header) < 3:
         raise ValidationError(f"{args.traj}: expected sample_id,time,value_... columns")
     series: dict[str, list[tuple[float, float]]] = {}
-    for r in rows:
-        series.setdefault(r[0], []).append((float(r[1]), float(r[2])))
+    for no, r in rows:
+        _numbers(args.traj, no, r[:1], int)
+        series.setdefault(r[0], []).append(tuple(_numbers(args.traj, no, r[1:3])))
     series_list = [(f"sample {sid}", *np.array(series[sid]).T) for sid in sorted(series, key=int)]
 
     band = None
@@ -409,7 +419,7 @@ def cmd_plot(args) -> int:
         bheader, brows = _read_csv(args.band)
         if bheader[:4] != ["time", "lower_1", "mean_1", "upper_1"]:
             raise ValidationError(f"{args.band}: expected time,lower_1,mean_1,upper_1 columns")
-        bt, bl, bm, bu = np.array([[float(c) for c in r[:4]] for r in brows]).T
+        bt, bl, bm, bu = np.array([_numbers(args.band, no, r[:4]) for no, r in brows]).T
         if np.any(bl > bu):
             raise ValidationError(f"{args.band}: lower exceeds upper")
         band = (bt, bl, bm, bu)

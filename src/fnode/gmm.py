@@ -99,12 +99,14 @@ class GMMModel:
 
 @functools.cache
 def _triu(d: int):
-    """Indices (i, j) of a d x d upper triangle and the [d, d] map of each entry to its place in it; read-only."""
+    """Indices (i, j) of a d x d upper triangle, the [d, d] map of each entry to its place in it, and the
+    weights (-1/2 on the diagonal, -1 above it) that turn x x^T's upper triangle into -x^T P x / 2; read-only."""
     i, j = np.triu_indices(d)
     fold = np.empty((d, d), dtype=np.intp)
     fold[i, j] = fold[j, i] = np.arange(i.size)
-    i.flags.writeable = j.flags.writeable = fold.flags.writeable = False
-    return i, j, fold
+    half = np.where(i == j, -0.5, -1.0)
+    i.flags.writeable = j.flags.writeable = fold.flags.writeable = half.flags.writeable = False
+    return i, j, fold, half
 
 
 def _design(X: np.ndarray, cov_type: str) -> np.ndarray:
@@ -115,7 +117,7 @@ def _design(X: np.ndarray, cov_type: str) -> np.ndarray:
     elif cov_type == "diag":
         second = Xt * Xt
     else:
-        i, j, _ = _triu(X.shape[1])
+        i, j, _, _ = _triu(X.shape[1])
         second = Xt[i] * Xt[j]
     return np.concatenate([Xt, second])
 
@@ -141,8 +143,8 @@ def _weighted_log_prob(D, weights, means, cov, cov_type: str) -> np.ndarray:
         P = np.swapaxes(Linv, -1, -2) @ Linv
         logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
         Pmu = (P @ means[..., None])[..., 0]
-        i, j, _ = _triu(d)
-        quad = P[..., i, j] * np.where(i == j, -0.5, -1.0)  # x^T P x holds each x_i x_j, i < j, twice
+        i, j, _, half = _triu(d)
+        quad = P[..., i, j] * half  # x^T P x holds each x_i x_j, i < j, twice
     const = np.log(weights) - 0.5 * (d * LOG_2PI + logdet + np.sum(means * Pmu, axis=-1))
     if cov_type == "tied":
         out = (Pmu.reshape(R * K, d) @ D[:d]).reshape(R, K, -1)
@@ -218,7 +220,7 @@ def _m_step(D: np.ndarray, gram: np.ndarray, resp: np.ndarray, mass: np.ndarray,
     elif cov_type == "diag":
         cov = np.maximum(second - means * means, COV_FLOOR)
     else:
-        i, j, fold = _triu(d)
+        i, j, fold, _ = _triu(d)
         if cov_type == "full":
             cov = second[..., fold] - means[..., :, None] * means[..., None, :]
         else:
@@ -316,6 +318,11 @@ def select_model(
     X = _as_bank(bank)
     if len(component_range) == 0 or len(cov_types) == 0:
         raise ValueError("component_range and cov_types must be non-empty")
+    if len(set(component_range)) < len(component_range) or len(set(cov_types)) < len(cov_types):
+        raise ValueError(f"component_range {list(component_range)} and cov_types {list(cov_types)} repeat an entry")
+    unknown = sorted(set(cov_types) - set(COV_TYPES))
+    if unknown:
+        raise ValueError(f"unknown covariance types {unknown}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if min(component_range) < 1:

@@ -3,7 +3,10 @@
 Three ways to generate: draw a fresh code from the mixture, borrow the code of
 an exemplar trajectory (transfer), or rejection-sample codes within a ball
 around an exemplar's code.  On top of those sit empirical credible bands and a
-likelihood-threshold outlier test.
+likelihood-threshold outlier test.  Readouts hand back arrays: decoded draws
+are one [n, T, obs_dim] array, and the outlier test is a score per trajectory
+(:func:`ood_scores`), flagged when it lies above the threshold that
+:func:`ood_calibrate` takes from the training scores.
 
 A trajectory's latent point is one row (z0 | code).  :func:`posterior` is the
 one untaped encoder, and each readout calls it once, on every trajectory it
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +33,6 @@ from .tensorgrad import NonFiniteValue, Tensor, no_record
 
 __all__ = [
     "CredibleBand",
-    "OODReport",
     "ZeroAcceptance",
     "posterior",
     "posterior_draws",
@@ -43,9 +44,7 @@ __all__ = [
     "neighborhood_sample",
     "credible_band",
     "ood_calibrate",
-    "ood_test",
     "ood_scores",
-    "class_flag_proportions",
 ]
 
 
@@ -70,17 +69,6 @@ class CredibleBand:
         eps = 1e-12
         if np.any(self.lower > self.mean + eps) or np.any(self.mean > self.upper + eps):
             raise ValueError("band must satisfy lower <= mean <= upper")
-
-
-@dataclass
-class OODReport:
-    """Outlier decision for one trajectory: flagged iff nll > threshold."""
-
-    index: int
-    nll: float
-    threshold: float
-    flagged: bool
-    label: int | None = None
 
 
 # Rows per batched solver call: bounds the memory of a rollout for any draw count.
@@ -203,8 +191,8 @@ def sample_trajectories(
     times,
     n: int,
     seed: int = 0,
-) -> list[np.ndarray]:
-    """Decode ``n`` mixture draws from the initial state encoded off one trajectory.
+) -> np.ndarray:
+    """Decode ``n`` mixture draws from the initial state encoded off one trajectory; returns [n, T, obs_dim].
 
     If ``S`` was fit jointly over (z0 | code), each draw is a whole latent
     row and ``z0_source`` only sets the anchor time.
@@ -215,7 +203,7 @@ def sample_trajectories(
     if S.d != m.p + m.d_gamma:  # codes only: pair each with the posterior-mean z0
         z0 = posterior(m, [z0_source])[0][:, : m.p]
         latents = np.hstack([np.repeat(z0, n, axis=0), latents])
-    return list(rollout(m, latents, float(np.asarray(z0_source.times)[0]), times))
+    return rollout(m, latents, float(np.asarray(z0_source.times)[0]), times)
 
 
 def transfer_trajectory(m: FNODEModel, z0_source, exemplar, times) -> np.ndarray:
@@ -241,9 +229,10 @@ def neighborhood_sample(
 ):
     """Mixture draws within Euclidean distance ``delta`` of the exemplar's code.
 
-    Returns (accepted codes, decoded trajectories); fewer than ``n`` rows come
-    back when the acceptance region is hit rarely.  Each accepted code is
-    decoded from the exemplar's posterior-mean z0, at its first time.
+    Returns (accepted codes, their [n', T, obs_dim] decoded trajectories);
+    fewer than ``n`` rows come back when the acceptance region is hit
+    rarely.  Each accepted code is decoded from the exemplar's
+    posterior-mean z0, at its first time.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -273,7 +262,7 @@ def neighborhood_sample(
     codes = np.stack(accepted)
     times = exemplar.times if times is None else times
     latents = np.hstack([np.repeat(z0, len(codes), axis=0), codes])
-    return codes, list(rollout(m, latents, float(np.asarray(exemplar.times)[0]), times))
+    return codes, rollout(m, latents, float(np.asarray(exemplar.times)[0]), times)
 
 
 def credible_band(
@@ -359,35 +348,9 @@ def ood_calibrate(
     quantile: float = 0.95,
     seed: int = 0,
 ) -> float:
-    """Threshold = the ceil(q*N)-th order statistic of the training scores."""
+    """Threshold = the ceil(q*N)-th order statistic of the training scores; a score above it is flagged."""
     if not 0.0 < quantile <= 1.0:
         raise ValueError("quantile must lie in (0, 1]")
     scores = np.sort(ood_scores(m, S, train_data, n_gamma, seed))
     k = math.ceil(quantile * scores.size)
     return float(scores[k - 1])
-
-
-def ood_test(
-    m: FNODEModel,
-    S: gmm_mod.GMMModel,
-    threshold: float,
-    test_data,
-    n_gamma: int = 16,
-    seed: int = 0,
-) -> list[OODReport]:
-    """Score each test trajectory and flag those above the threshold."""
-    scores = ood_scores(m, S, test_data, n_gamma, seed)
-    labels = test_data.labels()
-    return [
-        OODReport(index=j, nll=float(s), threshold=threshold, flagged=bool(s > threshold), label=labels[j])
-        for j, s in enumerate(scores)
-    ]
-
-
-def class_flag_proportions(reports: Sequence[OODReport]) -> dict[int, float]:
-    """Fraction flagged per label, for reports that carry labels."""
-    by_label: dict[int, list[bool]] = {}
-    for r in reports:
-        if r.label is not None:
-            by_label.setdefault(r.label, []).append(r.flagged)
-    return {lab: float(np.mean(flags)) for lab, flags in sorted(by_label.items())}

@@ -254,7 +254,9 @@ def load_dataset(path) -> PanelDataset:
             times = np.asarray(rec["times"], dtype=np.float64)
             values = np.asarray(rec["values"], dtype=np.float64)
             label = rec.get("label")
-            traj = Trajectory(times, values, None if label is None else int(label))
+            if label is not None and type(label) is not int:  # bool is an int subclass, and not a label
+                raise ValueError(f"label {label!r} is not an integer or null")
+            traj = Trajectory(times, values, label)
         except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DatasetFormatError(f"{path}:{line_no}: bad trajectory record ({e})") from e
         if traj.obs_dim != obs_dim:

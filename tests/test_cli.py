@@ -293,6 +293,29 @@ class TestOOD:
         flags = [int(ln.split(",")[4]) for ln in lines[1:]]
         assert abs(np.mean(flags) - 0.05) <= 0.1
 
+    def test_flags_and_class_rates_follow_the_scores(self, cli_workspace, tmp_path, capsys):
+        # at the lower quartile most of the training panel is flagged, at a rate that differs by class
+        out = tmp_path / "ood.csv"
+        capsys.readouterr()
+        rc = run(
+            [
+                "ood", "--model", cli_workspace["model"],
+                "--train-data", cli_workspace["data"], "--test-data", cli_workspace["data"],
+                "--quantile", "0.25", "--out", out,
+            ]
+        )
+        printed = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        labels = np.array([int(r[1]) for r in rows])
+        nll, threshold = (np.array([float(r[k]) for r in rows]) for k in (2, 3))
+        flagged = np.array([int(r[4]) for r in rows])
+        assert 0 < flagged.sum() < flagged.size
+        np.testing.assert_array_equal(flagged, nll > threshold)
+        assert printed[0].endswith(f"flag_rate={flagged.mean():.4f} ({flagged.sum()}/{flagged.size})")
+        assert printed[1:] == [f"class {k}: {flagged[labels == k].mean():.4f}" for k in sorted(set(labels))]
+        assert len({line.split()[-1] for line in printed[1:]}) > 1
+
     def test_sampler_width_mismatch_is_one_line(self, cli_workspace, tmp_path, capsys):
         # the fixture's model has p = 3 and d_gamma = 4, so a sampler must be 4 or 7 wide
         doc = archive_file.read(cli_workspace["model"])
@@ -750,12 +773,21 @@ BAD_VALUES = {
     "config_gmm_components_empty": _bad_config("gmm_components", "3:1"),
     "config_gmm_components_over_bank": _bad_config("gmm_components", "20\nn_gamma = 1"),
     "config_gmm_cov_types_empty": _bad_config("gmm_cov_types", ""),
+    # a range's step is positive and it has at most three fields; a grid entry is fitted once
+    "config_gmm_components_negative_step": _bad_config("gmm_components", "5:1:-1"),
+    "config_gmm_components_four_fields": _bad_config("gmm_components", "1:5:2:9"),
+    "config_gmm_components_repeated": _bad_config("gmm_components", "2,2"),
+    "config_gmm_cov_types_repeated": _bad_config("gmm_cov_types", "diag,diag"),
     "config_gmm_max_iter_0": _bad_config("gmm_max_iter", "0"),
     "config_n_gamma_0": _bad_config("n_gamma", "0"),
     "dataset_values_null": ("fuzzed.jsonl:2:", _edited_file(("dataset", 1, "values", None))),
     "dataset_values_number": ("fuzzed.jsonl:2:", _edited_file(("dataset", 1, "values", 0.25))),
     "dataset_values_true": ("fuzzed.jsonl:3:", _edited_file(("dataset", 2, "values", True))),
     "dataset_label_inf": ("fuzzed.jsonl:2:", _edited_file(("dataset", 1, "label", math.inf))),
+    # a label is a JSON integer or null, never coerced into another class
+    "dataset_label_float": ("fuzzed.jsonl:2:", _edited_file(("dataset", 1, "label", 1.5))),
+    "dataset_label_true": ("fuzzed.jsonl:3:", _edited_file(("dataset", 2, "label", True))),
+    "dataset_label_string": ("fuzzed.jsonl:4:", _edited_file(("dataset", 3, "label", "7"))),
     "dataset_obs_dim_null": ("fuzzed.jsonl:1:", _edited_file(("dataset", 0, "obs_dim", None))),
     "dataset_obs_dim_list": ("fuzzed.jsonl:1:", _edited_file(("dataset", 0, "obs_dim", [1]))),
     "dataset_obs_dim_object": ("fuzzed.jsonl:1:", _edited_file(("dataset", 0, "obs_dim", {"d": 1}))),
@@ -771,6 +803,9 @@ BAD_VALUES = {
         "fuzzed.fnode", _edited_file(("archive", ("model", "specs", "f", "widths", 1), math.inf))),
     "plot_short_traj_row": ("traj.csv:3:", _edited_file(("csv", "traj", 2, "0,0.5"))),
     "plot_short_band_row": ("band.csv:2:", _edited_file(("csv", "band", 1, "0.0,0.5"))),
+    "plot_traj_time_not_a_number": ("traj.csv:3:", _edited_file(("csv", "traj", 2, "0,abc,2.0"))),
+    "plot_band_value_not_a_number": ("band.csv:2:", _edited_file(("csv", "band", 1, "0.0,0.5,abc,1.5"))),
+    "plot_sample_id_not_an_integer": ("traj.csv:3:", _edited_file(("csv", "traj", 2, "1.5,0.5,2.0"))),
 }
 
 

@@ -236,6 +236,17 @@ class TestEMFit:
         with pytest.raises(ValueError, match="every K must be >= 1"):
             select_model(X, components, ("diag",), seed=0)
 
+    @pytest.mark.parametrize("components, cov_types", [([2, 2], ("diag",)), ([1, 2], ("diag", "tied", "diag"))])
+    def test_repeated_grid_entry_rejected(self, components, cov_types, monkeypatch):
+        # refused before any fit, where it would repeat identical fits and table rows
+        monkeypatch.setattr(gmm_mod, "em_fit", None)
+        with pytest.raises(ValueError, match="repeat an entry"):
+            select_model(three_clusters(n_per=20, d=2), components, cov_types, seed=0)
+
+    def test_unknown_covariance_type_named(self):
+        with pytest.raises(ValueError, match=re.escape("unknown covariance types ['bogus']")):
+            select_model(three_clusters(n_per=20, d=2), [1], ("diag", "bogus"), seed=0)
+
 
 class TestBIC:
     def test_param_counts(self):

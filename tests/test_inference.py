@@ -10,13 +10,11 @@ from fnode.gmm import GMMModel, em_fit
 from fnode.inference import (
     CredibleBand,
     ZeroAcceptance,
-    class_flag_proportions,
     collect_gamma_samples,
     credible_band,
     neighborhood_sample,
     ood_calibrate,
     ood_scores,
-    ood_test,
     posterior,
     reconstruct,
     rollout,
@@ -104,8 +102,8 @@ class TestSampleTrajectories:
         src = data.trajectories[1]
         a = sample_trajectories(m, S, src, src.times, n=5, seed=42)
         b = sample_trajectories(m, S, src, src.times, n=5, seed=42)
-        for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa, pb)
+        assert a.shape == (5, len(src.times), m.obs_dim)
+        np.testing.assert_array_equal(a, b)
 
     def test_rejects_nonpositive_n(self, trained):
         m, data, S = trained
@@ -248,7 +246,7 @@ class TestNeighborhood:
         m, data, S = trained
         codes, paths = neighborhood_sample(m, S, data.trajectories[3], delta=1e9, n=6, seed=0)
         assert codes.shape == (6, m.d_gamma)
-        assert len(paths) == 6
+        assert paths.shape == (6, len(data.trajectories[3].times), m.obs_dim)
 
     def test_tiny_delta_raises_zero_acceptance(self, trained):
         m, data, S = trained
@@ -406,16 +404,14 @@ class TestOOD:
     def test_train_flag_rate_matches_quantile(self, trained):
         m, data, S = trained
         thr = ood_calibrate(m, S, data, n_gamma=8, quantile=0.95, seed=0)
-        reports = ood_test(m, S, thr, data, n_gamma=8, seed=0)
-        rate = np.mean([r.flagged for r in reports])
+        rate = np.mean(ood_scores(m, S, data, n_gamma=8, seed=0) > thr)
         assert abs(rate - 0.05) <= 0.05
 
     def test_flag_decision_invariant_to_monotone_rescaling(self, trained):
         m, data, S = trained
         thr = ood_calibrate(m, S, data, n_gamma=8, quantile=0.9, seed=0)
-        reports = ood_test(m, S, thr, data, n_gamma=8, seed=0)
-        for r in reports:
-            assert r.flagged == (3.0 * r.nll + 1.0 > 3.0 * thr + 1.0)
+        scores = ood_scores(m, S, data, n_gamma=8, seed=0)
+        np.testing.assert_array_equal(scores > thr, 3.0 * scores + 1.0 > 3.0 * thr + 1.0)
 
     def test_degenerate_sampler_identical_scores(self, trained):
         import copy
@@ -447,8 +443,9 @@ class TestOOD:
     def test_class_proportions(self, trained):
         m, data, S = trained
         thr = ood_calibrate(m, S, data, n_gamma=8, quantile=0.95, seed=0)
-        reports = ood_test(m, S, thr, data, n_gamma=8, seed=0)
-        props = class_flag_proportions(reports)
+        flagged = ood_scores(m, S, data, n_gamma=8, seed=0) > thr
+        labels = np.array(data.labels())
+        props = {k: flagged[labels == k].mean() for k in set(labels.tolist())}
         assert set(props) == set(range(4))
         assert all(0.0 <= v <= 1.0 for v in props.values())
 
@@ -508,7 +505,7 @@ class TestPosteriorDraws:
         m = linear_decoder_model()
         x = generate_set_a(n_per_class=1, n_classes=1, n_points=4, seed=0).trajectories[0]
         S = diag_mixture(m.p + m.d_gamma, seed=2)
-        paths = np.stack(sample_trajectories(m, S, x, x.times, n=6, seed=3))
+        paths = sample_trajectories(m, S, x, x.times, n=6, seed=3)
         z0 = gmm.sample(S, 6, seed=3)[:, : m.p]
         expected = z0 @ m.dec.params["w0"].data.T + m.dec.params["b0"].data
         np.testing.assert_allclose(paths, np.repeat(expected[:, None, :], len(x.times), axis=1), rtol=1e-12, atol=1e-14)

@@ -75,8 +75,7 @@ class TestArchive:
         src = data.trajectories[0]
         a = sample_trajectories(m, S, src, src.times, n=3, seed=9)
         b = sample_trajectories(m2, S2, src, src.times, n=3, seed=9)
-        for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(a, b)
 
     def test_save_without_gmm(self, small_trained, tmp_path):
         m, _, _, _ = small_trained
