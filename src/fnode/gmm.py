@@ -5,17 +5,22 @@ After training, per-trajectory posterior draws of the code are pooled into an [n
 components and the covariance structure chosen by BIC.  The fitted mixture is the sampler used for generation
 and the density used for likelihood-based outlier scoring.  This module knows only arrays, not the model.
 
-Each fit builds one design matrix D = [X | second moments]^T of its centred rows (|x|^2, x^2 or the upper
-triangle of x x^T, by covariance type), in which every Gaussian log-density is linear: the E-step is one
-product of per-component coefficients with D and the M-step one ``resp @ D.T``.  Tied shares one precision,
-so its E-step adds one quadratic per restart to K linear terms and its M-step needs ``resp @ X`` and X^T X.
-A fit's ``N_RESTARTS`` restarts advance in lockstep on a leading axis, so numpy's per-call costs are paid once
-per step.  EM carries raw arrays and builds one :class:`GMMModel`, for the restart it keeps.
+EM builds one design matrix D = [X | second moments]^T of the centred rows (|x|^2, x^2 or the upper triangle
+of x x^T, by covariance type), in which every Gaussian log-density is linear: the E-step is one product of
+per-component coefficients with D and the M-step one ``resp @ D.T``.  Tied shares one precision, so its
+E-step adds one quadratic per mixture to its components' linear terms and its M-step needs ``resp @ X`` and
+X^T X.  One :func:`em_fit` call fits a whole grid of component counts: every restart of every fit is one
+mixture, and the mixtures lie end to end on one flat component axis, so an EM step is one E-step, one
+posterior and one M-step for all of them.  Per-mixture maxima and sums reduce one [count, K, n] view per run
+of consecutive mixtures of K components.  A mixture leaves the batch when its own gain falls below ``tol``.  A
+grid whose components x rows exceed ``LOCKSTEP_ENTRIES`` runs in consecutive blocks of counts.  EM carries raw
+arrays and builds one :class:`GMMModel` per fit, for the restart it keeps.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,6 +44,8 @@ COV_TYPES = ("spherical", "tied", "diag", "full")
 COV_FLOOR = 1e-6
 # EM runs per fit; the one with the highest final log-likelihood is kept
 N_RESTARTS = 3
+# Components x rows that one lockstep holds, 8 MiB per [components, rows] array; a fit larger than this runs alone
+LOCKSTEP_ENTRIES = 2**20
 LOG_2PI = np.log(2.0 * np.pi)
 EXP_FLOOR = -700.0
 
@@ -122,57 +129,83 @@ def _design(X: np.ndarray, cov_type: str) -> np.ndarray:
     return np.concatenate([Xt, second])
 
 
-def _weighted_log_prob(D, weights, means, cov, cov_type: str) -> np.ndarray:
-    """log w_k + log N(x_i | mu_k, Sigma_k) as [R, K, n] for R mixtures of K components, ``means`` [R, K, d].
+def _views(a: np.ndarray, runs):
+    """[count, K, ...] views of the flat component axis of ``a``, one per run of ``runs``."""
+    c = 0
+    for K, count in runs:
+        yield a[c : c + K * count].reshape(count, K, *a.shape[1:])
+        c += K * count
 
-    With P = Sigma^-1 it is coef . D[:, i] + const, coef = [P mu | the weights of -x^T P x / 2 on the second
-    moments] and const = log w - (d log 2pi + log det Sigma + mu^T P mu) / 2; tied scores its shared quadratic
-    once per restart and broadcasts it over K.  The expanded quadratic cancels far from the origin, so rows and
-    means are centred first.  A non-PD covariance raises ``LinAlgError``.
+
+def _sizes(runs) -> np.ndarray:
+    """Components of each mixture laid out as ``runs``."""
+    return np.repeat([K for K, _ in runs], [count for _, count in runs])
+
+
+def _weighted_log_prob(D, weights, means, cov, runs, cov_type: str) -> np.ndarray:
+    """log w_c + log N(x_i | mu_c, Sigma_c) as [C, n] for the C components of mixtures laid end to end.
+
+    ``runs`` lists the mixtures as (K, count) pairs: ``count`` consecutive mixtures of K components each on
+    the flat axis of ``weights`` [C] and ``means`` [C, d].  Covariances sit on it too, but tied's [M, d, d]
+    hold one per mixture.  With P = Sigma^-1 it is coef . D[:, i] + const, coef = [P mu | the weights of
+    -x^T P x / 2 on the second moments] and const = log w - (d log 2pi + log det Sigma + mu^T P mu) / 2; tied
+    scores its shared quadratic once per mixture.  The expanded quadratic cancels far from the origin, so rows
+    and means are centred first.  A non-PD covariance raises ``LinAlgError``.
     """
-    R, K, d = means.shape
+    d = means.shape[1]
     if cov_type in ("spherical", "diag"):
-        var = cov[..., None] if cov_type == "spherical" else cov
+        var = cov[:, None] if cov_type == "spherical" else cov
         Pmu = means / var
         logdet = d * np.log(cov) if cov_type == "spherical" else np.sum(np.log(cov), axis=-1)
         quad = -0.5 / var
     else:
-        # Sigma = L L^T, so P = L^-T L^-1; tied [R, d, d] gains a unit component axis that broadcasts over K
-        L = np.linalg.cholesky(cov if cov_type == "full" else cov[:, None])
+        # Sigma = L L^T, so P = L^-T L^-1
+        L = np.linalg.cholesky(cov)
         Linv = np.linalg.inv(L)
         P = np.swapaxes(Linv, -1, -2) @ Linv
         logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
-        Pmu = (P @ means[..., None])[..., 0]
         i, j, _, half = _triu(d)
-        quad = P[..., i, j] * half  # x^T P x holds each x_i x_j, i < j, twice
+        quad = P[:, i, j] * half  # x^T P x holds each x_i x_j, i < j, twice
+        if cov_type == "tied":
+            sizes = _sizes(runs)
+            P, logdet = np.repeat(P, sizes, axis=0), np.repeat(logdet, sizes)
+        Pmu = (P @ means[..., None])[..., 0]
     const = np.log(weights) - 0.5 * (d * LOG_2PI + logdet + np.sum(means * Pmu, axis=-1))
     if cov_type == "tied":
-        out = (Pmu.reshape(R * K, d) @ D[:d]).reshape(R, K, -1)
-        out += (quad[:, 0] @ D[d:])[:, None]
+        out = Pmu @ D[:d]
+        out += np.repeat(quad @ D[d:], sizes, axis=0)
     else:
-        out = (np.concatenate([Pmu, quad], axis=-1).reshape(R * K, -1) @ D).reshape(R, K, -1)
-    out += const[..., None]
+        out = np.concatenate([Pmu, quad], axis=-1) @ D
+    out += const[:, None]
     return out
 
 
-def _posterior(weighted: np.ndarray):
-    """(log-normalisers [R, n], responsibilities [R, K, n]) of weighted log-densities [R, K, n]."""
-    hi = np.max(weighted, axis=1)
-    resp = weighted - hi[:, None, :]
+def _posterior(weighted: np.ndarray, runs):
+    """(log-normalisers [M, n], responsibilities [C, n]) of weighted log-densities [C, n] of mixtures in ``runs``;
+    the responsibilities overwrite ``weighted``.
+
+    Per-mixture maxima and sums reduce a [count, K, n] view per run: ``np.add.reduceat`` over the flat axis
+    costs several times more at these sizes and sums in another order.
+    """
+    sizes = _sizes(runs)
+    hi = np.concatenate([w.max(axis=1) for w in _views(weighted, runs)])
+    resp = weighted
+    resp -= np.repeat(hi, sizes, axis=0)
     # zero terms below e^-700: they cannot move a sum that holds exp(0), and subnormal ones slow exp and EM's products
     np.putmask(resp, resp < EXP_FLOOR, -np.inf)
     np.exp(resp, out=resp)
-    total = np.sum(resp, axis=1)
-    resp /= total[:, None, :]
+    total = np.concatenate([r.sum(axis=1) for r in _views(resp, runs)])
+    resp /= np.repeat(total, sizes, axis=0)
     return hi + np.log(total), resp
 
 
 def score_rows(model: GMMModel, X: np.ndarray) -> np.ndarray:
     """Mixture log-density of each row of ``X``, scored on rows and means centred on the mean of the means."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    centre = model.means.mean(axis=0)
-    mixture = (model.weights[None], (model.means - centre)[None], model.covariances[None], model.cov_type)
-    return _posterior(_weighted_log_prob(_design(X - centre, model.cov_type), *mixture))[0][0]
+    centre, one = model.means.mean(axis=0), ((model.n_components, 1),)
+    cov = model.covariances[None] if model.cov_type == "tied" else model.covariances
+    D = _design(X - centre, model.cov_type)
+    return _posterior(_weighted_log_prob(D, model.weights, model.means - centre, cov, one, model.cov_type), one)[0][0]
 
 
 # -- EM ------------------------------------------------------------------------------
@@ -193,39 +226,41 @@ def _kmeanspp_centers(X: np.ndarray, K: int, rng: np.random.Generator) -> np.nda
     return centers
 
 
-def _init_covariances(X: np.ndarray, K: int, cov_type: str) -> np.ndarray:
+def _init_covariances(X: np.ndarray, count: int, cov_type: str) -> np.ndarray:
+    """``count`` copies of the bank's covariance under ``cov_type``: one per component, or per mixture if tied."""
     d = X.shape[1]
     var = np.maximum(X.var(axis=0), COV_FLOOR)
     if cov_type == "spherical":
-        return np.full(K, var.mean())
+        return np.full(count, var.mean())
     if cov_type == "diag":
-        return np.tile(var, (K, 1))
-    base = np.cov(X.T).reshape(d, d) + COV_FLOOR * np.eye(d)
-    return base if cov_type == "tied" else np.tile(base, (K, 1, 1))
+        return np.tile(var, (count, 1))
+    return np.tile(np.cov(X.T).reshape(d, d) + COV_FLOOR * np.eye(d), (count, 1, 1))
 
 
-def _m_step(D: np.ndarray, gram: np.ndarray, resp: np.ndarray, mass: np.ndarray, cov_type: str):
-    """Weights, means and floored covariances of R mixtures from [R, K, n] responsibilities and [R, K] masses.
+def _m_step(D: np.ndarray, gram: np.ndarray, resp: np.ndarray, mass: np.ndarray, runs, cov_type: str):
+    """Weights, means and floored covariances of the mixtures in ``runs`` from [C, n] responsibilities and [C] masses.
 
-    ``gram`` is the fit's X^T X.  Tied needs only ``resp @ X``: Sigma = (X^T X - sum_k n_k mu_k mu_k^T) / n.
-    Tied and full covariances are folded from one triangle, so they are exactly symmetric.
+    ``gram`` is the bank's X^T X.  Tied needs only ``resp @ X``: Sigma = (X^T X - sum_k n_k mu_k mu_k^T) / n,
+    the sum over each mixture's components.  Tied and full covariances are folded from one triangle, so they
+    are exactly symmetric.
     """
-    (R, K, n), d = resp.shape, gram.shape[0]
+    (C, n), d = resp.shape, gram.shape[0]
     nk = mass + 10.0 * np.finfo(np.float64).eps
     rows = D[:d] if cov_type == "tied" else D
-    moments = (resp.reshape(R * K, n) @ rows.T).reshape(R, K, -1) / nk[..., None]
-    means, second = moments[..., :d], moments[..., d:]
+    moments = (resp @ rows.T) / nk[:, None]
+    means, second = moments[:, :d], moments[:, d:]
     if cov_type == "spherical":
-        cov = np.maximum((second[..., 0] - np.sum(means * means, axis=-1)) / d, COV_FLOOR)
+        cov = np.maximum((second[:, 0] - np.sum(means * means, axis=-1)) / d, COV_FLOOR)
     elif cov_type == "diag":
         cov = np.maximum(second - means * means, COV_FLOOR)
     else:
         i, j, fold, _ = _triu(d)
         if cov_type == "full":
-            cov = second[..., fold] - means[..., :, None] * means[..., None, :]
+            cov = second[:, fold] - means[:, :, None] * means[:, None, :]
         else:
-            cov = ((gram - (np.swapaxes(means, 1, 2) * nk[:, None]) @ means) / n)[..., i, j][..., fold]
-        cov[..., np.arange(d), np.arange(d)] += COV_FLOOR
+            spread = [(np.swapaxes(mu, 1, 2) * w[:, None]) @ mu for mu, w in zip(_views(means, runs), _views(nk, runs))]
+            cov = ((gram - np.concatenate(spread)) / n)[:, i, j][:, fold]
+        cov[:, np.arange(d), np.arange(d)] += COV_FLOOR
     return nk / n, means, cov
 
 
@@ -236,47 +271,123 @@ def _as_bank(bank) -> np.ndarray:
     return X
 
 
-def em_fit(bank: np.ndarray, K: int, cov_type: str = "diag", seed: int = 0, max_iter: int = 200, tol: float = 1e-6):
+def _em_step(D, gram, weights, means, cov, runs, cov_type: str):
+    """One EM step of the mixtures in ``runs``: their total log-likelihoods [M] before it, then their new
+    weights, means and covariances.  A component without mass takes its mixture's worst-fit row."""
+    norm, resp = _posterior(_weighted_log_prob(D, weights, means, cov, runs, cov_type), runs)
+    mass = resp.sum(axis=1)
+    if np.any(mass < 1e-10):
+        sizes = _sizes(runs)
+        for a, start in enumerate(np.cumsum(sizes) - sizes):
+            seg = slice(start, start + sizes[a])
+            empties = np.flatnonzero(mass[seg] < 1e-10)
+            for k, i in zip(empties, np.argsort(norm[a])[: empties.size]):
+                log.info("re-seeding empty component %d from worst-fit row %d", k, i)
+                resp[seg, i] = 0.0
+                resp[start + k, i] = 1.0
+            mass[seg] = resp[seg].sum(axis=1)
+    return norm.sum(axis=1), *_m_step(D, gram, resp, mass, runs, cov_type)
+
+
+def _lockstep(X, D, gram, shift, counts, seeds, cov_type: str, max_iter: int, tol: float) -> list:
+    """EM over every restart of the fits (K, seed) of centred rows ``X`` in lockstep; per fit, its kept
+    restart's (model, history) shifted back by ``shift``, or the error that failed the fit."""
+    R, tied = N_RESTARTS, cov_type == "tied"
+    sizes = np.repeat(counts, R)  # components of each mixture, fit-major; fit f owns mixtures f*R .. f*R+R-1
+    centers = []
+    for K, seed in zip(counts, seeds):
+        rng = np.random.default_rng(seed)
+        centers += [_kmeanspp_centers(X, K, rng) for _ in range(R)]
+    weights, means = np.repeat(1.0 / sizes, sizes), np.concatenate(centers)
+    cov = _init_covariances(X, len(sizes) if tied else sizes.sum(), cov_type)
+    live, histories, final, outcome, runs = np.arange(len(sizes)), [[] for _ in sizes], {}, {}, None
+    while live.size:
+        runs = runs or tuple((K, len(list(g))) for K, g in itertools.groupby(sizes.tolist()))
+        try:
+            logliks, *params = _em_step(D, gram, weights, means, cov, runs, cov_type)
+        except np.linalg.LinAlgError:
+            # find the covariances that lost definiteness; each fails its fit, and the rest take the step again
+            owner = live if tied else np.repeat(live, sizes)
+            for c, matrix in enumerate(cov):
+                try:
+                    np.linalg.cholesky(matrix)
+                except np.linalg.LinAlgError as e:
+                    outcome.setdefault(owner[c] // R, e)
+            keep = np.array([m // R not in outcome for m in live])
+            if keep.all():
+                raise
+        else:
+            weights, means, cov = params
+            for m, loglik in zip(live, logliks):
+                histories[m].append(float(loglik))
+            # a mixture leaves after the M-step of the iteration whose gain falls below tol
+            done = [len(h) == max_iter or len(h) > 1 and h[-1] - h[-2] < tol for h in (histories[m] for m in live)]
+            keep = ~np.array(done)
+            starts = np.cumsum(sizes) - sizes
+            for a in np.flatnonzero(done):
+                seg = slice(starts[a], starts[a] + sizes[a])
+                final[live[a]] = weights[seg].copy(), means[seg].copy(), (cov[a] if tied else cov[seg]).copy()
+        if not keep.all():
+            comp = np.repeat(keep, sizes)
+            weights, means, cov = weights[comp], means[comp], cov[keep if tied else comp]
+            sizes, live, runs = sizes[keep], live[keep], None
+    for f in range(len(counts)):
+        if f in outcome:
+            continue
+        restarts = range(f * R, f * R + R)
+        best = max(histories[m][-1] for m in restarts)
+        m = next(m for m in restarts if best - histories[m][-1] <= 1e-9 * abs(best))
+        weights, means, cov = final[m]
+        try:
+            outcome[f] = GMMModel(weights, means + shift, cov, cov_type), histories[m]
+        except (ValueError, np.linalg.LinAlgError) as e:
+            outcome[f] = e
+    return [outcome[f] for f in range(len(counts))]
+
+
+def em_fit(bank: np.ndarray, K, cov_type: str = "diag", seed=0, max_iter: int = 200, tol: float = 1e-6):
     """EM fit of an [n, d] bank from ``N_RESTARTS`` k-means++ seedings; returns (model, loglik_history).
 
     The restarts advance in lockstep; one leaves after the M-step of the iteration whose gain falls below
     ``tol``, and its history, the total log-likelihood before each M-step, is nondecreasing.  Final
     log-likelihoods within 1e-9 of the best's magnitude tie, as BICs do in :func:`select_model`, and the
     first restart among them is kept, so rounding does not choose among restarts at one optimum.
+
+    Given a sequence of counts ``K`` and one seed per count, it fits the whole grid in lockstep and returns one
+    entry per count: (model, history) as above, or the ``ValueError`` or ``LinAlgError`` that failed that fit
+    alone (fewer distinct rows than K, a covariance that lost definiteness, a model that fails validation).
+    Each fit seeds from its own generator and follows its solo path up to the rounding of products taken over
+    more rows; the fits share each step's calls in blocks of at most ``LOCKSTEP_ENTRIES`` components x rows.
+    An integer ``K`` is the grid of one count, whose failure is raised.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     X = _as_bank(bank)
-    if K < 1:
+    grid = np.ndim(K) > 0
+    counts, seeds = list(K) if grid else [K], list(seed) if np.ndim(seed) else [seed]
+    if not counts or len(seeds) != len(counts):
+        raise ValueError(f"need one seed per K, got {len(seeds)} seeds for the counts {counts}")
+    if min(counts) < 1:
         raise ValueError("K must be >= 1")
     rows = np.ascontiguousarray(X + 0.0)  # one byte string per row; -0.0 + 0.0 is 0.0, so the zeros are one
-    if np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))).size < K:
-        raise ValueError(f"need at least K={K} distinct rows, bank has fewer")
+    distinct = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))).size
+    results = [ValueError(f"need at least K={k} distinct rows, bank has fewer") for k in counts]
     # Every restart fits the same centred rows, so the M-step's expanded second moments do not cancel.
     shift = X.mean(axis=0)
     X = X - shift
-    D, gram, rng, R = _design(X, cov_type), X.T @ X, np.random.default_rng(seed), N_RESTARTS
-    weights, means = np.full((R, K), 1.0 / K), np.stack([_kmeanspp_centers(X, K, rng) for _ in range(R)])
-    cov, histories, live = np.stack([_init_covariances(X, K, cov_type)] * R), [[] for _ in range(R)], np.arange(R)
-    for _ in range(max_iter):
-        norm, resp = _posterior(_weighted_log_prob(D, weights[live], means[live], cov[live], cov_type))
-        mass = resp.sum(axis=2)
-        for a in np.flatnonzero(np.any(mass < 1e-10, axis=1)):
-            empties = np.flatnonzero(mass[a] < 1e-10)
-            for k, i in zip(empties, np.argsort(norm[a])[: empties.size]):
-                log.info("re-seeding empty component %d from worst-fit row %d", k, i)
-                resp[a, :, i] = 0.0
-                resp[a, k, i] = 1.0
-            mass[a] = resp[a].sum(axis=1)
-        weights[live], means[live], cov[live] = _m_step(D, gram, resp, mass, cov_type)
-        for r, loglik in zip(live, norm.sum(axis=1)):
-            histories[r].append(float(loglik))
-        live = np.array([r for r in live if not (len(histories[r]) > 1 and histories[r][-1] - histories[r][-2] < tol)])
-        if not live.size:
-            break
-    best = max(history[-1] for history in histories)
-    r = next(r for r, history in enumerate(histories) if best - history[-1] <= 1e-9 * abs(best))
-    return GMMModel(weights[r], means[r] + shift, cov[r], cov_type), histories[r]
+    D, gram = _design(X, cov_type), X.T @ X
+    todo = [f for f, k in enumerate(counts) if k <= distinct]
+    while todo:
+        # the longest run of fits that holds at most LOCKSTEP_ENTRIES components x rows, and at least one fit
+        entries = np.cumsum([N_RESTARTS * counts[f] * X.shape[0] for f in todo])
+        take = max(1, int(np.searchsorted(entries, LOCKSTEP_ENTRIES, side="right")))
+        block, todo = todo[:take], todo[take:]
+        fits = [counts[f] for f in block], [seeds[f] for f in block]
+        for f, result in zip(block, _lockstep(X, D, gram, shift, *fits, cov_type, max_iter, tol)):
+            results[f] = result
+    if not grid and isinstance(results[0], Exception):
+        raise results[0]
+    return results if grid else results[0]
 
 
 def _bic(loglik: float, n_params: int, n: int) -> float:
@@ -310,10 +421,15 @@ def select_model(
 ):
     """Fit every (K, cov_type) pair and keep the lowest-BIC model.
 
-    BICs within 1e-9 of the best's magnitude tie; ties break toward fewer
-    parameters, then the canonical covariance order (spherical, tied, diag,
-    full).  Returns (best model, selection table).  A row is ``converged``
-    when its kept restart's last EM step gained less than ``tol``.
+    Each covariance type's whole K grid is one :func:`em_fit` call, looked up
+    on the module with the type as its third argument, in which all its fits
+    advance in lockstep.  A fit that fails leaves a failure line, and the
+    other fits stand.  The table lists the fits K-major, in ``cov_types``
+    order within each K.  BICs within 1e-9 of the best's magnitude tie; ties
+    break toward fewer parameters, then the canonical covariance order
+    (spherical, tied, diag, full).  Returns (best model, selection table).  A
+    row is ``converged`` when its kept restart's last EM step gained less
+    than ``tol``.
     """
     X = _as_bank(bank)
     if len(component_range) == 0 or len(cov_types) == 0:
@@ -330,18 +446,22 @@ def select_model(
     if max(component_range) > X.shape[0]:
         raise ValueError("every K must be <= number of bank rows")
 
+    # One lockstep per covariance type over the whole grid; each child seed depends only on (seed, K, cov_type).
+    counts = list(component_range)
+    grids = {
+        ct: em_fit(X, counts, ct, seed=[seed * 1000003 + K * 101 + COV_TYPES.index(ct) for K in counts],
+                   max_iter=max_iter, tol=tol)
+        for ct in cov_types
+    }
     table: list[SelectionRow] = []
     fits: dict[tuple[int, str], GMMModel] = {}
     failures: list[str] = []
-    for K in component_range:
+    for f, K in enumerate(counts):
         for ct in cov_types:
-            # Child seed depends only on (seed, K, cov_type), not loop order.
-            child_seed = seed * 1000003 + K * 101 + COV_TYPES.index(ct)
-            try:
-                model, history = em_fit(X, K, ct, seed=child_seed, max_iter=max_iter, tol=tol)
-            except (ValueError, np.linalg.LinAlgError) as e:
-                failures.append(f"K={K} {ct}: {e}")
+            if isinstance(grids[ct][f], Exception):
+                failures.append(f"K={K} {ct}: {grids[ct][f]}")
                 continue
+            model, history = grids[ct][f]
             loglik, params = float(score_rows(model, X).sum()), _n_params(model)
             converged = len(history) > 1 and history[-1] - history[-2] < tol
             bic_value = _bic(loglik, params, X.shape[0])

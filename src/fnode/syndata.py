@@ -242,10 +242,9 @@ def load_dataset(path) -> PanelDataset:
     header = parse(1, raw_lines[0])
     if header.get("record") != "header" or "obs_dim" not in header:
         raise DatasetFormatError(f"{path}:1: missing header record")
-    try:
-        obs_dim = int(header["obs_dim"])
-    except (TypeError, ValueError, OverflowError) as e:
-        raise DatasetFormatError(f"{path}:1: obs_dim {header['obs_dim']!r} is not an integer") from e
+    obs_dim = header["obs_dim"]
+    if type(obs_dim) is not int:  # a JSON integer: not 1.5, "1" or true, which int() would take as 1
+        raise DatasetFormatError(f"{path}:1: obs_dim {obs_dim!r} is not an integer")
 
     trajs = []
     for line_no, text in enumerate(raw_lines[1:], start=2):

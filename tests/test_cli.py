@@ -792,6 +792,10 @@ BAD_VALUES = {
     "dataset_obs_dim_list": ("fuzzed.jsonl:1:", _edited_file(("dataset", 0, "obs_dim", [1]))),
     "dataset_obs_dim_object": ("fuzzed.jsonl:1:", _edited_file(("dataset", 0, "obs_dim", {"d": 1}))),
     "dataset_obs_dim_inf": ("fuzzed.jsonl:1:", _edited_file(("dataset", 0, "obs_dim", math.inf))),
+    # obs_dim is a JSON integer, as a label is: int() would read each of these as 1
+    "dataset_obs_dim_float": ("fuzzed.jsonl:1:", _edited_file(("dataset", 0, "obs_dim", 1.5))),
+    "dataset_obs_dim_true": ("fuzzed.jsonl:1:", _edited_file(("dataset", 0, "obs_dim", True))),
+    "dataset_obs_dim_string": ("fuzzed.jsonl:1:", _edited_file(("dataset", 0, "obs_dim", "1"))),
     "archive_obs_dim_inf": ("fuzzed.fnode", _edited_file(("archive", ("model", "obs_dim"), math.inf))),
     # the workspace model has p 3, d_gamma 4, obs_dim 1 and n_points 5
     "archive_p_edited": ("fuzzed.fnode", _edited_file(("archive", ("model", "p"), 2))),

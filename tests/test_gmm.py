@@ -31,6 +31,15 @@ def three_clusters(n_per=120, d=1, seed=0, centers=(-5.0, 0.0, 5.0), sigma=0.3):
     return np.concatenate(rows)
 
 
+def _assert_same_fit(got, want, rtol=1e-12):
+    """Two em_fit results: the same n_iter, and history and model arrays within ``rtol``."""
+    (model, history), (want_model, want_history) = got, want
+    assert len(history) == len(want_history) and model.cov_type == want_model.cov_type
+    np.testing.assert_allclose(history, want_history, rtol=rtol, atol=0)
+    for key in ("weights", "means", "covariances"):
+        np.testing.assert_allclose(getattr(model, key), getattr(want_model, key), rtol=rtol, atol=0)
+
+
 class TestGMMModel:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -145,9 +154,9 @@ class TestEMFit:
         draw, e_step = gmm_mod._kmeanspp_centers, gmm_mod._weighted_log_prob
         monkeypatch.setattr(gmm_mod, "_kmeanspp_centers", lambda *args: seeds.append(draw(*args)) or seeds[-1])
 
-        def counted(D, weights, *rest):
-            live.append(len(weights))
-            return e_step(D, weights, *rest)
+        def counted(D, weights, means, cov, runs, ct):
+            live.append(sum(count for _, count in runs))
+            return e_step(D, weights, means, cov, runs, ct)
 
         monkeypatch.setattr(gmm_mod, "_weighted_log_prob", counted)
         _, history = em_fit(X, K=3, cov_type=cov_type, seed=seed)
@@ -161,6 +170,98 @@ class TestEMFit:
         assert len(live) == max(alone) < sum(alone) and len(history) in alone
         # restarts leave the batch and never return: step t scores every restart longer than t
         assert live == [sum(n > t for n in alone) for t in range(max(alone))]
+
+    @pytest.mark.parametrize("cov_type", COV_TYPES)
+    def test_grid_cells_equal_their_solo_fits(self, cov_type):
+        # One lockstep over K 1-5 ends each fit where em_fit on that K and seed alone ends it.
+        X, seeds = three_clusters(n_per=60, d=2, seed=4), [7 * K + 1 for K in range(1, 6)]
+        grid = em_fit(X, range(1, 6), cov_type, seed=seeds, max_iter=60)
+        assert len(grid) == 5
+        for K, s, cell in zip(range(1, 6), seeds, grid):
+            _assert_same_fit(cell, em_fit(X, K, cov_type, seed=s, max_iter=60))
+
+    @pytest.mark.parametrize("cov_type", ["tied", "diag"])
+    def test_grid_runs_in_blocks_under_the_entry_cap(self, cov_type, monkeypatch):
+        # 3 restarts x K components x 180 rows: K 1 and 2 fill 1,620 of 2,000 entries, K 3 starts a new
+        # block, and K 4 alone (2,160) is over the cap, so it runs by itself.  Blocks change no fit.
+        X, seeds = three_clusters(n_per=60, d=2, seed=4), [5, 6, 7, 8]
+        whole = em_fit(X, [1, 2, 3, 4], cov_type, seed=seeds, max_iter=60)
+        blocks, lockstep = [], gmm_mod._lockstep
+
+        def recorded(X, D, gram, shift, counts, *rest):
+            blocks.append(list(counts))
+            return lockstep(X, D, gram, shift, counts, *rest)
+
+        monkeypatch.setattr(gmm_mod, "_lockstep", recorded)
+        monkeypatch.setattr(gmm_mod, "LOCKSTEP_ENTRIES", 2000)
+        split = em_fit(X, [1, 2, 3, 4], cov_type, seed=seeds, max_iter=60)
+        assert blocks == [[1, 2], [3], [4]]
+        for got, want in zip(split, whole):
+            _assert_same_fit(got, want)
+
+    @pytest.mark.parametrize("cov_type", ["spherical", "full"])
+    def test_grid_shares_each_e_step(self, cov_type, monkeypatch):
+        # A grid call makes as many E-steps as its longest mixture has iterations, and each step scores
+        # only the mixtures still running: every restart of every K runs as long as it does alone.
+        X, counts = three_clusters(n_per=60, d=2, seed=4), [1, 2, 3, 4]
+        seeds, live = [], []
+        draw, e_step = gmm_mod._kmeanspp_centers, gmm_mod._weighted_log_prob
+        monkeypatch.setattr(gmm_mod, "_kmeanspp_centers", lambda *args: seeds.append(draw(*args)) or seeds[-1])
+
+        def counted(D, weights, means, cov, runs, ct):
+            live.append(sum(count for _, count in runs))
+            return e_step(D, weights, means, cov, runs, ct)
+
+        monkeypatch.setattr(gmm_mod, "_weighted_log_prob", counted)
+        em_fit(X, counts, cov_type, seed=[3, 1, 4, 1], max_iter=80)
+        monkeypatch.setattr(gmm_mod, "_weighted_log_prob", e_step)
+        monkeypatch.setattr(gmm_mod, "N_RESTARTS", 1)
+        alone = []
+        for centers in seeds:
+            monkeypatch.setattr(gmm_mod, "_kmeanspp_centers", lambda *args, c=centers: c)
+            alone.append(len(em_fit(X, len(centers), cov_type, seed=0, max_iter=80)[1]))
+        assert len(seeds) == 3 * len(counts) and len(set(alone)) > 2
+        assert len(live) == max(alone) < sum(alone)
+        assert live == [sum(n > t for n in alone) for t in range(max(alone))] and live[-1] < live[0]
+
+    @pytest.mark.parametrize("cov_type", COV_TYPES)
+    def test_k_above_distinct_rows_fails_its_cell_alone(self, cov_type):
+        X = np.concatenate([three_clusters(n_per=10, d=2, seed=1)] * 2)  # 30 distinct rows, each twice
+        grid = em_fit(X, [2, 31, 3], cov_type, seed=[5, 6, 7], max_iter=40)
+        assert isinstance(grid[1], ValueError) and "K=31 distinct rows" in str(grid[1])
+        for K, s, cell in ((2, 5, grid[0]), (3, 7, grid[2])):
+            _assert_same_fit(cell, em_fit(X, K, cov_type, seed=s, max_iter=40))
+        with pytest.raises(ValueError, match="K=31 distinct rows"):
+            em_fit(X, 31, cov_type, seed=6)
+
+    @pytest.mark.parametrize("cov_type", ["tied", "full"])
+    def test_covariance_losing_definiteness_fails_its_cell_alone(self, cov_type, monkeypatch):
+        # The third M-step turns the first restart of K = 2 non-PD; the next E-step's Cholesky fails it,
+        # and K = 2 fails while K = 1 and K = 3 end as their solo fits do.
+        X, seeds = three_clusters(n_per=60, d=2, seed=4), [11, 12, 13]
+        solo = {K: em_fit(X, K, cov_type, seed=s, max_iter=40) for K, s in zip((1, 3), (11, 13))}
+        calls, m_step = [], gmm_mod._m_step
+
+        def poison(D, gram, resp, mass, runs, ct):
+            weights, means, cov = m_step(D, gram, resp, mass, runs, ct)
+            calls.append(1)
+            if len(calls) == 3:
+                mixture = component = 0
+                for K, count in runs:
+                    if K == 2:
+                        cov[mixture if ct == "tied" else component] = -np.eye(2)
+                        break
+                    mixture, component = mixture + count, component + K * count
+            return weights, means, cov
+
+        monkeypatch.setattr(gmm_mod, "_m_step", poison)
+        grid = em_fit(X, [1, 2, 3], cov_type, seed=seeds, max_iter=40)
+        assert isinstance(grid[1], np.linalg.LinAlgError)
+        _assert_same_fit(grid[0], solo[1])
+        _assert_same_fit(grid[2], solo[3])
+        calls.clear()
+        _, table = select_model(X, [1, 2, 3], (cov_type,), seed=0, max_iter=40)
+        assert [r.K for r in table] == [1, 3]
 
     @pytest.mark.parametrize("cov_type", ["tied", "full"])
     def test_covariances_exactly_symmetric(self, cov_type):
@@ -182,10 +283,14 @@ class TestEMFit:
         def poison_losers(*args):
             weights, means, cov = m_step(*args)
             calls.append(1)
-            for r in range(len(weights) if len(calls) == max_iter else 0):
-                if not np.array_equal(means[r] + X.mean(axis=0), clean.means):
-                    cov[r] = np.nan
-                    poisoned.append((weights[r], means[r], cov[r]))
+            # the restarts lie end to end, three components each; tied holds one covariance per restart
+            per_restart = [a.reshape(-1, 3, *a.shape[1:]) for a in (weights, means, cov)]
+            if cov_type == "tied":
+                per_restart[2] = cov[:, None]
+            for w, mu, c in zip(*per_restart) if len(calls) == max_iter else ():
+                if not np.array_equal(mu + X.mean(axis=0), clean.means):
+                    c[...] = np.nan
+                    poisoned.append((w, mu, c[0] if cov_type == "tied" else c))
             return weights, means, cov
 
         monkeypatch.setattr(gmm_mod, "_m_step", poison_losers)
@@ -316,13 +421,28 @@ class TestSelectModel:
         assert best.cov_type == "tied", [(r.cov_type, r.bic) for r in table]
 
     def test_each_cell_fitted_once_through_the_module(self, monkeypatch):
-        # select_model looks em_fit up on the module, with the covariance type as its third
-        # positional argument, so a probe rebinding gmm.em_fit sees every fit
+        # select_model looks em_fit up on the module once per covariance type, with the type as its third
+        # positional argument and that type's whole K grid, so a probe rebinding gmm.em_fit sees every fit
         X = three_clusters(n_per=40)
-        cells, fit = [], gmm_mod.em_fit
-        monkeypatch.setattr(gmm_mod, "em_fit", lambda X, K, ct, **kw: cells.append((K, ct)) or fit(X, K, ct, **kw))
+        calls, fit = [], gmm_mod.em_fit
+        probe = lambda X, Ks, ct, **kw: calls.append((list(Ks), ct)) or fit(X, Ks, ct, **kw)  # noqa: E731
+        monkeypatch.setattr(gmm_mod, "em_fit", probe)
         _, table = select_model(X, [1, 2, 3], ("spherical", "diag"), seed=0)
-        assert cells == [(r.K, r.cov_type) for r in table] and len(cells) == 6
+        assert [ct for _, ct in calls] == ["spherical", "diag"]
+        cells = sorted((K, ct) for Ks, ct in calls for K in Ks)
+        assert cells == sorted((r.K, r.cov_type) for r in table) and len(cells) == 6
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_planted_diag_mixture_selected(self, seed):
+        # Three far-apart components with unequal per-dimension variances, 500 rows in 16 dimensions:
+        # BIC over K 1-8 and every covariance type must find exactly the planted (3, diag).
+        rng = np.random.default_rng(seed)
+        means, variances = rng.normal(0.0, 4.0, (3, 16)), rng.uniform(0.2, 2.0, (3, 16))
+        comp = rng.choice(3, size=500, p=[0.25, 0.35, 0.4])
+        X = means[comp] + np.sqrt(variances[comp]) * rng.standard_normal((500, 16))
+        best, table = select_model(X, range(1, 9), seed=seed, max_iter=50)
+        assert (best.n_components, best.cov_type) == (3, "diag")
+        assert [(r.K, r.cov_type) for r in table if r.selected] == [(3, "diag")] and len(table) == 32
 
     def test_each_fit_scored_once(self, monkeypatch):
         X = three_clusters(n_per=40)
@@ -430,21 +550,26 @@ class TestScoreRowsOracle:
 
 
 class TestStackedEStep:
-    # Two mixtures scored in one call, as EM scores its restarts, each against the oracle on its own.
-    # Rows and means are centred on one point first, as EM centres them.
+    # Mixtures of 4, 4 and 2 components laid end to end and scored in one call, as EM scores a grid,
+    # each against the oracle on its own.  Rows and means are centred on one point first, as EM centres them.
     @pytest.mark.parametrize("offset, rtol", [(0.0, 1e-10), (1e4, 1e-9)])
     @pytest.mark.parametrize("cov_type", COV_TYPES)
     @pytest.mark.parametrize("d", [1, 3, 16])
     def test_each_mixture_matches_per_component_cholesky_solve(self, cov_type, d, offset, rtol):
-        pair = [_random_mixture(cov_type, 4, d, seed=20 * d + r, offset=offset) for r in range(2)]
-        models, X = [m for m, _, _ in pair], np.concatenate([rows for _, _, rows in pair])
+        trio = [_random_mixture(cov_type, K, d, seed=20 * d + r, offset=offset) for r, K in enumerate((4, 4, 2))]
+        models, X = [m for m, _, _ in trio], np.concatenate([rows for _, _, rows in trio])
         centre = np.concatenate([m.means for m in models]).mean(axis=0)
-        weights, means, cov = (np.stack([getattr(m, a) for m in models]) for a in ("weights", "means", "covariances"))
-        D = gmm_mod._design(X - centre, cov_type)
-        weighted = gmm_mod._weighted_log_prob(D, weights, means - centre, cov, cov_type)
-        norm, resp = gmm_mod._posterior(weighted)
-        assert weighted.shape == resp.shape == (2, 4, X.shape[0])
-        for r, (model, full, _) in enumerate(pair):
+        fields = ("weights", "means", "covariances")
+        weights, means, cov = (np.concatenate([getattr(m, k) for m in models]) for k in fields)
+        if cov_type == "tied":  # one covariance per mixture
+            cov = np.stack([m.covariances for m in models])
+        D, runs = gmm_mod._design(X - centre, cov_type), ((4, 2), (2, 1))
+        weighted = gmm_mod._weighted_log_prob(D, weights, means - centre, cov, runs, cov_type)
+        assert weighted.shape == (10, X.shape[0])
+        norm, resp = gmm_mod._posterior(weighted, runs)
+        assert resp.shape == (10, X.shape[0]) and norm.shape == (3, X.shape[0])
+        np.testing.assert_allclose([resp[:4].sum(axis=0), resp[4:8].sum(axis=0), resp[8:].sum(axis=0)], 1.0, rtol=1e-14)
+        for r, (model, full, _) in enumerate(trio):
             want = _oracle_log_density(model.weights, model.means, full, X)
             np.testing.assert_allclose(norm[r], want, rtol=rtol, atol=0)
 
@@ -480,7 +605,7 @@ class TestFullMStep:
         resp = np.exp(logits - logits.max(axis=0))
         resp /= resp.sum(axis=0)
         D = gmm_mod._design(X, "full")
-        (weights,), (means,), (cov,) = gmm_mod._m_step(D, X.T @ X, resp[None], resp.sum(axis=1)[None], "full")
+        weights, means, cov = gmm_mod._m_step(D, X.T @ X, resp, resp.sum(axis=1), ((K, 1),), "full")
         for k in range(K):
             want = np.cov(X.T, aweights=resp[k], bias=True).reshape(d, d) + gmm_mod.COV_FLOOR * np.eye(d)
             np.testing.assert_allclose(cov[k], want, rtol=0, atol=1e-10 * np.abs(want).max())
@@ -510,7 +635,7 @@ class TestTiedMStep:
         want = want / X.shape[0] + gmm_mod.COV_FLOOR * np.eye(d)
         Xc = X - X.mean(axis=0)
         D = gmm_mod._design(Xc, "tied")
-        (weights,), (means,), (cov,) = gmm_mod._m_step(D, Xc.T @ Xc, resp[None], resp.sum(axis=1)[None], "tied")
+        weights, means, (cov,) = gmm_mod._m_step(D, Xc.T @ Xc, resp, resp.sum(axis=1), ((K, 1),), "tied")
         np.testing.assert_allclose(cov, want, rtol=0, atol=1e-10 * np.abs(want).max())
         assert np.array_equal(cov, cov.T)
         for k in range(K):
