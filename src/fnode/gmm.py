@@ -12,9 +12,9 @@ E-step adds one quadratic per mixture to its components' linear terms and its M-
 X^T X.  One :func:`em_fit` call fits a whole grid of component counts: every restart of every fit is one
 mixture, and the mixtures lie end to end on one flat component axis, so an EM step is one E-step, one
 posterior and one M-step for all of them.  Per-mixture maxima and sums reduce one [count, K, n] view per run
-of consecutive mixtures of K components.  A mixture leaves the batch when its own gain falls below ``tol``.  A
-grid whose components x rows exceed ``LOCKSTEP_ENTRIES`` runs in consecutive blocks of counts.  EM carries raw
-arrays and builds one :class:`GMMModel` per fit, for the restart it keeps.
+of consecutive mixtures of K components.  A mixture leaves the batch when its own gain per bank row falls below
+``tol``.  A grid whose components x rows exceed ``LOCKSTEP_ENTRIES`` runs in consecutive blocks of counts.  EM
+carries raw arrays and builds one :class:`GMMModel` per fit, for the restart it keeps.
 """
 
 from __future__ import annotations
@@ -221,7 +221,10 @@ def _kmeanspp_centers(X: np.ndarray, K: int, rng: np.random.Generator) -> np.nda
         if total <= 0:
             centers[k] = X[rng.integers(n)]
             continue
-        centers[k] = X[rng.choice(n, p=closest / total)]
+        # Generator.choice(n, p=closest / total)'s own draw, without its per-call validation of p
+        cdf = (closest / total).cumsum()
+        cdf /= cdf[-1]
+        centers[k] = X[cdf.searchsorted(rng.random(), side="right")]
         closest = np.minimum(closest, np.sum((X - centers[k]) ** 2, axis=1))
     return centers
 
@@ -269,6 +272,11 @@ def _as_bank(bank) -> np.ndarray:
     if X.ndim != 2:
         raise ValueError(f"bank must be [n, d], got shape {list(X.shape)}")
     return X
+
+
+def _stalled(history, n: int, tol: float) -> bool:
+    """EM's stopping rule: the last step of a fit on ``n`` rows gained less than ``tol`` per row."""
+    return len(history) > 1 and history[-1] - history[-2] < tol * n
 
 
 def _em_step(D, gram, weights, means, cov, runs, cov_type: str):
@@ -320,8 +328,7 @@ def _lockstep(X, D, gram, shift, counts, seeds, cov_type: str, max_iter: int, to
             weights, means, cov = params
             for m, loglik in zip(live, logliks):
                 histories[m].append(float(loglik))
-            # a mixture leaves after the M-step of the iteration whose gain falls below tol
-            done = [len(h) == max_iter or len(h) > 1 and h[-1] - h[-2] < tol for h in (histories[m] for m in live)]
+            done = [len(h) == max_iter or _stalled(h, X.shape[0], tol) for h in (histories[m] for m in live)]
             keep = ~np.array(done)
             starts = np.cumsum(sizes) - sizes
             for a in np.flatnonzero(done):
@@ -345,11 +352,13 @@ def _lockstep(X, D, gram, shift, counts, seeds, cov_type: str, max_iter: int, to
     return [outcome[f] for f in range(len(counts))]
 
 
-def em_fit(bank: np.ndarray, K, cov_type: str = "diag", seed=0, max_iter: int = 200, tol: float = 1e-6):
+def em_fit(bank: np.ndarray, K, cov_type: str = "diag", seed=0, max_iter: int = 200, tol: float = 1e-3):
     """EM fit of an [n, d] bank from ``N_RESTARTS`` k-means++ seedings; returns (model, loglik_history).
 
     The restarts advance in lockstep; one leaves after the M-step of the iteration whose gain falls below
-    ``tol``, and its history, the total log-likelihood before each M-step, is nondecreasing.  Final
+    ``tol`` per bank row, so a larger bank does not tighten it, and its history, the total log-likelihood before
+    each M-step, is nondecreasing.  The default, scikit-learn's, ends the large-K fits that an absolute 1e-6 ran
+    to ``max_iter`` and moves the selected sampler's held-out code log-density by less than its seed spread.  Final
     log-likelihoods within 1e-9 of the best's magnitude tie, as BICs do in :func:`select_model`, and the
     first restart among them is kept, so rounding does not choose among restarts at one optimum.
 
@@ -360,8 +369,8 @@ def em_fit(bank: np.ndarray, K, cov_type: str = "diag", seed=0, max_iter: int = 
     more rows; the fits share each step's calls in blocks of at most ``LOCKSTEP_ENTRIES`` components x rows.
     An integer ``K`` is the grid of one count, whose failure is raised.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if max_iter < 1 or np.isnan(tol):  # a NaN gain bound compares false, so every fit would run to max_iter
+        raise ValueError(f"need max_iter >= 1 and a tol that is a number, got max_iter={max_iter}, tol={tol}")
     X = _as_bank(bank)
     grid = np.ndim(K) > 0
     counts, seeds = list(K) if grid else [K], list(seed) if np.ndim(seed) else [seed]
@@ -390,11 +399,6 @@ def em_fit(bank: np.ndarray, K, cov_type: str = "diag", seed=0, max_iter: int = 
     return results if grid else results[0]
 
 
-def _bic(loglik: float, n_params: int, n: int) -> float:
-    """-2 * loglik + n_params * ln(n) for a mixture fitted on n rows."""
-    return float(-2.0 * loglik + n_params * np.log(n))
-
-
 def _n_params(model: GMMModel) -> int:
     K, d = model.n_components, model.d
     cov_params = {"spherical": K, "diag": K * d, "tied": d * (d + 1) // 2, "full": K * d * (d + 1) // 2}[model.cov_type]
@@ -417,19 +421,16 @@ class SelectionRow:
 
 def select_model(
     bank: np.ndarray, component_range: Sequence[int], cov_types: Sequence[str] = COV_TYPES,
-    seed: int = 0, max_iter: int = 200, tol: float = 1e-6,
+    seed: int = 0, max_iter: int = 200, tol: float = 1e-3,
 ):
     """Fit every (K, cov_type) pair and keep the lowest-BIC model.
 
-    Each covariance type's whole K grid is one :func:`em_fit` call, looked up
-    on the module with the type as its third argument, in which all its fits
-    advance in lockstep.  A fit that fails leaves a failure line, and the
-    other fits stand.  The table lists the fits K-major, in ``cov_types``
-    order within each K.  BICs within 1e-9 of the best's magnitude tie; ties
-    break toward fewer parameters, then the canonical covariance order
-    (spherical, tied, diag, full).  Returns (best model, selection table).  A
-    row is ``converged`` when its kept restart's last EM step gained less
-    than ``tol``.
+    Each covariance type's whole K grid is one :func:`em_fit` call, looked up on the module with the type as its
+    third argument, in which all its fits advance in lockstep.  A fit that fails leaves a failure line, and the
+    other fits stand.  The table lists the fits K-major, in ``cov_types`` order within each K.  BICs within 1e-9
+    of the best's magnitude tie; ties break toward fewer parameters, then the canonical covariance order
+    (spherical, tied, diag, full).  Returns (best model, selection table).  A row is ``converged`` when its kept
+    restart stopped by :func:`em_fit`'s rule, its last EM step gaining less than ``tol`` per bank row.
     """
     X = _as_bank(bank)
     if len(component_range) == 0 or len(cov_types) == 0:
@@ -439,8 +440,8 @@ def select_model(
     unknown = sorted(set(cov_types) - set(COV_TYPES))
     if unknown:
         raise ValueError(f"unknown covariance types {unknown}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if max_iter < 1 or np.isnan(tol):  # a NaN gain bound compares false, so every fit would run to max_iter
+        raise ValueError(f"need max_iter >= 1 and a tol that is a number, got max_iter={max_iter}, tol={tol}")
     if min(component_range) < 1:
         raise ValueError(f"every K must be >= 1, got {min(component_range)}")
     if max(component_range) > X.shape[0]:
@@ -462,10 +463,9 @@ def select_model(
                 failures.append(f"K={K} {ct}: {grids[ct][f]}")
                 continue
             model, history = grids[ct][f]
-            loglik, params = float(score_rows(model, X).sum()), _n_params(model)
-            converged = len(history) > 1 and history[-1] - history[-2] < tol
-            bic_value = _bic(loglik, params, X.shape[0])
-            table.append(SelectionRow(K, ct, loglik, params, bic_value, n_iter=len(history), converged=converged))
+            loglik, params, n = float(score_rows(model, X).sum()), _n_params(model), X.shape[0]
+            bic, converged = float(-2.0 * loglik + params * np.log(n)), _stalled(history, n, tol)
+            table.append(SelectionRow(K, ct, loglik, params, bic, n_iter=len(history), converged=converged))
             fits[(K, ct)] = model
     if not table:
         raise RuntimeError("all mixture fits failed: " + "; ".join(failures))

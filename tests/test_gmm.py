@@ -173,12 +173,69 @@ class TestEMFit:
 
     @pytest.mark.parametrize("cov_type", COV_TYPES)
     def test_grid_cells_equal_their_solo_fits(self, cov_type):
-        # One lockstep over K 1-5 ends each fit where em_fit on that K and seed alone ends it.
+        # One lockstep over K 1-5 ends each fit where em_fit on that K and seed alone ends it.  At the default
+        # tol, full K = 5 keeps a restart with a component collapsed onto one row, whose rounding grows past
+        # 1e-12 within 20 steps; 1e-6 per row keeps restarts that stay well conditioned.
         X, seeds = three_clusters(n_per=60, d=2, seed=4), [7 * K + 1 for K in range(1, 6)]
-        grid = em_fit(X, range(1, 6), cov_type, seed=seeds, max_iter=60)
+        grid = em_fit(X, range(1, 6), cov_type, seed=seeds, max_iter=60, tol=1e-6)
         assert len(grid) == 5
         for K, s, cell in zip(range(1, 6), seeds, grid):
-            _assert_same_fit(cell, em_fit(X, K, cov_type, seed=s, max_iter=60))
+            _assert_same_fit(cell, em_fit(X, K, cov_type, seed=s, max_iter=60, tol=1e-6))
+
+    @pytest.mark.parametrize("cov_type", COV_TYPES)
+    def test_grid_fits_run_as_long_as_alone_on_a_planted_bank(self, cov_type):
+        # The select benchmark's planted bank 1: 500 rows in 16 dimensions from three far-apart components,
+        # with select_model's child seeds for seed 1.  A grid's products round differently from a solo fit's,
+        # which under an absolute bound of 1e-6 ended full K = 8 after 153 steps in the grid and 152 alone
+        # (one BLAS thread).
+        rng, draws = np.random.default_rng(20240317), np.random.default_rng(1)
+        means, variances = rng.normal(0.0, 4.0, (3, 16)), rng.uniform(0.2, 2.0, (3, 16))
+        comp = draws.choice(3, size=500, p=np.array([2.0, 3.0, 4.0]) / 9.0)
+        X = means[comp] + np.sqrt(variances[comp]) * draws.standard_normal((500, 16))
+        counts, seeds = range(1, 9), [1000003 + K * 101 + COV_TYPES.index(cov_type) for K in range(1, 9)]
+        grid = em_fit(X, counts, cov_type, seed=seeds)
+        assert [len(h) for _, h in grid] == [len(em_fit(X, K, cov_type, seed=s)[1]) for K, s in zip(counts, seeds)]
+
+    def test_tol_bounds_the_gain_per_row(self, monkeypatch):
+        # Repeating every row doubles each step's gain and the bound alike, so every fit of the grid stops at
+        # the same step; an absolute bound would run the doubled bank's fits longer.
+        X, counts, seeds = three_clusters(n_per=60, d=2, seed=4), [1, 2, 3, 4, 5], [5, 6, 7, 8, 9]
+        draw, init, steps = gmm_mod._kmeanspp_centers, gmm_mod._init_covariances, {}
+        for reps in (1, 2):
+            # start from the first copy of each row, so both banks start from the same centres and covariances
+            # (np.cov divides by n - 1)
+            monkeypatch.setattr(gmm_mod, "_kmeanspp_centers", lambda X, K, rng, r=reps: draw(X[::r], K, rng))
+            monkeypatch.setattr(gmm_mod, "_init_covariances", lambda X, *args, r=reps: init(X[::r], *args))
+            for ct in COV_TYPES:
+                steps[ct, reps] = [len(h) for _, h in em_fit(np.repeat(X, reps, axis=0), counts, ct, seed=seeds)]
+        for ct in COV_TYPES:
+            assert steps[ct, 1] == steps[ct, 2], ct
+        assert len({n for runs in steps.values() for n in runs}) > 3  # fits stop at many different steps
+
+    def test_kmeanspp_draws_match_generator_choice(self):
+        # The inverse-CDF draw is Generator.choice's own: the same centres and the same generator state as
+        # the loop of rng.choice calls it replaced, on a bank with and one without repeated rows.
+        def reference(X, K, rng):
+            n = X.shape[0]
+            centers = np.empty((K, X.shape[1]))
+            centers[0] = X[rng.integers(n)]
+            closest = np.sum((X - centers[0]) ** 2, axis=1)
+            for k in range(1, K):
+                total = closest.sum()
+                if total <= 0:
+                    centers[k] = X[rng.integers(n)]
+                    continue
+                centers[k] = X[rng.choice(n, p=closest / total)]
+                closest = np.minimum(closest, np.sum((X - centers[k]) ** 2, axis=1))
+            return centers
+
+        X = three_clusters(n_per=40, d=3, seed=7)
+        for bank in (X, np.repeat(X[:3], 4, axis=0)):
+            for seed in range(6):
+                for K in (1, 2, 3, 5, 8):
+                    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    assert np.array_equal(gmm_mod._kmeanspp_centers(bank, K, got_rng), reference(bank, K, want_rng))
+                    assert got_rng.random() == want_rng.random()
 
     @pytest.mark.parametrize("cov_type", ["tied", "diag"])
     def test_grid_runs_in_blocks_under_the_entry_cap(self, cov_type, monkeypatch):
@@ -311,7 +368,8 @@ class TestEMFit:
         monkeypatch.setattr(gmm_mod, "N_RESTARTS", 1)
         X = three_clusters(n_per=20, d=1, seed=2)
         with caplog.at_level(logging.INFO, logger="fnode.gmm"):
-            model, history = em_fit(X, K=6, cov_type=cov_type, seed=2, max_iter=50)
+            # every step up to max_iter: this restart empties a component after the default tol would stop it
+            model, history = em_fit(X, K=6, cov_type=cov_type, seed=2, max_iter=50, tol=-np.inf)
         assert any(r.getMessage().startswith("re-seeding empty component") for r in caplog.records)
         assert model.n_components == 6 and np.all(model.weights > 0)
         # every mean is a weighted average of rows, so it stays inside the bank's range
@@ -334,6 +392,14 @@ class TestEMFit:
             em_fit(X, K=2, cov_type="diag", seed=0, max_iter=max_iter)
         with pytest.raises(ValueError, match="max_iter"):
             select_model(X, [1, 2], ("diag",), seed=0, max_iter=max_iter)
+
+    def test_nan_tol_rejected(self):
+        # every comparison with NaN is false, so each fit would run to max_iter and report no convergence
+        X = three_clusters(n_per=20, d=2)
+        with pytest.raises(ValueError, match="tol"):
+            em_fit(X, K=2, cov_type="diag", seed=0, tol=np.nan)
+        with pytest.raises(ValueError, match="tol"):
+            select_model(X, [1, 2], ("diag",), seed=0, tol=np.nan)
 
     @pytest.mark.parametrize("components", [[0], [0, 1], range(-1, 2)])
     def test_component_count_below_one_rejected(self, components):
