@@ -5,16 +5,17 @@ After training, per-trajectory posterior draws of the code are pooled into an [n
 components and the covariance structure chosen by BIC.  The fitted mixture is the sampler used for generation
 and the density used for likelihood-based outlier scoring.  This module knows only arrays, not the model.
 
-EM builds one design matrix D = [X | second moments]^T of the centred rows (|x|^2, x^2 or the upper triangle
-of x x^T, by covariance type), in which every Gaussian log-density is linear: the E-step is one product of
-per-component coefficients with D and the M-step one ``resp @ D.T``.  Tied shares one precision, so its
-E-step adds one quadratic per mixture to its components' linear terms and its M-step needs ``resp @ X`` and
-X^T X.  One :func:`em_fit` call fits a whole grid of component counts: every restart of every fit is one
-mixture, and the mixtures lie end to end on one flat component axis, so an EM step is one E-step, one
-posterior and one M-step for all of them.  Per-mixture maxima and sums reduce one [count, K, n] view per run
-of consecutive mixtures of K components.  A mixture leaves the batch when its own gain per bank row falls below
-``tol``.  A grid whose components x rows exceed ``LOCKSTEP_ENTRIES`` runs in consecutive blocks of counts.  EM
-carries raw arrays and builds one :class:`GMMModel` per fit, for the restart it keeps.
+EM builds one design matrix D = [X | second moments]^T of the centred rows (|x|^2, x^2 or the upper triangle of
+x x^T, by covariance type), in which every Gaussian log-density is linear: the E-step is one product of
+per-component coefficients with D and the M-step one ``resp @ D.T``.  Tied shares one precision, so its E-step adds
+one quadratic per mixture to its components' linear terms and its M-step needs ``resp @ X`` and X^T X.  One
+:func:`em_fit` call fits a whole grid of component counts: every restart of every fit is one mixture, and the
+mixtures lie end to end on one flat component axis, so an EM step is one E-step, one posterior and one M-step for
+all of them.  Full inverts all the step's Cholesky factors in one vectorised forward substitution, and per-mixture
+maxima and sums reduce, in place, one [count, K, n] view per run of consecutive mixtures of K components.  A
+mixture leaves the batch when its own gain per bank row falls below ``tol``.  A grid whose components x rows exceed
+``LOCKSTEP_ENTRIES`` runs in consecutive blocks of counts.  EM carries raw arrays and builds one :class:`GMMModel`
+per fit, for the restart it keeps; :func:`select_model` scores each type's fits in one :func:`score_rows` call.
 """
 
 from __future__ import annotations
@@ -64,9 +65,8 @@ class GMMModel:
     cov_type: str
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.covariances = np.asarray(self.covariances, dtype=np.float64)
+        for name in ("weights", "means", "covariances"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if self.cov_type not in COV_TYPES:
             raise ValueError(f"unknown covariance type {self.cov_type!r}")
         if self.means.ndim != 2:
@@ -142,6 +142,16 @@ def _sizes(runs) -> np.ndarray:
     return np.repeat([K for K, _ in runs], [count for _, count in runs])
 
 
+def _tril_inv(L: np.ndarray) -> np.ndarray:
+    """Inverses of lower-triangular [C, d, d] factors, all at once: forward substitution over d rows (LAPACK
+    trtri's algorithm), row i = -L[i, :i] L^-1[:i, :i] / L[i, i] beside 1 / L[i, i]."""
+    inv, diag = np.zeros_like(L), 1.0 / np.diagonal(L, axis1=-2, axis2=-1)
+    for i in range(L.shape[-1]):
+        inv[:, i, :i] = (L[:, i : i + 1, :i] @ inv[:, :i, :i])[:, 0] * -diag[:, i, None]
+        inv[:, i, i] = diag[:, i]
+    return inv
+
+
 def _weighted_log_prob(D, weights, means, cov, runs, cov_type: str) -> np.ndarray:
     """log w_c + log N(x_i | mu_c, Sigma_c) as [C, n] for the C components of mixtures laid end to end.
 
@@ -159,9 +169,9 @@ def _weighted_log_prob(D, weights, means, cov, runs, cov_type: str) -> np.ndarra
         logdet = d * np.log(cov) if cov_type == "spherical" else np.sum(np.log(cov), axis=-1)
         quad = -0.5 / var
     else:
-        # Sigma = L L^T, so P = L^-T L^-1
+        # Sigma = L L^T, so P = L^-T L^-1; tied inverts one factor per mixture, where LAPACK's per-matrix LU wins
         L = np.linalg.cholesky(cov)
-        Linv = np.linalg.inv(L)
+        Linv = np.linalg.inv(L) if cov_type == "tied" else _tril_inv(L)
         P = np.swapaxes(Linv, -1, -2) @ Linv
         logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
         i, j, _, half = _triu(d)
@@ -181,31 +191,38 @@ def _weighted_log_prob(D, weights, means, cov, runs, cov_type: str) -> np.ndarra
 
 
 def _posterior(weighted: np.ndarray, runs):
-    """(log-normalisers [M, n], responsibilities [C, n]) of weighted log-densities [C, n] of mixtures in ``runs``;
-    the responsibilities overwrite ``weighted``.
-
-    Per-mixture maxima and sums reduce a [count, K, n] view per run: ``np.add.reduceat`` over the flat axis
-    costs several times more at these sizes and sums in another order.
-    """
-    sizes = _sizes(runs)
-    hi = np.concatenate([w.max(axis=1) for w in _views(weighted, runs)])
-    resp = weighted
-    resp -= np.repeat(hi, sizes, axis=0)
-    # zero terms below e^-700: they cannot move a sum that holds exp(0), and subnormal ones slow exp and EM's products
-    np.putmask(resp, resp < EXP_FLOOR, -np.inf)
-    np.exp(resp, out=resp)
-    total = np.concatenate([r.sum(axis=1) for r in _views(resp, runs)])
-    resp /= np.repeat(total, sizes, axis=0)
-    return hi + np.log(total), resp
+    """(log-normalisers [M, n], responsibilities [C, n]) of weighted log-densities [C, n] of mixtures in ``runs``,
+    reduced in place on one [count, K, n] view per run, so the responsibilities overwrite ``weighted``.
+    ``np.add.reduceat`` over the flat axis costs several times more at these sizes and sums in another order."""
+    norms = []
+    for r in _views(weighted, runs):
+        hi = r.max(axis=1)
+        r -= hi[:, None]
+        # zero terms below e^-700: they cannot move a sum that holds exp(0), and subnormals slow exp and EM's products
+        np.putmask(r, r < EXP_FLOOR, -np.inf)
+        np.exp(r, out=r)
+        total = r.sum(axis=1)
+        r /= total[:, None]
+        norms.append(hi + np.log(total))
+    return np.concatenate(norms), weighted
 
 
-def score_rows(model: GMMModel, X: np.ndarray) -> np.ndarray:
-    """Mixture log-density of each row of ``X``, scored on rows and means centred on the mean of the means."""
+def score_rows(model, X: np.ndarray) -> np.ndarray:
+    """Mixture log-density [n] of each row of ``X`` under one :class:`GMMModel`, or [M, n] under each of a
+    sequence of M models of one covariance type, scored together on one design matrix.  Rows and means are
+    centred on the mean of all the models' means, for one model the mean of its own."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    centre, one = model.means.mean(axis=0), ((model.n_components, 1),)
-    cov = model.covariances[None] if model.cov_type == "tied" else model.covariances
-    D = _design(X - centre, model.cov_type)
-    return _posterior(_weighted_log_prob(D, model.weights, model.means - centre, cov, one, model.cov_type), one)[0][0]
+    models = [model] if isinstance(model, GMMModel) else list(model)
+    cov_type = models[0].cov_type
+    if any(m.cov_type != cov_type for m in models):
+        raise ValueError("models scored together must share one covariance type")
+    means = np.concatenate([m.means for m in models])
+    centre, weights = means.mean(axis=0), np.concatenate([m.weights for m in models])
+    cov = (np.stack if cov_type == "tied" else np.concatenate)([m.covariances for m in models])
+    runs = tuple((K, len(list(g))) for K, g in itertools.groupby(m.n_components for m in models))
+    weighted = _weighted_log_prob(_design(X - centre, cov_type), weights, means - centre, cov, runs, cov_type)
+    norms = _posterior(weighted, runs)[0]
+    return norms[0] if isinstance(model, GMMModel) else norms
 
 
 # -- EM ------------------------------------------------------------------------------
@@ -243,11 +260,10 @@ def _init_covariances(X: np.ndarray, count: int, cov_type: str) -> np.ndarray:
 def _m_step(D: np.ndarray, gram: np.ndarray, resp: np.ndarray, mass: np.ndarray, runs, cov_type: str):
     """Weights, means and floored covariances of the mixtures in ``runs`` from [C, n] responsibilities and [C] masses.
 
-    ``gram`` is the bank's X^T X.  Tied needs only ``resp @ X``: Sigma = (X^T X - sum_k n_k mu_k mu_k^T) / n,
-    the sum over each mixture's components.  Tied and full covariances are folded from one triangle, so they
-    are exactly symmetric.
+    ``gram`` is the bank's X^T X.  Tied needs only ``resp @ X``: Sigma = (X^T X - sum_k n_k mu_k mu_k^T) / n, the
+    sum over each mixture's components.  Tied and full covariances are folded from one triangle: exactly symmetric.
     """
-    (C, n), d = resp.shape, gram.shape[0]
+    n, d = resp.shape[1], gram.shape[0]
     nk = mass + 10.0 * np.finfo(np.float64).eps
     rows = D[:d] if cov_type == "tied" else D
     moments = (resp @ rows.T) / nk[:, None]
@@ -302,10 +318,8 @@ def _lockstep(X, D, gram, shift, counts, seeds, cov_type: str, max_iter: int, to
     restart's (model, history) shifted back by ``shift``, or the error that failed the fit."""
     R, tied = N_RESTARTS, cov_type == "tied"
     sizes = np.repeat(counts, R)  # components of each mixture, fit-major; fit f owns mixtures f*R .. f*R+R-1
-    centers = []
-    for K, seed in zip(counts, seeds):
-        rng = np.random.default_rng(seed)
-        centers += [_kmeanspp_centers(X, K, rng) for _ in range(R)]
+    rngs = map(np.random.default_rng, seeds)  # each fit's R seedings draw from its own generator in turn
+    centers = [_kmeanspp_centers(X, K, rng) for K, rng in zip(counts, rngs) for _ in range(R)]
     weights, means = np.repeat(1.0 / sizes, sizes), np.concatenate(centers)
     cov = _init_covariances(X, len(sizes) if tied else sizes.sum(), cov_type)
     live, histories, final, outcome, runs = np.arange(len(sizes)), [[] for _ in sizes], {}, {}, None
@@ -357,10 +371,9 @@ def em_fit(bank: np.ndarray, K, cov_type: str = "diag", seed=0, max_iter: int = 
 
     The restarts advance in lockstep; one leaves after the M-step of the iteration whose gain falls below
     ``tol`` per bank row, so a larger bank does not tighten it, and its history, the total log-likelihood before
-    each M-step, is nondecreasing.  The default, scikit-learn's, ends the large-K fits that an absolute 1e-6 ran
-    to ``max_iter`` and moves the selected sampler's held-out code log-density by less than its seed spread.  Final
-    log-likelihoods within 1e-9 of the best's magnitude tie, as BICs do in :func:`select_model`, and the
-    first restart among them is kept, so rounding does not choose among restarts at one optimum.
+    each M-step, is nondecreasing; the default is scikit-learn's.  Final log-likelihoods within 1e-9 of the best's
+    magnitude tie, as BICs do in :func:`select_model`, and the first restart among them is kept, so rounding does
+    not choose among restarts at one optimum.
 
     Given a sequence of counts ``K`` and one seed per count, it fits the whole grid in lockstep and returns one
     entry per count: (model, history) as above, or the ``ValueError`` or ``LinAlgError`` that failed that fit
@@ -377,7 +390,7 @@ def em_fit(bank: np.ndarray, K, cov_type: str = "diag", seed=0, max_iter: int = 
     if not counts or len(seeds) != len(counts):
         raise ValueError(f"need one seed per K, got {len(seeds)} seeds for the counts {counts}")
     if min(counts) < 1:
-        raise ValueError("K must be >= 1")
+        raise ValueError(f"every K must be >= 1, got {min(counts)}")
     rows = np.ascontiguousarray(X + 0.0)  # one byte string per row; -0.0 + 0.0 is 0.0, so the zeros are one
     distinct = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))).size
     results = [ValueError(f"need at least K={k} distinct rows, bank has fewer") for k in counts]
@@ -423,14 +436,14 @@ def select_model(
     bank: np.ndarray, component_range: Sequence[int], cov_types: Sequence[str] = COV_TYPES,
     seed: int = 0, max_iter: int = 200, tol: float = 1e-3,
 ):
-    """Fit every (K, cov_type) pair and keep the lowest-BIC model.
+    """Fit every (K, cov_type) pair and keep the lowest-BIC model; returns (best model, selection table).
 
-    Each covariance type's whole K grid is one :func:`em_fit` call, looked up on the module with the type as its
-    third argument, in which all its fits advance in lockstep.  A fit that fails leaves a failure line, and the
-    other fits stand.  The table lists the fits K-major, in ``cov_types`` order within each K.  BICs within 1e-9
-    of the best's magnitude tie; ties break toward fewer parameters, then the canonical covariance order
-    (spherical, tied, diag, full).  Returns (best model, selection table).  A row is ``converged`` when its kept
-    restart stopped by :func:`em_fit`'s rule, its last EM step gaining less than ``tol`` per bank row.
+    Each covariance type's whole K grid is one :func:`em_fit` call, with the type as its third argument, in which
+    all its fits advance in lockstep, and one :func:`score_rows` call; both are looked up on the module.  A fit
+    that fails leaves a failure line, and the other fits stand.  The table lists the fits K-major, in ``cov_types``
+    order within each K.  BICs within 1e-9 of the best's magnitude tie; ties break toward fewer parameters, then
+    the canonical covariance order (spherical, tied, diag, full).  A row is ``converged`` when its kept restart
+    stopped by :func:`em_fit`'s rule, its last EM step gaining less than ``tol`` per bank row.
     """
     X = _as_bank(bank)
     if len(component_range) == 0 or len(cov_types) == 0:
@@ -440,10 +453,6 @@ def select_model(
     unknown = sorted(set(cov_types) - set(COV_TYPES))
     if unknown:
         raise ValueError(f"unknown covariance types {unknown}")
-    if max_iter < 1 or np.isnan(tol):  # a NaN gain bound compares false, so every fit would run to max_iter
-        raise ValueError(f"need max_iter >= 1 and a tol that is a number, got max_iter={max_iter}, tol={tol}")
-    if min(component_range) < 1:
-        raise ValueError(f"every K must be >= 1, got {min(component_range)}")
     if max(component_range) > X.shape[0]:
         raise ValueError("every K must be <= number of bank rows")
 
@@ -454,8 +463,11 @@ def select_model(
                    max_iter=max_iter, tol=tol)
         for ct in cov_types
     }
+    logliks = {}
+    for ct in cov_types:  # all of a type's fits scored in one call, on one design matrix
+        kept = {f: cell[0] for f, cell in enumerate(grids[ct]) if not isinstance(cell, Exception)}
+        logliks[ct] = dict(zip(kept, score_rows(list(kept.values()), X).sum(axis=1))) if kept else {}
     table: list[SelectionRow] = []
-    fits: dict[tuple[int, str], GMMModel] = {}
     failures: list[str] = []
     for f, K in enumerate(counts):
         for ct in cov_types:
@@ -463,10 +475,9 @@ def select_model(
                 failures.append(f"K={K} {ct}: {grids[ct][f]}")
                 continue
             model, history = grids[ct][f]
-            loglik, params, n = float(score_rows(model, X).sum()), _n_params(model), X.shape[0]
+            loglik, params, n = float(logliks[ct][f]), _n_params(model), X.shape[0]
             bic, converged = float(-2.0 * loglik + params * np.log(n)), _stalled(history, n, tol)
             table.append(SelectionRow(K, ct, loglik, params, bic, n_iter=len(history), converged=converged))
-            fits[(K, ct)] = model
     if not table:
         raise RuntimeError("all mixture fits failed: " + "; ".join(failures))
 
@@ -475,7 +486,7 @@ def select_model(
     ties = [r for r in table if r.bic - best_bic <= 1e-9 * abs(best_bic)]
     winner = min(ties, key=lambda r: (r.params, COV_TYPES.index(r.cov_type)))
     winner.selected = True
-    return fits[(winner.K, winner.cov_type)], table
+    return grids[winner.cov_type][counts.index(winner.K)][0], table
 
 
 def selection_table_csv(table: Sequence[SelectionRow]) -> str:
@@ -492,8 +503,7 @@ def sample(model: GMMModel, n: int, seed: int = 0) -> np.ndarray:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     comps = rng.choice(model.n_components, size=n, p=model.weights)
-    out = np.empty((n, model.d))
-    ct = model.cov_type
+    out, ct = np.empty((n, model.d)), model.cov_type
     chol = np.linalg.cholesky(model.covariances) if ct in ("tied", "full") else None  # tied: one for every k
     for k in range(model.n_components):
         idx = np.flatnonzero(comps == k)

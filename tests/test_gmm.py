@@ -511,17 +511,25 @@ class TestSelectModel:
         assert [(r.K, r.cov_type) for r in table if r.selected] == [(3, "diag")] and len(table) == 32
 
     def test_each_fit_scored_once(self, monkeypatch):
-        X = three_clusters(n_per=40)
-        calls = []
-        score = gmm_mod.score_rows
-        monkeypatch.setattr(gmm_mod, "score_rows", lambda m, rows: calls.append(1) or score(m, rows))
-        best, table = select_model(X, [1, 2, 3], ("spherical", "diag"), seed=0)
-        assert len(calls) == len(table) == 6
+        # Once, and in one score_rows call per covariance type with all that type's fits, looked up on the module
+        # so that a probe rebinding gmm.score_rows times every score; each table loglik is its model's own density.
+        X = three_clusters(n_per=40, d=2)
+        calls, score = [], gmm_mod.score_rows
+        monkeypatch.setattr(gmm_mod, "score_rows", lambda models, rows: calls.append(models) or score(models, rows))
+        best, table = select_model(X, [1, 2, 3], COV_TYPES, seed=0)
+        assert [[(m.n_components, m.cov_type) for m in models] for models in calls] == [
+            [(K, ct) for K in (1, 2, 3)] for ct in COV_TYPES
+        ]
         monkeypatch.undo()
+        fitted = {(m.n_components, m.cov_type): m for models in calls for m in models}
+        assert sorted(fitted) == sorted((r.K, r.cov_type) for r in table) and len(table) == 12
         for r in table:
+            model = fitted[r.K, r.cov_type]
+            want = _oracle_log_density(model.weights, model.means, _full_covariances(model), X).sum()
+            assert r.loglik == pytest.approx(want, rel=1e-12, abs=0)
             if r.selected:
-                assert r.bic == -2.0 * r.loglik + r.params * np.log(X.shape[0])
-                assert r.loglik == float(score_rows(best, X).sum())
+                assert model is best and r.bic == -2.0 * r.loglik + r.params * np.log(X.shape[0])
+                assert r.loglik == pytest.approx(float(score_rows(best, X).sum()), rel=1e-12, abs=0)
 
     def test_rows_report_em_convergence(self):
         X = three_clusters(n_per=80, d=2, seed=3)
@@ -583,6 +591,14 @@ def _oracle_log_density(weights, means, full_covs, X):
     return top + np.log(np.sum(np.exp(comp - top[:, None]), axis=1))
 
 
+def _full_covariances(model):
+    """A fitted model's covariances as [K, d, d]."""
+    K, d, cov = model.n_components, model.d, model.covariances
+    if model.cov_type in ("spherical", "diag"):
+        return (cov[:, None] if model.cov_type == "spherical" else cov)[:, :, None] * np.eye(d)
+    return np.broadcast_to(cov, (K, d, d))
+
+
 def _random_mixture(cov_type, K, d, seed, offset=0.0):
     """A GMMModel with random SPD covariances, its [K, d, d] covariances and 60 rows around it."""
     rng = np.random.default_rng(seed)
@@ -602,6 +618,26 @@ def _random_mixture(cov_type, K, d, seed, offset=0.0):
     return GMMModel(weights, means, cov, cov_type), full, X
 
 
+# ten times eps * cond(Sigma) at the near-floor mixtures' condition number of 1e6
+NEAR_FLOOR_RTOL = 10 * np.finfo(np.float64).eps * 1e6
+
+
+def _near_floor_mixture(cov_type, K, d, seed, offset=0.0):
+    """A tied or full GMMModel whose covariances have eigenvalues from 2 * COV_FLOOR to 2, its [K, d, d]
+    covariances, and 60 rows drawn from it."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 1.5, K)
+    weights /= weights.sum()
+    means = rng.normal(0.0, 2.0, (K, d)) + offset
+    Q = np.linalg.qr(rng.standard_normal((K, d, d)))[0]
+    spd = (Q * np.geomspace(2 * gmm_mod.COV_FLOOR, 2.0, d)) @ Q.transpose(0, 2, 1)
+    spd = (spd + spd.transpose(0, 2, 1)) / 2
+    full = np.broadcast_to(spd[0], (K, d, d)) if cov_type == "tied" else spd
+    comp = rng.integers(K, size=60)
+    X = means[comp] + (np.linalg.cholesky(full)[comp] @ rng.standard_normal((60, d, 1)))[..., 0]
+    return GMMModel(weights, means, spd[0] if cov_type == "tied" else spd, cov_type), full, X
+
+
 class TestScoreRowsOracle:
     # At offset 1e4 the expanded quadratics are only accurate because rows and
     # means are centred before expanding.
@@ -613,6 +649,32 @@ class TestScoreRowsOracle:
         model, full, X = _random_mixture(cov_type, K, d, seed=10 * d + K, offset=offset)
         want = _oracle_log_density(model.weights, model.means, full, X)
         np.testing.assert_allclose(score_rows(model, X), want, rtol=rtol, atol=0)
+
+    # Smallest eigenvalue near the floor, rows from the mixture itself: the expanded quadratic's rounding grows
+    # as eps * cond(Sigma), 2.2e-10 at the condition number 1e6 here, and the inverse of the Cholesky factor
+    # must not add more than that order to it.
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    @pytest.mark.parametrize("cov_type", ["tied", "full"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_near_floor_covariance_matches_oracle(self, cov_type, offset, seed):
+        model, full, X = _near_floor_mixture(cov_type, 4, 16, seed, offset=offset)
+        want = _oracle_log_density(model.weights, model.means, full, X)
+        np.testing.assert_allclose(score_rows(model, X), want, rtol=NEAR_FLOOR_RTOL, atol=0)
+
+    @pytest.mark.parametrize("cov_type", COV_TYPES)
+    def test_models_scored_together_match_the_oracle(self, cov_type):
+        # a sequence of models of one type is scored on one design matrix, one row of log-densities per model
+        trio = [_random_mixture(cov_type, K, 3, seed=40 + r, offset=1e4) for r, K in enumerate((4, 4, 2))]
+        X = np.concatenate([rows for _, _, rows in trio])
+        got = score_rows([model for model, _, _ in trio], X)
+        assert got.shape == (3, X.shape[0])
+        for row, (model, full, _) in zip(got, trio):
+            np.testing.assert_allclose(row, _oracle_log_density(model.weights, model.means, full, X), rtol=1e-9, atol=0)
+
+    def test_models_scored_together_share_a_type(self):
+        (diag, _, X), (full, _, _) = _random_mixture("diag", 2, 3, seed=1), _random_mixture("full", 2, 3, seed=1)
+        with pytest.raises(ValueError, match="one covariance type"):
+            score_rows([diag, full], X)
 
 
 class TestStackedEStep:
@@ -638,6 +700,22 @@ class TestStackedEStep:
         for r, (model, full, _) in enumerate(trio):
             want = _oracle_log_density(model.weights, model.means, full, X)
             np.testing.assert_allclose(norm[r], want, rtol=rtol, atol=0)
+
+    @pytest.mark.parametrize("near_floor", [False, True])
+    def test_select_grids_first_full_step_matches_oracle(self, near_floor):
+        # As many full factors as the select benchmark's first E-step inverts at once: three restarts of each
+        # K from 1 to 8, 108 components at d = 16, each mixture against the oracle on its own.
+        make = _near_floor_mixture if near_floor else _random_mixture
+        mixtures = [make("full", K, 16, seed=30 * K + r) for K in range(1, 9) for r in range(3)]
+        models, X = [m for m, _, _ in mixtures], np.concatenate([rows for _, _, rows in mixtures[::4]])
+        centre = np.concatenate([m.means for m in models]).mean(axis=0)
+        weights, means, cov = (np.concatenate([getattr(m, k) for m in models]) for k in ("weights", "means", "covariances"))
+        D, runs = gmm_mod._design(X - centre, "full"), tuple((K, 3) for K in range(1, 9))
+        assert cov.shape == (108, 16, 16)
+        norm, _ = gmm_mod._posterior(gmm_mod._weighted_log_prob(D, weights, means - centre, cov, runs, "full"), runs)
+        for r, (model, full, _) in enumerate(mixtures):
+            want = _oracle_log_density(model.weights, model.means, full, X)
+            np.testing.assert_allclose(norm[r], want, rtol=NEAR_FLOOR_RTOL if near_floor else 1e-10, atol=0)
 
 
 # Each row is scored on its own, whatever the order of the others.  Equal up to
