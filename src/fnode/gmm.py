@@ -248,13 +248,13 @@ def _kmeanspp_centers(X: np.ndarray, K: int, rng: np.random.Generator) -> np.nda
 
 def _init_covariances(X: np.ndarray, count: int, cov_type: str) -> np.ndarray:
     """``count`` copies of the bank's covariance under ``cov_type``: one per component, or per mixture if tied."""
-    d = X.shape[1]
     var = np.maximum(X.var(axis=0), COV_FLOOR)
     if cov_type == "spherical":
         return np.full(count, var.mean())
     if cov_type == "diag":
         return np.tile(var, (count, 1))
-    return np.tile(np.cov(X.T).reshape(d, d) + COV_FLOOR * np.eye(d), (count, 1, 1))
+    # divided by n, as X.var is: the start depends on the rows' statistics, not on how many rows there are
+    return np.tile(np.atleast_2d(np.cov(X.T, bias=True)) + COV_FLOOR * np.eye(X.shape[1]), (count, 1, 1))
 
 
 def _m_step(D: np.ndarray, gram: np.ndarray, resp: np.ndarray, mass: np.ndarray, runs, cov_type: str):

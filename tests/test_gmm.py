@@ -200,12 +200,10 @@ class TestEMFit:
         # Repeating every row doubles each step's gain and the bound alike, so every fit of the grid stops at
         # the same step; an absolute bound would run the doubled bank's fits longer.
         X, counts, seeds = three_clusters(n_per=60, d=2, seed=4), [1, 2, 3, 4, 5], [5, 6, 7, 8, 9]
-        draw, init, steps = gmm_mod._kmeanspp_centers, gmm_mod._init_covariances, {}
+        draw, steps = gmm_mod._kmeanspp_centers, {}
         for reps in (1, 2):
-            # start from the first copy of each row, so both banks start from the same centres and covariances
-            # (np.cov divides by n - 1)
+            # seed from the first copy of each row, so both banks start from the same centres
             monkeypatch.setattr(gmm_mod, "_kmeanspp_centers", lambda X, K, rng, r=reps: draw(X[::r], K, rng))
-            monkeypatch.setattr(gmm_mod, "_init_covariances", lambda X, *args, r=reps: init(X[::r], *args))
             for ct in COV_TYPES:
                 steps[ct, reps] = [len(h) for _, h in em_fit(np.repeat(X, reps, axis=0), counts, ct, seed=seeds)]
         for ct in COV_TYPES:
