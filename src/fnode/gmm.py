@@ -192,19 +192,19 @@ def _weighted_log_prob(D, weights, means, cov, runs, cov_type: str) -> np.ndarra
 
 def _posterior(weighted: np.ndarray, runs):
     """(log-normalisers [M, n], responsibilities [C, n]) of weighted log-densities [C, n] of mixtures in ``runs``,
-    reduced in place on one [count, K, n] view per run, so the responsibilities overwrite ``weighted``.
-    ``np.add.reduceat`` over the flat axis costs several times more at these sizes and sums in another order."""
-    norms = []
+    in place: each run's [count, K, n] view takes off its maxima and divides by its sums.  ``np.add.reduceat`` over
+    the flat axis costs several times more at these sizes and sums in another order."""
+    his, totals = [], []
     for r in _views(weighted, runs):
-        hi = r.max(axis=1)
-        r -= hi[:, None]
-        # zero terms below e^-700: they cannot move a sum that holds exp(0), and subnormals slow exp and EM's products
-        np.putmask(r, r < EXP_FLOOR, -np.inf)
-        np.exp(r, out=r)
-        total = r.sum(axis=1)
-        r /= total[:, None]
-        norms.append(hi + np.log(total))
-    return np.concatenate(norms), weighted
+        his.append(r.max(axis=1))
+        r -= his[-1][:, None]
+    # zero terms below e^-700: they cannot move a sum that holds exp(0), and subnormal ones slow exp and EM's products
+    np.putmask(weighted, weighted < EXP_FLOOR, -np.inf)
+    np.exp(weighted, out=weighted)
+    for r in _views(weighted, runs):
+        totals.append(r.sum(axis=1))
+        r /= totals[-1][:, None]
+    return np.concatenate(his) + np.log(np.concatenate(totals)), weighted
 
 
 def score_rows(model, X: np.ndarray) -> np.ndarray:
@@ -463,10 +463,9 @@ def select_model(
                    max_iter=max_iter, tol=tol)
         for ct in cov_types
     }
-    logliks = {}
-    for ct in cov_types:  # all of a type's fits scored in one call, on one design matrix
-        kept = {f: cell[0] for f, cell in enumerate(grids[ct]) if not isinstance(cell, Exception)}
-        logliks[ct] = dict(zip(kept, score_rows(list(kept.values()), X).sum(axis=1))) if kept else {}
+    kept = {ct: {f: cell[0] for f, cell in enumerate(grids[ct]) if not isinstance(cell, Exception)} for ct in cov_types}
+    # all of a type's fits scored in one call, on one design matrix
+    logliks = {ct: dict(zip(fits, score_rows(list(fits.values()), X).sum(axis=1))) for ct, fits in kept.items() if fits}
     table: list[SelectionRow] = []
     failures: list[str] = []
     for f, K in enumerate(counts):
