@@ -207,7 +207,7 @@ def _posterior(weighted: np.ndarray, runs):
     return np.concatenate(his) + np.log(np.concatenate(totals)), weighted
 
 
-def score_rows(model, X: np.ndarray) -> np.ndarray:
+def score_rows(model: GMMModel | Sequence[GMMModel], X: np.ndarray) -> np.ndarray:
     """Mixture log-density [n] of each row of ``X`` under one :class:`GMMModel`, or [M, n] under each of a
     sequence of M models of one covariance type, scored together on one design matrix.  Rows and means are
     centred on the mean of all the models' means, for one model the mean of its own."""

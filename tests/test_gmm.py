@@ -707,7 +707,8 @@ class TestStackedEStep:
         mixtures = [make("full", K, 16, seed=30 * K + r) for K in range(1, 9) for r in range(3)]
         models, X = [m for m, _, _ in mixtures], np.concatenate([rows for _, _, rows in mixtures[::4]])
         centre = np.concatenate([m.means for m in models]).mean(axis=0)
-        weights, means, cov = (np.concatenate([getattr(m, k) for m in models]) for k in ("weights", "means", "covariances"))
+        fields = ("weights", "means", "covariances")
+        weights, means, cov = (np.concatenate([getattr(m, k) for m in models]) for k in fields)
         D, runs = gmm_mod._design(X - centre, "full"), tuple((K, 3) for K in range(1, 9))
         assert cov.shape == (108, 16, 16)
         norm, _ = gmm_mod._posterior(gmm_mod._weighted_log_prob(D, weights, means - centre, cov, runs, "full"), runs)
