@@ -5,17 +5,18 @@ After training, per-trajectory posterior draws of the code are pooled into an [n
 components and the covariance structure chosen by BIC.  The fitted mixture is the sampler used for generation
 and the density used for likelihood-based outlier scoring.  This module knows only arrays, not the model.
 
-EM builds one design matrix D = [X | second moments]^T of the centred rows (|x|^2, x^2 or the upper triangle of
-x x^T, by covariance type), in which every Gaussian log-density is linear: the E-step is one product of
-per-component coefficients with D and the M-step one ``resp @ D.T``.  Tied shares one precision, so its E-step adds
-one quadratic per mixture to its components' linear terms and its M-step needs ``resp @ X`` and X^T X.  One
-:func:`em_fit` call fits a whole grid of component counts: every restart of every fit is one mixture, and the
-mixtures lie end to end on one flat component axis, so an EM step is one E-step, one posterior and one M-step for
-all of them.  Full inverts all the step's Cholesky factors in one vectorised forward substitution, and per-mixture
-maxima and sums reduce, in place, one [count, K, n] view per run of consecutive mixtures of K components.  A
-mixture leaves the batch when its own gain per bank row falls below ``tol``.  A grid whose components x rows exceed
-``LOCKSTEP_ENTRIES`` runs in consecutive blocks of counts.  EM carries raw arrays and builds one :class:`GMMModel`
-per fit, for the restart it keeps; :func:`select_model` scores each type's fits in one :func:`score_rows` call.
+EM builds one design matrix D = [X | second moments]^T of the centred rows (|x|^2, x^2 or the upper triangle
+of x x^T, by covariance type), in which every Gaussian log-density is linear: the E-step is one product of
+per-component coefficients with D and the M-step one ``resp @ D.T``.  Tied shares one precision, so its
+E-step adds one quadratic per mixture to its components' linear terms and its M-step needs ``resp @ X`` and
+X^T X.  One :func:`em_fit` call fits a whole grid of component counts: every restart of every fit is one
+mixture, and the mixtures lie end to end on one flat component axis, so an EM step is one E-step, one
+posterior and one M-step for all of them.  Tied and full invert all the step's Cholesky factors in one
+vectorised forward substitution, and per-mixture maxima and sums reduce, in place, one [count, K, n] view per run
+of consecutive mixtures of K components.  A mixture leaves the batch when its own gain per bank row falls below
+``tol``.  A grid whose components x rows exceed ``LOCKSTEP_ENTRIES`` runs in consecutive blocks of counts.  EM
+carries raw arrays and builds one :class:`GMMModel` per fit, for the restart it keeps.  :func:`select_model`
+scores all of a type's fits on one design matrix, in blocks under the same bound.
 """
 
 from __future__ import annotations
@@ -65,8 +66,9 @@ class GMMModel:
     cov_type: str
 
     def __post_init__(self):
-        for name in ("weights", "means", "covariances"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.means = np.asarray(self.means, dtype=np.float64)
+        self.covariances = np.asarray(self.covariances, dtype=np.float64)
         if self.cov_type not in COV_TYPES:
             raise ValueError(f"unknown covariance type {self.cov_type!r}")
         if self.means.ndim != 2:
@@ -142,6 +144,12 @@ def _sizes(runs) -> np.ndarray:
     return np.repeat([K for K, _ in runs], [count for _, count in runs])
 
 
+def _block(entries) -> int:
+    """How many leading items, of ``entries`` components x rows each, one lockstep holds: the most whose sum stays
+    within ``LOCKSTEP_ENTRIES``, and at least one."""
+    return max(1, int(np.searchsorted(np.cumsum(entries), LOCKSTEP_ENTRIES, side="right")))
+
+
 def _tril_inv(L: np.ndarray) -> np.ndarray:
     """Inverses of lower-triangular [C, d, d] factors, all at once: forward substitution over d rows (LAPACK
     trtri's algorithm), row i = -L[i, :i] L^-1[:i, :i] / L[i, i] beside 1 / L[i, i]."""
@@ -169,9 +177,9 @@ def _weighted_log_prob(D, weights, means, cov, runs, cov_type: str) -> np.ndarra
         logdet = d * np.log(cov) if cov_type == "spherical" else np.sum(np.log(cov), axis=-1)
         quad = -0.5 / var
     else:
-        # Sigma = L L^T, so P = L^-T L^-1; tied inverts one factor per mixture, where LAPACK's per-matrix LU wins
+        # Sigma = L L^T, so P = L^-T L^-1
         L = np.linalg.cholesky(cov)
-        Linv = np.linalg.inv(L) if cov_type == "tied" else _tril_inv(L)
+        Linv = _tril_inv(L)
         P = np.swapaxes(Linv, -1, -2) @ Linv
         logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
         i, j, _, half = _triu(d)
@@ -191,9 +199,12 @@ def _weighted_log_prob(D, weights, means, cov, runs, cov_type: str) -> np.ndarra
 
 
 def _posterior(weighted: np.ndarray, runs):
-    """(log-normalisers [M, n], responsibilities [C, n]) of weighted log-densities [C, n] of mixtures in ``runs``,
-    in place: each run's [count, K, n] view takes off its maxima and divides by its sums.  ``np.add.reduceat`` over
-    the flat axis costs several times more at these sizes and sums in another order."""
+    """(log-normalisers [M, n], responsibilities [C, n]) of weighted log-densities [C, n] of mixtures in ``runs``;
+    the responsibilities overwrite ``weighted``.
+
+    Each run's [count, K, n] view takes off its per-mixture maxima and divides by its sums in place:
+    ``np.add.reduceat`` over the flat axis costs several times more at these sizes and sums in another order.
+    """
     his, totals = [], []
     for r in _views(weighted, runs):
         his.append(r.max(axis=1))
@@ -207,22 +218,26 @@ def _posterior(weighted: np.ndarray, runs):
     return np.concatenate(his) + np.log(np.concatenate(totals)), weighted
 
 
-def score_rows(model: GMMModel | Sequence[GMMModel], X: np.ndarray) -> np.ndarray:
-    """Mixture log-density [n] of each row of ``X`` under one :class:`GMMModel`, or [M, n] under each of a
-    sequence of M models of one covariance type, scored together on one design matrix.  Rows and means are
-    centred on the mean of all the models' means, for one model the mean of its own."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    models = [model] if isinstance(model, GMMModel) else list(model)
-    cov_type = models[0].cov_type
-    if any(m.cov_type != cov_type for m in models):
-        raise ValueError("models scored together must share one covariance type")
-    means = np.concatenate([m.means for m in models])
-    centre, weights = means.mean(axis=0), np.concatenate([m.weights for m in models])
-    cov = (np.stack if cov_type == "tied" else np.concatenate)([m.covariances for m in models])
-    runs = tuple((K, len(list(g))) for K, g in itertools.groupby(m.n_components for m in models))
-    weighted = _weighted_log_prob(_design(X - centre, cov_type), weights, means - centre, cov, runs, cov_type)
-    norms = _posterior(weighted, runs)[0]
-    return norms[0] if isinstance(model, GMMModel) else norms
+def _score(models: Sequence[GMMModel], X: np.ndarray) -> np.ndarray:
+    """Mixture log-densities [M, n] of the rows of ``X`` under M models of one covariance type, on one design matrix
+    of rows and means centred on the mean of all the models' means; runs of models share an E-step in blocks of
+    at most ``LOCKSTEP_ENTRIES`` components x rows."""
+    ct, norms = models[0].cov_type, []
+    centre = np.concatenate([m.means for m in models]).mean(axis=0)
+    D = _design(X - centre, ct)
+    while models:
+        take = _block([m.n_components * X.shape[0] for m in models])
+        block, models = models[:take], models[take:]
+        weights, means = np.concatenate([m.weights for m in block]), np.concatenate([m.means for m in block])
+        cov = (np.stack if ct == "tied" else np.concatenate)([m.covariances for m in block])
+        runs = tuple((K, len(list(g))) for K, g in itertools.groupby(m.n_components for m in block))
+        norms.append(_posterior(_weighted_log_prob(D, weights, means - centre, cov, runs, ct), runs)[0])
+    return np.concatenate(norms)
+
+
+def score_rows(model: GMMModel, X: np.ndarray) -> np.ndarray:
+    """Mixture log-density of each row of ``X``, scored on rows and means centred on the mean of the means."""
+    return _score([model], np.atleast_2d(np.asarray(X, dtype=np.float64)))[0]
 
 
 # -- EM ------------------------------------------------------------------------------
@@ -248,22 +263,24 @@ def _kmeanspp_centers(X: np.ndarray, K: int, rng: np.random.Generator) -> np.nda
 
 def _init_covariances(X: np.ndarray, count: int, cov_type: str) -> np.ndarray:
     """``count`` copies of the bank's covariance under ``cov_type``: one per component, or per mixture if tied."""
+    d = X.shape[1]
     var = np.maximum(X.var(axis=0), COV_FLOOR)
     if cov_type == "spherical":
         return np.full(count, var.mean())
     if cov_type == "diag":
         return np.tile(var, (count, 1))
     # divided by n, as X.var is: the start depends on the rows' statistics, not on how many rows there are
-    return np.tile(np.atleast_2d(np.cov(X.T, bias=True)) + COV_FLOOR * np.eye(X.shape[1]), (count, 1, 1))
+    return np.tile(np.cov(X.T, bias=True).reshape(d, d) + COV_FLOOR * np.eye(d), (count, 1, 1))
 
 
 def _m_step(D: np.ndarray, gram: np.ndarray, resp: np.ndarray, mass: np.ndarray, runs, cov_type: str):
     """Weights, means and floored covariances of the mixtures in ``runs`` from [C, n] responsibilities and [C] masses.
 
-    ``gram`` is the bank's X^T X.  Tied needs only ``resp @ X``: Sigma = (X^T X - sum_k n_k mu_k mu_k^T) / n, the
-    sum over each mixture's components.  Tied and full covariances are folded from one triangle: exactly symmetric.
+    ``gram`` is the bank's X^T X.  Tied needs only ``resp @ X``: Sigma = (X^T X - sum_k n_k mu_k mu_k^T) / n,
+    the sum over each mixture's components.  Tied and full covariances are folded from one triangle, so they
+    are exactly symmetric.
     """
-    n, d = resp.shape[1], gram.shape[0]
+    (C, n), d = resp.shape, gram.shape[0]
     nk = mass + 10.0 * np.finfo(np.float64).eps
     rows = D[:d] if cov_type == "tied" else D
     moments = (resp @ rows.T) / nk[:, None]
@@ -318,8 +335,10 @@ def _lockstep(X, D, gram, shift, counts, seeds, cov_type: str, max_iter: int, to
     restart's (model, history) shifted back by ``shift``, or the error that failed the fit."""
     R, tied = N_RESTARTS, cov_type == "tied"
     sizes = np.repeat(counts, R)  # components of each mixture, fit-major; fit f owns mixtures f*R .. f*R+R-1
-    rngs = map(np.random.default_rng, seeds)  # each fit's R seedings draw from its own generator in turn
-    centers = [_kmeanspp_centers(X, K, rng) for K, rng in zip(counts, rngs) for _ in range(R)]
+    centers = []
+    for K, seed in zip(counts, seeds):
+        rng = np.random.default_rng(seed)
+        centers += [_kmeanspp_centers(X, K, rng) for _ in range(R)]
     weights, means = np.repeat(1.0 / sizes, sizes), np.concatenate(centers)
     cov = _init_covariances(X, len(sizes) if tied else sizes.sum(), cov_type)
     live, histories, final, outcome, runs = np.arange(len(sizes)), [[] for _ in sizes], {}, {}, None
@@ -371,9 +390,10 @@ def em_fit(bank: np.ndarray, K, cov_type: str = "diag", seed=0, max_iter: int = 
 
     The restarts advance in lockstep; one leaves after the M-step of the iteration whose gain falls below
     ``tol`` per bank row, so a larger bank does not tighten it, and its history, the total log-likelihood before
-    each M-step, is nondecreasing; the default is scikit-learn's.  Final log-likelihoods within 1e-9 of the best's
-    magnitude tie, as BICs do in :func:`select_model`, and the first restart among them is kept, so rounding does
-    not choose among restarts at one optimum.
+    each M-step, is nondecreasing.  The default, scikit-learn's, ends the large-K fits that an absolute 1e-6 ran
+    to ``max_iter`` and moves the selected sampler's held-out code log-density by less than its seed spread.  Final
+    log-likelihoods within 1e-9 of the best's magnitude tie, as BICs do in :func:`select_model`, and the
+    first restart among them is kept, so rounding does not choose among restarts at one optimum.
 
     Given a sequence of counts ``K`` and one seed per count, it fits the whole grid in lockstep and returns one
     entry per count: (model, history) as above, or the ``ValueError`` or ``LinAlgError`` that failed that fit
@@ -400,9 +420,7 @@ def em_fit(bank: np.ndarray, K, cov_type: str = "diag", seed=0, max_iter: int = 
     D, gram = _design(X, cov_type), X.T @ X
     todo = [f for f, k in enumerate(counts) if k <= distinct]
     while todo:
-        # the longest run of fits that holds at most LOCKSTEP_ENTRIES components x rows, and at least one fit
-        entries = np.cumsum([N_RESTARTS * counts[f] * X.shape[0] for f in todo])
-        take = max(1, int(np.searchsorted(entries, LOCKSTEP_ENTRIES, side="right")))
+        take = _block([N_RESTARTS * counts[f] * X.shape[0] for f in todo])
         block, todo = todo[:take], todo[take:]
         fits = [counts[f] for f in block], [seeds[f] for f in block]
         for f, result in zip(block, _lockstep(X, D, gram, shift, *fits, cov_type, max_iter, tol)):
@@ -436,14 +454,15 @@ def select_model(
     bank: np.ndarray, component_range: Sequence[int], cov_types: Sequence[str] = COV_TYPES,
     seed: int = 0, max_iter: int = 200, tol: float = 1e-3,
 ):
-    """Fit every (K, cov_type) pair and keep the lowest-BIC model; returns (best model, selection table).
+    """Fit every (K, cov_type) pair and keep the lowest-BIC model.
 
-    Each covariance type's whole K grid is one :func:`em_fit` call, with the type as its third argument, in which
-    all its fits advance in lockstep, and one :func:`score_rows` call; both are looked up on the module.  A fit
-    that fails leaves a failure line, and the other fits stand.  The table lists the fits K-major, in ``cov_types``
-    order within each K.  BICs within 1e-9 of the best's magnitude tie; ties break toward fewer parameters, then
-    the canonical covariance order (spherical, tied, diag, full).  A row is ``converged`` when its kept restart
-    stopped by :func:`em_fit`'s rule, its last EM step gaining less than ``tol`` per bank row.
+    Each covariance type's whole K grid is one :func:`em_fit` call, looked up on the module with the type as its
+    third argument, in which all its fits advance in lockstep; its fits are then scored together on one design
+    matrix, in blocks of at most ``LOCKSTEP_ENTRIES`` components x rows.  A fit that fails leaves a failure line,
+    and the other fits stand.  The table lists the fits K-major, in ``cov_types`` order within each K.  BICs within
+    1e-9 of the best's magnitude tie; ties break toward fewer parameters, then the canonical covariance order
+    (spherical, tied, diag, full).  Returns (best model, selection table).  A row is ``converged`` when its kept
+    restart stopped by :func:`em_fit`'s rule, its last EM step gaining less than ``tol`` per bank row.
     """
     X = _as_bank(bank)
     if len(component_range) == 0 or len(cov_types) == 0:
@@ -463,9 +482,11 @@ def select_model(
                    max_iter=max_iter, tol=tol)
         for ct in cov_types
     }
-    kept = {ct: {f: cell[0] for f, cell in enumerate(grids[ct]) if not isinstance(cell, Exception)} for ct in cov_types}
-    # all of a type's fits scored in one call, on one design matrix
-    logliks = {ct: dict(zip(fits, score_rows(list(fits.values()), X).sum(axis=1))) for ct, fits in kept.items() if fits}
+    logliks = {}  # each type's fits scored together, on one design matrix
+    for ct in cov_types:
+        kept = [f for f, cell in enumerate(grids[ct]) if not isinstance(cell, Exception)]
+        if kept:
+            logliks.update(zip([(f, ct) for f in kept], _score([grids[ct][f][0] for f in kept], X).sum(axis=1)))
     table: list[SelectionRow] = []
     failures: list[str] = []
     for f, K in enumerate(counts):
@@ -474,7 +495,7 @@ def select_model(
                 failures.append(f"K={K} {ct}: {grids[ct][f]}")
                 continue
             model, history = grids[ct][f]
-            loglik, params, n = float(logliks[ct][f]), _n_params(model), X.shape[0]
+            loglik, params, n = float(logliks[f, ct]), _n_params(model), X.shape[0]
             bic, converged = float(-2.0 * loglik + params * np.log(n)), _stalled(history, n, tol)
             table.append(SelectionRow(K, ct, loglik, params, bic, n_iter=len(history), converged=converged))
     if not table:
@@ -502,7 +523,8 @@ def sample(model: GMMModel, n: int, seed: int = 0) -> np.ndarray:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     comps = rng.choice(model.n_components, size=n, p=model.weights)
-    out, ct = np.empty((n, model.d)), model.cov_type
+    out = np.empty((n, model.d))
+    ct = model.cov_type
     chol = np.linalg.cholesky(model.covariances) if ct in ("tied", "full") else None  # tied: one for every k
     for k in range(model.n_components):
         idx = np.flatnonzero(comps == k)

@@ -509,11 +509,11 @@ class TestSelectModel:
         assert [(r.K, r.cov_type) for r in table if r.selected] == [(3, "diag")] and len(table) == 32
 
     def test_each_fit_scored_once(self, monkeypatch):
-        # Once, and in one score_rows call per covariance type with all that type's fits, looked up on the module
-        # so that a probe rebinding gmm.score_rows times every score; each table loglik is its model's own density.
+        # Once, and in one call per covariance type with all that type's fits; each table loglik is its model's
+        # own density.
         X = three_clusters(n_per=40, d=2)
-        calls, score = [], gmm_mod.score_rows
-        monkeypatch.setattr(gmm_mod, "score_rows", lambda models, rows: calls.append(models) or score(models, rows))
+        calls, score = [], gmm_mod._score
+        monkeypatch.setattr(gmm_mod, "_score", lambda models, rows: calls.append(models) or score(models, rows))
         best, table = select_model(X, [1, 2, 3], COV_TYPES, seed=0)
         assert [[(m.n_components, m.cov_type) for m in models] for models in calls] == [
             [(K, ct) for K in (1, 2, 3)] for ct in COV_TYPES
@@ -528,6 +528,26 @@ class TestSelectModel:
             if r.selected:
                 assert model is best and r.bic == -2.0 * r.loglik + r.params * np.log(X.shape[0])
                 assert r.loglik == pytest.approx(float(score_rows(best, X).sum()), rel=1e-12, abs=0)
+
+    def test_scoring_runs_in_blocks_under_the_entry_cap(self, monkeypatch):
+        # 100 rows: EM holds K 1 to 6 in blocks of at most 3 x 6 x 100 entries, and scoring all six fits of a type
+        # at once would take 21 x 100 > 1,800, so it splits too.  Blocks change no score.
+        X, sizes = three_clusters(n_per=100, d=2, seed=6)[::3], []
+        weighted = gmm_mod._weighted_log_prob
+
+        def recorded(*args):
+            out = weighted(*args)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(gmm_mod, "_weighted_log_prob", recorded)
+        monkeypatch.setattr(gmm_mod, "LOCKSTEP_ENTRIES", 1800)
+        _, table = select_model(X, range(1, 7), ("diag", "full"), seed=2, max_iter=20)
+        assert len(table) == 12 and X.shape[0] == 100 and max(sizes) <= 1800
+        models = [em_fit(X, K, "full", seed=K, max_iter=20)[0] for K in range(1, 7)]
+        split = gmm_mod._score(models, X)
+        monkeypatch.setattr(gmm_mod, "LOCKSTEP_ENTRIES", 2**20)
+        np.testing.assert_allclose(split, gmm_mod._score(models, X), rtol=1e-12, atol=0)
 
     def test_rows_report_em_convergence(self):
         X = three_clusters(n_per=80, d=2, seed=3)
@@ -661,18 +681,13 @@ class TestScoreRowsOracle:
 
     @pytest.mark.parametrize("cov_type", COV_TYPES)
     def test_models_scored_together_match_the_oracle(self, cov_type):
-        # a sequence of models of one type is scored on one design matrix, one row of log-densities per model
+        # select_model scores models of one type on one design matrix, one row of log-densities per model
         trio = [_random_mixture(cov_type, K, 3, seed=40 + r, offset=1e4) for r, K in enumerate((4, 4, 2))]
         X = np.concatenate([rows for _, _, rows in trio])
-        got = score_rows([model for model, _, _ in trio], X)
+        got = gmm_mod._score([model for model, _, _ in trio], X)
         assert got.shape == (3, X.shape[0])
         for row, (model, full, _) in zip(got, trio):
             np.testing.assert_allclose(row, _oracle_log_density(model.weights, model.means, full, X), rtol=1e-9, atol=0)
-
-    def test_models_scored_together_share_a_type(self):
-        (diag, _, X), (full, _, _) = _random_mixture("diag", 2, 3, seed=1), _random_mixture("full", 2, 3, seed=1)
-        with pytest.raises(ValueError, match="one covariance type"):
-            score_rows([diag, full], X)
 
 
 class TestStackedEStep:
@@ -705,13 +720,9 @@ class TestStackedEStep:
         # K from 1 to 8, 108 components at d = 16, each mixture against the oracle on its own.
         make = _near_floor_mixture if near_floor else _random_mixture
         mixtures = [make("full", K, 16, seed=30 * K + r) for K in range(1, 9) for r in range(3)]
-        models, X = [m for m, _, _ in mixtures], np.concatenate([rows for _, _, rows in mixtures[::4]])
-        centre = np.concatenate([m.means for m in models]).mean(axis=0)
-        fields = ("weights", "means", "covariances")
-        weights, means, cov = (np.concatenate([getattr(m, k) for m in models]) for k in fields)
-        D, runs = gmm_mod._design(X - centre, "full"), tuple((K, 3) for K in range(1, 9))
-        assert cov.shape == (108, 16, 16)
-        norm, _ = gmm_mod._posterior(gmm_mod._weighted_log_prob(D, weights, means - centre, cov, runs, "full"), runs)
+        X = np.concatenate([rows for _, _, rows in mixtures[::4]])
+        assert sum(m.n_components for m, _, _ in mixtures) == 108
+        norm = gmm_mod._score([m for m, _, _ in mixtures], X)
         for r, (model, full, _) in enumerate(mixtures):
             want = _oracle_log_density(model.weights, model.means, full, X)
             np.testing.assert_allclose(norm[r], want, rtol=NEAR_FLOOR_RTOL if near_floor else 1e-10, atol=0)
