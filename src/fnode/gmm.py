@@ -152,11 +152,12 @@ def _block(entries) -> int:
 
 def _tril_inv(L: np.ndarray) -> np.ndarray:
     """Inverses of lower-triangular [C, d, d] factors, all at once: forward substitution over d rows (LAPACK
-    trtri's algorithm), row i = -L[i, :i] L^-1[:i, :i] / L[i, i] beside 1 / L[i, i]."""
-    inv, diag = np.zeros_like(L), 1.0 / np.diagonal(L, axis1=-2, axis2=-1)
-    for i in range(L.shape[-1]):
-        inv[:, i, :i] = (L[:, i : i + 1, :i] @ inv[:, :i, :i])[:, 0] * -diag[:, i, None]
-        inv[:, i, i] = diag[:, i]
+    trtri's algorithm), row i = -(L[i, :i] / L[i, i]) L^-1[:i, :i] beside 1 / L[i, i]."""
+    d, diag = L.shape[-1], 1.0 / np.diagonal(L, axis1=-2, axis2=-1)
+    scaled, inv = L * -diag[..., None], np.zeros_like(L)
+    inv[:, range(d), range(d)] = diag
+    for i in range(1, d):
+        inv[:, i, :i] = (scaled[:, i, None, :i] @ inv[:, :i, :i])[:, 0]
     return inv
 
 
